@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import (DegenerateParameterError, InvalidBinding, NotSpecializable,
-                     ValidityError)
+from .errors import InvalidBinding, NotSpecializable, ValidityError
 from .gammafn import gamma, gamma_ratio, GammaRatioSpec
 from .series import HyperSeriesSpec, eval_series
-from .summation import (ClosedFormBreakdown, DixonVariant, SummationId,
-                        rhs_closed_form)
+from .summation import (ARGUMENT, REQUIRED_SYMBOLS, ClosedFormBreakdown, DixonVariant,
+                        SummationId, _Gammas, require_no_exclusion, rhs_closed_form,
+                        rhs_gamma_arguments)
 
 __all__ = [
     "LaplaceCase",
@@ -44,7 +44,6 @@ __all__ = [
     "transform_rhs_series",
 ]
 
-_DEGENERATE_TOL = 1e-12
 _CONSTRAINT_TOL = 1e-12
 
 
@@ -77,6 +76,11 @@ NEW_IDS = (LaplaceId.GAUSS2X_L, LaplaceId.BAILEYX_L, LaplaceId.KUMMERX_L,
            LaplaceId.WATSON1X_L, LaplaceId.WATSON2X_L, LaplaceId.DIXONX_L,
            LaplaceId.WHIPPLEX_L)
 
+# each new Laplace transform rides on the extended summation theorem of
+# the same name
+SUMMATION_OF: dict[LaplaceId, SummationId] = {
+    lid: SummationId(lid.value) for lid in NEW_IDS}
+
 REQUIRED_LAPLACE_SYMBOLS: dict[LaplaceId, tuple[str, ...]] = {
     LaplaceId.GAUSS2_L: ("a", "b"),
     LaplaceId.BAILEY_L: ("a", "c"),
@@ -84,33 +88,24 @@ REQUIRED_LAPLACE_SYMBOLS: dict[LaplaceId, tuple[str, ...]] = {
     LaplaceId.WATSON_L: ("a", "b", "c"),
     LaplaceId.DIXON_L: ("a", "b", "c"),
     LaplaceId.WHIPPLE_L: ("a", "b", "c", "d", "e"),
-    LaplaceId.GAUSS2X_L: ("a", "b", "d"),
-    LaplaceId.BAILEYX_L: ("a", "c", "d"),
-    LaplaceId.KUMMERX_L: ("a", "b", "d"),
-    LaplaceId.WATSON1X_L: ("a", "b", "c", "d"),
-    LaplaceId.WATSON2X_L: ("a", "b", "c", "d"),
-    LaplaceId.DIXONX_L: ("a", "b", "c", "d"),
-    LaplaceId.WHIPPLEX_L: ("a", "c", "d", "e"),
-}
-
-# each new Laplace transform rides on one extended summation theorem
-SUMMATION_OF: dict[LaplaceId, SummationId] = {
-    LaplaceId.GAUSS2X_L: SummationId.GAUSS2X,
-    LaplaceId.BAILEYX_L: SummationId.BAILEYX,
-    LaplaceId.KUMMERX_L: SummationId.KUMMERX,
-    LaplaceId.WATSON1X_L: SummationId.WATSON1X,
-    LaplaceId.WATSON2X_L: SummationId.WATSON2X,
-    LaplaceId.DIXONX_L: SummationId.DIXONX,
-    LaplaceId.WHIPPLEX_L: SummationId.WHIPPLEX,
+    **{lid: REQUIRED_SYMBOLS[sid] for lid, sid in SUMMATION_OF.items()},
 }
 
 # w as a multiple of s: the integrand argument is (w/s)*(st)
 W_FACTOR: dict[LaplaceId, float] = {
     LaplaceId.GAUSS2_L: 0.5, LaplaceId.BAILEY_L: 0.5, LaplaceId.KUMMER_L: -1.0,
     LaplaceId.WATSON_L: 1.0, LaplaceId.DIXON_L: 1.0, LaplaceId.WHIPPLE_L: 1.0,
-    LaplaceId.GAUSS2X_L: 0.5, LaplaceId.BAILEYX_L: 0.5, LaplaceId.KUMMERX_L: -1.0,
-    LaplaceId.WATSON1X_L: 1.0, LaplaceId.WATSON2X_L: 1.0, LaplaceId.DIXONX_L: 1.0,
-    LaplaceId.WHIPPLEX_L: 1.0,
+    **{lid: ARGUMENT[sid] for lid, sid in SUMMATION_OF.items()},
+}
+
+# the exponent v of the t^(v-1) factor, under the label that its
+# Re(v)<=0 condition prints; entries not listed take v = c
+_POWERS: dict[str, Callable[[dict], complex]] = {
+    "b": lambda p: p["b"], "1-a": lambda p: 1 - p["a"], "c": lambda p: p["c"]}
+_POWER_LABEL: dict[LaplaceId, str] = {
+    LaplaceId.GAUSS2_L: "b", LaplaceId.GAUSS2X_L: "b",
+    LaplaceId.KUMMER_L: "b", LaplaceId.KUMMERX_L: "b",
+    LaplaceId.BAILEY_L: "1-a", LaplaceId.BAILEYX_L: "1-a",
 }
 
 
@@ -135,15 +130,13 @@ class LaplaceCase:
         object.__setattr__(self, "s", complex(self.s))
 
     @property
+    def power_label(self) -> str:
+        return _POWER_LABEL.get(self.id, "c")
+
+    @property
     def power(self) -> complex:
         """Exponent v in the t^(v-1) factor, fixed by the identity."""
-        p = self.params
-        if self.id in (LaplaceId.GAUSS2_L, LaplaceId.KUMMER_L,
-                       LaplaceId.GAUSS2X_L, LaplaceId.KUMMERX_L):
-            return p["b"]
-        if self.id in (LaplaceId.BAILEY_L, LaplaceId.BAILEYX_L):
-            return 1 - p["a"]
-        return p["c"]
+        return _POWERS[self.power_label](self.params)
 
     @property
     def w(self) -> complex:
@@ -221,46 +214,26 @@ def _check_case_validity(case: LaplaceCase) -> None:
     if case.s.real <= 0.0:
         raise ValidityError("Re(s)<=0")
     if case.power.real <= 0.0:
-        reason = {
-            LaplaceId.BAILEY_L: "Re(1-a)<=0", LaplaceId.BAILEYX_L: "Re(1-a)<=0",
-            LaplaceId.GAUSS2_L: "Re(b)<=0", LaplaceId.GAUSS2X_L: "Re(b)<=0",
-            LaplaceId.KUMMER_L: "Re(b)<=0", LaplaceId.KUMMERX_L: "Re(b)<=0",
-        }.get(case.id, "Re(c)<=0")
-        raise ValidityError(reason)
-    if case.id in (LaplaceId.WATSON_L, LaplaceId.WATSON1X_L, LaplaceId.WATSON2X_L):
-        if (2 * p["c"] - p["a"] - p["b"]).real <= -1.0:
-            raise ValidityError("Re(2c-a-b)<=-1")
-    if case.id in (LaplaceId.DIXON_L, LaplaceId.DIXONX_L):
-        if (p["a"] - 2 * p["b"] - 2 * p["c"]).real <= -2.0:
-            raise ValidityError("Re(a-2b-2c)<=-2")
+        raise ValidityError(f"Re({case.power_label})<=0")
+    require_no_exclusion(case.id, p, degenerate=False)
     if case.id is LaplaceId.WHIPPLE_L:
         if abs(p["a"] + p["b"] - 1.0) > _CONSTRAINT_TOL:
             raise ValidityError("constraint a+b=1 violated")
         if abs(p["d"] + p["e"] - 1.0 - 2 * p["c"]) > _CONSTRAINT_TOL:
             raise ValidityError("constraint d+e=1+2c violated")
-    if case.id in SUMMATION_OF and p["d"].real <= 0.0:
-        raise ValidityError("Re(d)<=0")
-    if case.id in (LaplaceId.KUMMERX_L, LaplaceId.DIXONX_L):
-        if abs(p["b"] - 1.0) <= _DEGENERATE_TOL:
-            raise DegenerateParameterError("degenerate b=1")
-    if case.id is LaplaceId.DIXONX_L:
-        if abs(1 + p["a"] - p["b"] - p["c"]) <= _DEGENERATE_TOL:
-            raise DegenerateParameterError("degenerate 1+a-b-c=0")
-    if case.id is LaplaceId.WATSON2X_L:
-        if (abs(p["a"] - p["b"] - 1.0) <= _DEGENERATE_TOL
-                or abs(p["a"] - p["b"] + 1.0) <= _DEGENERATE_TOL):
-            raise DegenerateParameterError("degenerate a-b=+-1")
+    require_no_exclusion(case.id, p, degenerate=True)
 
 
-def _classical_term(case: LaplaceCase) -> complex:
-    """The printed gamma block of a classical entry, without Gamma(v) s^(-v)."""
+def _classical_term(case: LaplaceCase, gr: _Gammas) -> complex:
+    """The printed gamma block of a classical entry, without Gamma(v) s^(-v);
+    every gamma ratio goes through the recording evaluator gr."""
     p = case.params
     a = p.get("a")
     b = p.get("b")
     c = p.get("c")
     d = p.get("d")
     e = p.get("e")
-    R = lambda num, den: gamma_ratio(GammaRatioSpec(num, den))
+    R = gr.ratio
     if case.id is LaplaceId.GAUSS2_L:
         return R([0.5, (a + b + 1) / 2], [(a + 1) / 2, (b + 1) / 2])
     if case.id is LaplaceId.BAILEY_L:
@@ -294,7 +267,7 @@ def closed_form(case: LaplaceCase,
         inner = rhs_closed_form(SUMMATION_OF[case.id], case.params, dixon_variant)
         return ClosedFormBreakdown(front * inner.prefactor, inner.term1, inner.term2,
                                    inner.alpha, inner.beta, front * inner.value)
-    term = _classical_term(case)
+    term = _classical_term(case, _Gammas())
     return ClosedFormBreakdown(front, term, complex(0.0), complex(0.0), complex(0.0),
                                front * term)
 
@@ -387,35 +360,17 @@ def closed_form_direct(case: LaplaceCase,
 def case_gamma_arguments(case: LaplaceCase,
                          dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
                          ) -> tuple[list[complex], list[complex]]:
-    """Every gamma argument in the closed form, split numerator/denominator.
+    """Every gamma argument in the closed form, split numerator/denominator,
+    as recorded while building it: Gamma(v) first, then the gamma block.
 
     Used by the sampler to keep drawn bindings away from gamma poles."""
-    p = case.params
-    a = p.get("a")
-    b = p.get("b")
-    c = p.get("c")
-    d = p.get("d")
-    e = p.get("e")
     if case.id in SUMMATION_OF:
-        from .summation import rhs_gamma_arguments
         num, den = rhs_gamma_arguments(SUMMATION_OF[case.id], case.params, dixon_variant)
-        return [case.power] + num, den
-    if case.id is LaplaceId.GAUSS2_L:
-        return [case.power, 0.5, (a + b + 1) / 2], [(a + 1) / 2, (b + 1) / 2]
-    if case.id is LaplaceId.BAILEY_L:
-        return [case.power, c / 2, (c + 1) / 2], [(a + c) / 2, (c - a + 1) / 2]
-    if case.id is LaplaceId.KUMMER_L:
-        return [case.power, 0.5, 1 + a - b], [(a + 1) / 2, 1 + a / 2 - b]
-    if case.id is LaplaceId.WATSON_L:
-        return ([case.power, 0.5, c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2],
-                [(a + 1) / 2, (b + 1) / 2, c - (a - 1) / 2, c - (b - 1) / 2])
-    if case.id is LaplaceId.DIXON_L:
-        return ([case.power, 1 + a / 2, 1 + a - b, 1 + a - c, 1 + a / 2 - b - c],
-                [1 + a, 1 + a / 2 - b, 1 + a / 2 - c, 1 + a - b - c])
-    if case.id is LaplaceId.WHIPPLE_L:
-        return ([case.power, d, e],
-                [(a + d) / 2, (a + e) / 2, (b + d) / 2, (b + e) / 2])
-    raise InvalidBinding(f"{case.id.value} has no gamma argument table")
+    else:
+        gr = _Gammas(collect_only=True)
+        _classical_term(case, gr)
+        num, den = gr.numerator_args, gr.denominator_args
+    return [case.power] + num, den
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,9 @@ def _sum_terminating(spec: HyperSeriesSpec, order: int) -> SeriesResult:
         if n < order:
             term *= _term_ratio(spec, n)
     cancel = max_abs / max(abs(total), _ABS_FLOOR)
-    return SeriesResult(total, order + 1, 0.0, max(cancel, 1.0), True, "terminating")
+    # a-priori rounding bound of order+1 compensated additions
+    tail = (order + 1) * _EPS * max_abs
+    return SeriesResult(total, order + 1, tail, max(cancel, 1.0), True, "terminating")
 
 
 def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:

@@ -7,9 +7,10 @@ rational coefficients alpha and beta; every one reduces to a classical
 summation theorem at a distinguished value of d.
 
 The closed forms are transcribed term by term; rhs_closed_form evaluates
-them, validity() screens parameter bindings against the stated conditions,
-degenerate exclusions, pole proximity and series convergence, and check()
-compares a closed form against the direct series oracle.
+them, validity() screens parameter bindings against the stated conditions
+and degenerate exclusions (the EXCLUSIONS table, shared with the Laplace
+catalog), pole proximity and series convergence, and check() compares a
+closed form against the direct series oracle.
 """
 
 from __future__ import annotations
@@ -17,19 +18,25 @@ from __future__ import annotations
 import cmath
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DegenerateParameterError, InvalidBinding, ValidityError
-from .gammafn import POLE_TOL, gamma_ratio, GammaRatioSpec, is_nonpositive_integer
+from .gammafn import (POLE_TOL, gamma_ratio, GammaRatioSpec, is_nonpositive_integer,
+                      nearest_pole_distance)
 from .reporting import CheckReport, failed_report, make_report
 from .series import HyperSeriesSpec, classify, eval_series
 
 __all__ = [
+    "ARGUMENT",
+    "EXCLUSIONS",
     "ClosedFormBreakdown",
     "DixonVariant",
+    "Exclusion",
     "REQUIRED_SYMBOLS",
     "SummationId",
     "check",
     "lhs_spec",
+    "require_no_exclusion",
     "rhs_closed_form",
     "rhs_gamma_arguments",
     "validity",
@@ -72,6 +79,56 @@ REQUIRED_SYMBOLS: dict[SummationId, tuple[str, ...]] = {
     SummationId.WHIPPLEX: ("a", "c", "d", "e"),
 }
 
+# the argument z of each sum's series; a Laplace entry built on the sum
+# takes w = z * s
+ARGUMENT: dict[SummationId, float] = {
+    SummationId.GAUSS2X: 0.5,
+    SummationId.BAILEYX: 0.5,
+    SummationId.KUMMERX: -1.0,
+    SummationId.WATSON1X: 1.0,
+    SummationId.WATSON2X: 1.0,
+    SummationId.DIXONX: 1.0,
+    SummationId.WHIPPLEX: 1.0,
+}
+
+
+@dataclass(frozen=True)
+class Exclusion:
+    """One excluded region of the parameter space.
+
+    ``ids`` are identity values: SummationId and LaplaceId are str enums,
+    and a Laplace entry built on a sum carries the sum's value, so one row
+    covers both.  A degeneracy (``bound`` None) excludes |expression| <= tol,
+    a stated condition excludes Re(expression) <= bound.
+    """
+
+    ids: tuple[str, ...]
+    expression: Callable[[dict], complex]
+    reason: str
+    bound: float | None = None
+
+    def excludes(self, p: dict, tol: float) -> bool:
+        value = self.expression(p)
+        if self.bound is None:
+            return abs(value) <= tol
+        return value.real <= self.bound
+
+
+EXCLUSIONS: tuple[Exclusion, ...] = (
+    Exclusion(("kummerx", "dixonx"), lambda p: p["b"] - 1.0, "degenerate b=1"),
+    Exclusion(("dixonx",), lambda p: 1 + p["a"] - p["b"] - p["c"],
+              "degenerate 1+a-b-c=0"),
+    Exclusion(("watson2x",), lambda p: p["a"] - p["b"] - 1.0, "degenerate a-b=1"),
+    Exclusion(("watson2x",), lambda p: p["a"] - p["b"] + 1.0, "degenerate a-b=-1"),
+    Exclusion(tuple(sid.value for sid in SummationId), lambda p: p["d"],
+              "Re(d)<=0", 0.0),
+    Exclusion(("watson1x", "watson2x", "watson"),
+              lambda p: 2 * p["c"] - p["a"] - p["b"], "Re(2c-a-b)<=-1", -1.0),
+    Exclusion(("dixonx", "dixon"), lambda p: p["a"] - 2 * p["b"] - 2 * p["c"],
+              "Re(a-2b-2c)<=-2", -2.0),
+    Exclusion(("whipplex",), lambda p: p["c"], "Re(c)<=0", 0.0),
+)
+
 
 @dataclass(frozen=True)
 class ClosedFormBreakdown:
@@ -104,21 +161,17 @@ def lhs_spec(id: SummationId, params: dict) -> HyperSeriesSpec:
     c = p.get("c")
     d = p.get("d")
     e = p.get("e")
-    if id is SummationId.GAUSS2X:
-        return HyperSeriesSpec([a, b, d + 1], [(a + b + 3) / 2, d], 0.5)
-    if id is SummationId.BAILEYX:
-        return HyperSeriesSpec([a, 1 - a, d + 1], [c + 1, d], 0.5)
-    if id is SummationId.KUMMERX:
-        return HyperSeriesSpec([a, b, d + 1], [2 + a - b, d], -1.0)
-    if id is SummationId.WATSON1X:
-        return HyperSeriesSpec([a, b, c, d + 1], [(a + b + 1) / 2, 2 * c + 1, d], 1.0)
-    if id is SummationId.WATSON2X:
-        return HyperSeriesSpec([a, b, c, d + 1], [(a + b + 3) / 2, 2 * c, d], 1.0)
-    if id is SummationId.DIXONX:
-        return HyperSeriesSpec([a, b, c, d + 1], [2 + a - b, 1 + a - c, d], 1.0)
-    if id is SummationId.WHIPPLEX:
-        return HyperSeriesSpec([a, 1 - a, c, d + 1], [e + 1, 2 * c - e + 1, d], 1.0)
-    raise InvalidBinding(f"unknown identity {id}")
+    parameters: dict[SummationId, Callable[[], tuple]] = {
+        SummationId.GAUSS2X: lambda: ([a, b, d + 1], [(a + b + 3) / 2, d]),
+        SummationId.BAILEYX: lambda: ([a, 1 - a, d + 1], [c + 1, d]),
+        SummationId.KUMMERX: lambda: ([a, b, d + 1], [2 + a - b, d]),
+        SummationId.WATSON1X: lambda: ([a, b, c, d + 1], [(a + b + 1) / 2, 2 * c + 1, d]),
+        SummationId.WATSON2X: lambda: ([a, b, c, d + 1], [(a + b + 3) / 2, 2 * c, d]),
+        SummationId.DIXONX: lambda: ([a, b, c, d + 1], [2 + a - b, 1 + a - c, d]),
+        SummationId.WHIPPLEX: lambda: ([a, 1 - a, c, d + 1], [e + 1, 2 * c - e + 1, d]),
+    }
+    num, den = parameters[id]()
+    return HyperSeriesSpec(num, den, ARGUMENT[id])
 
 
 class _Gammas:
@@ -146,36 +199,23 @@ def _cpow(base: complex, expo: complex) -> complex:
     return cmath.exp(complex(expo) * cmath.log(complex(base)))
 
 
-def _degeneracy_reason(id: SummationId, p: dict[str, complex]) -> str | None:
-    if id is SummationId.KUMMERX and abs(p["b"] - 1.0) <= _DEGENERATE_TOL:
-        return "degenerate b=1"
-    if id is SummationId.DIXONX:
-        if abs(p["b"] - 1.0) <= _DEGENERATE_TOL:
-            return "degenerate b=1"
-        if abs(1 + p["a"] - p["b"] - p["c"]) <= _DEGENERATE_TOL:
-            return "degenerate 1+a-b-c=0"
-    if id is SummationId.WATSON2X:
-        if abs(p["a"] - p["b"] - 1.0) <= _DEGENERATE_TOL:
-            return "degenerate a-b=1"
-        if abs(p["a"] - p["b"] + 1.0) <= _DEGENERATE_TOL:
-            return "degenerate a-b=-1"
+def _exclusion_reason(ident: str, p: dict, degenerate: bool,
+                     tol: float = _DEGENERATE_TOL) -> str | None:
+    """Reason of the first EXCLUSIONS row of the given kind (degeneracy or
+    stated condition) that excludes the binding p of identity ident."""
+    for row in EXCLUSIONS:
+        if ident in row.ids and (row.bound is None) == degenerate \
+                and row.excludes(p, tol):
+            return row.reason
     return None
 
 
-def _condition_reason(id: SummationId, p: dict[str, complex]) -> str | None:
-    """First violated stated condition, or None."""
-    if p["d"].real <= 0.0:
-        return "Re(d)<=0"
-    if id in (SummationId.WATSON1X, SummationId.WATSON2X):
-        if (2 * p["c"] - p["a"] - p["b"]).real <= -1.0:
-            return "Re(2c-a-b)<=-1"
-    if id is SummationId.DIXONX:
-        if (p["a"] - 2 * p["b"] - 2 * p["c"]).real <= -2.0:
-            return "Re(a-2b-2c)<=-2"
-    if id is SummationId.WHIPPLEX:
-        if p["c"].real <= 0.0:
-            return "Re(c)<=0"
-    return None
+def require_no_exclusion(ident: str, p: dict, degenerate: bool) -> None:
+    """Raise DegenerateParameterError or ValidityError for the first row of
+    the given kind that excludes p."""
+    reason = _exclusion_reason(ident, p, degenerate)
+    if reason is not None:
+        raise (DegenerateParameterError if degenerate else ValidityError)(reason)
 
 
 def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
@@ -265,12 +305,8 @@ def rhs_closed_form(id: SummationId, params: dict,
     get silent limits: the printed expression is evaluated as printed.
     """
     p = _binding(id, params)
-    reason = _degeneracy_reason(id, p)
-    if reason is not None:
-        raise DegenerateParameterError(reason)
-    reason = _condition_reason(id, p)
-    if reason is not None:
-        raise ValidityError(reason)
+    require_no_exclusion(id, p, degenerate=True)
+    require_no_exclusion(id, p, degenerate=False)
     gr = _Gammas()
     pre, t1, t2, alpha, beta = _build(id, p, gr, dixon_variant)
     return ClosedFormBreakdown(pre, t1, t2, alpha, beta, pre * (t1 + t2))
@@ -288,14 +324,12 @@ def rhs_gamma_arguments(id: SummationId, params: dict,
 
 def _pole_proximity_reason(num_args, den_args, margin: float) -> str | None:
     for z in num_args:
-        n = min(round(z.real), 0)
-        if abs(z - n) <= margin:
+        if nearest_pole_distance(z) <= margin:
             return f"numerator gamma argument {z:.6g} within {margin:g} of pole"
     for z in den_args:
         if is_nonpositive_integer(z, POLE_TOL):
             continue  # exact denominator pole means an exact zero: well defined
-        n = min(round(z.real), 0)
-        if abs(z - n) <= margin:
+        if nearest_pole_distance(z) <= margin:
             return f"denominator gamma argument {z:.6g} within {margin:g} of pole"
     return None
 
@@ -309,18 +343,14 @@ def validity(id: SummationId, params: dict, margin: float = 1e-3,
         p = _binding(id, params)
     except InvalidBinding as exc:
         return False, str(exc)
-    reason = _degeneracy_reason(id, p)
+    reason = _exclusion_reason(id, p, degenerate=True)
     if reason is not None:
         return False, reason
     # widen the degenerate exclusions to the sampling margin
-    if id in (SummationId.KUMMERX, SummationId.DIXONX) and abs(p["b"] - 1.0) <= margin:
-        return False, "degenerate b=1 (margin)"
-    if id is SummationId.DIXONX and abs(1 + p["a"] - p["b"] - p["c"]) <= margin:
-        return False, "degenerate 1+a-b-c=0 (margin)"
-    if id is SummationId.WATSON2X and (
-            abs(p["a"] - p["b"] - 1.0) <= margin or abs(p["a"] - p["b"] + 1.0) <= margin):
-        return False, "degenerate a-b=+-1 (margin)"
-    reason = _condition_reason(id, p)
+    reason = _exclusion_reason(id, p, degenerate=True, tol=margin)
+    if reason is not None:
+        return False, reason + " (margin)"
+    reason = _exclusion_reason(id, p, degenerate=False)
     if reason is not None:
         return False, reason
     spec = lhs_spec(id, params)

@@ -32,8 +32,8 @@ from .laplace import (CLASSICAL_IDS, LaplaceCase, LaplaceId, NEW_IDS,
 from .quadrature import laplace_numeric
 from .reporting import CheckReport, IdentityAggregate, failed_report, make_report
 from .series import eval_series
-from .summation import (DixonVariant, REQUIRED_SYMBOLS, SummationId, lhs_spec,
-                        rhs_closed_form)
+from .summation import (ARGUMENT, DixonVariant, REQUIRED_SYMBOLS, SummationId,
+                        lhs_spec, rhs_closed_form)
 
 __all__ = [
     "ALL_IDENTITY_IDS",
@@ -123,6 +123,15 @@ def _pole_margin_ok(num_args, den_args, margin: float) -> bool:
     return summation._pole_proximity_reason(num_args, den_args, margin) is None
 
 
+def _excess_too_small(z: complex, excess: float) -> bool:
+    """True when a series at z = 1 or z = -1 sits inside the excess margin."""
+    if abs(z - 1.0) <= 1e-14:
+        return excess < _UNIT_EXCESS_MARGIN
+    if abs(z + 1.0) <= 1e-14:
+        return excess < _ALT_EXCESS_MARGIN
+    return False
+
+
 def _summation_candidate(rng, cfg, sid: SummationId) -> dict:
     return {sym: _draw_symbol(rng, cfg, sym) for sym in REQUIRED_SYMBOLS[sid]}
 
@@ -132,13 +141,7 @@ def _summation_ok(sid: SummationId, binding: dict, cfg: SamplerConfig) -> bool:
     if not ok:
         return False
     spec = lhs_spec(sid, binding)
-    z = spec.argument
-    excess = spec.excess().real
-    if abs(z - 1.0) <= 1e-14 and excess < _UNIT_EXCESS_MARGIN:
-        return False
-    if abs(z + 1.0) <= 1e-14 and excess < _ALT_EXCESS_MARGIN:
-        return False
-    return True
+    return not _excess_too_small(spec.argument, spec.excess().real)
 
 
 def _laplace_candidate(rng, cfg, lid: LaplaceId) -> tuple[dict, complex]:
@@ -168,10 +171,7 @@ def _laplace_ok(lid: LaplaceId, params: dict, s: complex, cfg: SamplerConfig) ->
     integ = lhs_integrand(case)
     # the transform's series route adds the power as a numerator parameter
     excess = (integ.spec.excess() - case.power).real
-    wf = W_FACTOR[lid]
-    if wf == 1.0 and excess < _UNIT_EXCESS_MARGIN:
-        return False
-    if wf == -1.0 and excess < _ALT_EXCESS_MARGIN:
+    if _excess_too_small(W_FACTOR[lid], excess):
         return False
     num_args, den_args = case_gamma_arguments(case)
     return _pole_margin_ok(num_args, den_args, cfg.pole_margin)
@@ -215,11 +215,7 @@ def _split_laplace_binding(binding: dict) -> tuple[dict, complex]:
 
 def _series_tolerance_key(identity_id: str) -> str:
     kind, ident = parse_identity(identity_id)
-    if kind == "sum":
-        z = {SummationId.GAUSS2X: 0.5, SummationId.BAILEYX: 0.5,
-             SummationId.KUMMERX: -1.0}.get(ident, 1.0)
-    else:
-        z = W_FACTOR[ident]
+    z = ARGUMENT[ident] if kind == "sum" else W_FACTOR[ident]
     return "series_unit" if z == 1.0 else "series"
 
 

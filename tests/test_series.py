@@ -12,6 +12,8 @@ from hyperlap.series import (Convergence, HyperSeriesSpec, classify,
 
 from reference_oracles import brute_force_pfq, explicit_terminating_sum
 
+EPS = 2.0 ** -52
+
 
 def F(num, den, z):
     return HyperSeriesSpec(num, den, z)
@@ -76,7 +78,8 @@ def test_eval_trivial_values():
     r = eval_series(F([1.3, 0.2], [2.2, 0.7], 0.0))
     assert r.value == 1.0 and r.terms_used == 1
     r = eval_series(F([-1, 2], [4], 1.0))
-    assert abs(r.value - 0.5) < 1e-14 and r.converged and r.tail_estimate == 0.0
+    assert abs(r.value - 0.5) < 1e-14 and r.converged
+    assert abs(r.value - 0.5) <= r.tail_estimate + 4 * EPS * 0.5
 
 
 def test_eval_divergent_raises():
@@ -130,7 +133,8 @@ def test_terminating_matches_explicit_pochhammer_sum():
         z = rng.uniform(-3.0, 3.0)
         expected = explicit_terminating_sum(num, den, z, order)
         r = eval_series(F(num, den, z))
-        assert r.converged and r.tail_estimate == 0.0
+        assert r.converged
+        assert abs(r.value - expected) <= r.tail_estimate + 4 * EPS * abs(expected)
         assert abs(r.value - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
