@@ -6,12 +6,20 @@ substitution u = st:
 
     value = s^(-v) * integral_0^inf e^(-u) u^(v-1) pFq((w/s) u) du.
 
-Adaptive Gauss-Kronrod (G7/K15) panels handle the body; the endpoint
-singularity for Re(v) < 1 is removed by the substitution u = x^(1/Re v)
-on the first panel.  Tails come in two flavors: exponential decay
-(w/s < 1, bounded analytically) and algebraic decay u^rho for the s = w
-family, where the tail is extrapolated from a fitted power-law model with
+Adaptive Gauss-Kronrod (G7/K15) panels handle the body, refined in
+sweeps: each sweep bisects the fewest worst panels that bring the
+unsplit error under half the budget and evaluates all their children in
+one integrand call.  The endpoint singularity for Re(v) < 1 is removed
+by the substitution u = x^(1/Re v) on the first panel.  Tails come in
+two flavors: exponential decay (w/s < 1, bounded analytically) and
+algebraic decay u^rho for the s = w family, where the tail is
+extrapolated from a fitted power-law model with
 rho = Re(v - 1 + sum(a) - sum(b)) known exactly.
+
+The integrand sums pFq((w/s) u) directly at every node (no transformation
+or closed form), from one table of term ratios built per integral
+(series.TermRatios); the values come out the same whichever integrals
+ran before.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SlowDecayError, ValidityError
-from .series import HyperSeriesSpec, series_values_real
+from .series import HyperSeriesSpec, TermRatios, series_values, series_values_real
 
 __all__ = ["IntegralResult", "TailMethod", "gamma_integral_check", "laplace_numeric"]
 
@@ -67,60 +75,82 @@ class IntegralResult:
 
 
 class _PanelIntegrator:
-    """Adaptive G7/K15 bisection with deterministic worst-first refinement."""
+    """Adaptive G7/K15 bisection refined in deterministic sweeps.
+
+    A sweep orders the panels by error (larger first, lower index on ties),
+    bisects the shortest prefix whose removal leaves the unsplit panels'
+    error at most half the budget, and evaluates every child in one call
+    of f.  The panel count never exceeds max_panels."""
 
     def __init__(self, f):
         self.f = f
         self.nodes_used = 0
 
-    def _panel(self, a: float, b: float) -> tuple[complex, float]:
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        fv = self.f(mid + half * _GK_NODES)
-        self.nodes_used += len(_GK_NODES)
-        i_k = complex(np.sum(_GK_WK * fv)) * half
-        i_g = complex(np.sum(_GK_WG * fv)) * half
-        return i_k, abs(i_k - i_g)
+    def _panels(self, spans, points=()) -> tuple[list[tuple[complex, float]], np.ndarray]:
+        """K15 value and |K15 - G7| of each (a, b) span, and f at the extra
+        points, all from one call of f."""
+        ends = np.asarray(spans, dtype=float).reshape(-1, 2)
+        half = 0.5 * (ends[:, 1] - ends[:, 0])
+        mid = 0.5 * (ends[:, 0] + ends[:, 1])
+        x = np.concatenate([(mid[:, None] + half[:, None] * _GK_NODES).ravel(),
+                            np.asarray(points, dtype=float)])
+        fv = self.f(x)
+        self.nodes_used += len(x)
+        body = fv[:len(_GK_NODES) * len(mid)].reshape(len(mid), len(_GK_NODES))
+        i_k = np.sum(_GK_WK * body, axis=1) * half
+        i_g = np.sum(_GK_WG * body, axis=1) * half
+        panels = [(complex(k), float(abs(k - g))) for k, g in zip(i_k, i_g)]
+        return panels, fv[len(_GK_NODES) * len(mid):]
 
     def integrate(self, a: float, b: float, abs_tol: float,
                   max_panels: int = 512) -> tuple[complex, float]:
-        value, err = self._panel(a, b)
-        worklist = [(err, a, b, value)]
-        while len(worklist) < max_panels:
-            total_err = sum(item[0] for item in worklist)
-            if total_err <= abs_tol:
-                break
-            # split the worst panel; index tie-break keeps this deterministic
-            worst = max(range(len(worklist)), key=lambda i: (worklist[i][0], -i))
-            e, lo, hi, _v = worklist.pop(worst)
-            mid = 0.5 * (lo + hi)
-            v_left, e_left = self._panel(lo, mid)
-            v_right, e_right = self._panel(mid, hi)
-            worklist.append((e_left, lo, mid, v_left))
-            worklist.append((e_right, mid, hi, v_right))
-        worklist.sort(key=lambda item: item[1])
+        (first,), _ = self._panels([(a, b)])
+        work = [(a, b, *first)]  # (lo, hi, value, err) in position order
+        total_err = first[1]
+        while total_err > abs_tol and len(work) < max_panels:
+            order = sorted(range(len(work)), key=lambda i: (-work[i][3], i))
+            unsplit = total_err
+            split = set()
+            for i in order[:max_panels - len(work)]:
+                split.add(i)
+                unsplit -= work[i][3]
+                if unsplit <= 0.5 * abs_tol:
+                    break
+            halves = []
+            for i in sorted(split):
+                lo, hi = work[i][:2]
+                mid = 0.5 * (lo + hi)
+                halves += [(lo, mid), (mid, hi)]
+            children = iter([(*span, *panel)
+                             for span, panel in zip(halves, self._panels(halves)[0])])
+            work = [piece for i, item in enumerate(work)
+                    for piece in ((next(children), next(children)) if i in split else (item,))]
+            total_err = sum(item[3] for item in work)
         total = complex(0.0)
-        for _e, _lo, _hi, v in worklist:
-            total += v
-        return total, sum(item[0] for item in worklist)
+        for _lo, _hi, val, _e in work:
+            total += val
+        return total, total_err
 
 
 def _integrand_factory(v: complex, spec: HyperSeriesSpec, ratio: complex,
                        series_tol: float):
-    """h(u) = e^(-u) u^(v-1) F(ratio*u) evaluated on positive-u vectors."""
+    """h(u) = e^(-u) u^(v-1) F(ratio*u) evaluated on positive-u vectors.
+
+    F is summed directly at every node from one term-ratio table, built
+    here and shared by every call of h."""
     v = complex(v)
-    real_path = (ratio.imag == 0.0
-                 and all(x.imag == 0.0 for x in spec.numerator)
-                 and all(x.imag == 0.0 for x in spec.denominator))
+    ratios = TermRatios(spec.numerator, spec.denominator)
+    real_path = ratio.imag == 0.0 and ratios.real
 
     def h(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if spec.p == 0 and spec.q == 0 and ratio == 0.0:
             fvals = np.ones_like(u)
         elif real_path:
-            fvals = series_values_real(spec, ratio.real * u, tol=series_tol)
+            fvals = series_values_real(spec, ratio.real * u, tol=series_tol,
+                                       ratios=ratios)
         else:
-            fvals = _series_values_complex(spec, ratio * u, series_tol)
+            fvals = series_values(ratios, ratio * u, series_tol)
         if v == 1.0:
             power = 1.0
         else:
@@ -128,37 +158,6 @@ def _integrand_factory(v: complex, spec: HyperSeriesSpec, ratio: complex,
         return np.exp(-u) * power * fvals
 
     return h
-
-
-def _series_values_complex(spec: HyperSeriesSpec, z: np.ndarray,
-                           tol: float, max_terms: int = 100_000) -> np.ndarray:
-    num = [complex(a) for a in spec.numerator]
-    den = [complex(b) for b in spec.denominator]
-    z = np.asarray(z, dtype=complex)
-    term = np.ones_like(z)
-    total = np.zeros_like(z)
-    comp = np.zeros_like(z)
-    consec = 0
-    n = 0
-    while n < max_terms:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        ratio = np.full_like(z, 1.0 / (n + 1.0))
-        for a in num:
-            ratio = ratio * (a + n)
-        for b in den:
-            ratio = ratio / (b + n)
-        term = term * z * ratio
-        n += 1
-        if np.all(np.abs(term) <= tol * np.maximum(np.abs(total), 1e-300)):
-            consec += 1
-            if consec >= 3:
-                break
-        else:
-            consec = 0
-    return total
 
 
 def _first_panel(h, v: complex, cut: float, integ: _PanelIntegrator,
@@ -216,9 +215,8 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
     u1 = 1.0
     u_body = max(24.0, 6.0 * abs(v))
     coarse = abs(_first_panel(h, v, u1, integ, 1.0)[0])
-    for lo, hi in ((u1, 0.25 * u_body), (0.25 * u_body, u_body)):
-        val, _ = integ._panel(lo, hi)
-        coarse += abs(val)
+    body_panels, _ = integ._panels([(u1, 0.25 * u_body), (0.25 * u_body, u_body)])
+    coarse += sum(abs(val) for val, _err in body_panels)
     scale = max(coarse, 1e-12)
     abs_tol = tol * scale
 
@@ -236,18 +234,16 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         method = TailMethod.POWER_LAW_EXTRAPOLATION
     else:
         # exponential decay: extend panels until they are negligible, then
-        # bound the remainder by |h(U)| / lambda
+        # bound the remainder by |h(U)| / lambda (U evaluated with the panel)
         lam = 1.0 if spec.p < spec.q or w == 0.0 else max(1.0 - ratio.real, 0.05)
         u_lo = u_body
         width = max(8.0, 4.0 / lam)
         for _ in range(64):
-            val, perr = integ._panel(u_lo, u_lo + width)
+            ((val, perr),), edge = integ._panels([(u_lo, u_lo + width)], [u_lo + width])
             total += val
             err += perr
             u_lo += width
-            edge = abs(h(np.array([u_lo]))[0])
-            integ.nodes_used += 1
-            bound = edge / lam
+            bound = abs(edge[0]) / lam
             if bound <= 0.125 * abs_tol and abs(val) <= 0.125 * abs_tol:
                 err += bound
                 break

@@ -38,10 +38,12 @@ __all__ = [
     "ConvergenceClass",
     "HyperSeriesSpec",
     "SeriesResult",
+    "TermRatios",
     "classify",
     "derivative_shift",
     "eval_series",
     "levin_u",
+    "series_values",
     "series_values_real",
 ]
 
@@ -541,74 +543,167 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation over many real arguments (quadrature support)
+# Vectorized evaluation over many arguments (the quadrature integrand)
+#
+# The quadrature oracle sums the same series at a few hundred nodes per
+# integral, a few dozen nodes per call.  One TermRatios table per integral
+# holds the term ratios r_n, so a call does no per-term parameter work: the
+# float/complex kernel forms a chunk of terms for all nodes at once (a
+# cumulative product down the rows of r_n * z), and the double-double
+# kernel multiplies each term by one tabled (hi, lo) ratio and by z.
 # ---------------------------------------------------------------------------
 
-def _series_vector_float(num, den, z: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
-    term = np.ones_like(z)
-    total = np.zeros_like(z)
-    comp = np.zeros_like(z)
+# rows of terms formed per step of the float/complex kernel; also the
+# growth step of the ratio table
+_CHUNK = 32
+
+
+class TermRatios:
+    """Term ratios r_n = prod(a_i + n) / prod(b_j + n) / (n + 1) of one
+    parameter set, tabled for n = 0, 1, ... in chunks of _CHUNK.
+
+    Each chunk is computed over an arange of n, so an entry depends on n
+    and the parameters alone, never on what the table was asked before.
+    Real parameters give a float table, complex ones a complex table; the
+    double-double pairs (real parameters only) are built on first use."""
+
+    def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex]):
+        params = [complex(x) for x in (*numerator, *denominator)]
+        self.real = all(x.imag == 0.0 for x in params)
+        conv = (lambda x: complex(x).real) if self.real else complex
+        self.numerator = tuple(conv(a) for a in numerator)
+        self.denominator = tuple(conv(b) for b in denominator)
+        self._r = np.empty(0, dtype=float if self.real else complex)
+        self._hi = np.empty(0)
+        self._lo = np.empty(0)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._r.dtype
+
+    @staticmethod
+    def _next_chunk(start: int) -> np.ndarray:
+        return np.arange(start, start + _CHUNK, dtype=float)
+
+    def ratios(self, stop: int) -> np.ndarray:
+        """The table, holding at least r_0 .. r_(stop-1)."""
+        while len(self._r) < stop:
+            n = self._next_chunk(len(self._r))
+            r = 1.0 / (n + 1.0)
+            for a in self.numerator:
+                r = r * (a + n)
+            for b in self.denominator:
+                r = r / (b + n)
+            self._r = np.concatenate([self._r, r])
+        return self._r
+
+    def dd_ratios(self, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The table as double-double (hi, lo) pairs, at least up to stop
+        (real parameters)."""
+        while len(self._hi) < stop:
+            n = self._next_chunk(len(self._hi))
+            hi, lo = dd.dd_ones(n.shape)
+            # a + n is not exactly representable in one double; keep each
+            # factor as an error-free two_sum pair
+            for a in self.numerator:
+                fhi, flo = dd.two_sum(a, n)
+                hi, lo = dd.dd_mul(hi, lo, fhi, flo)
+            for b in self.denominator:
+                fhi, flo = dd.two_sum(b, n)
+                hi, lo = dd.dd_div(hi, lo, fhi, flo)
+            hi, lo = dd.dd_div_d(hi, lo, n + 1.0)
+            self._hi = np.concatenate([self._hi, hi])
+            self._lo = np.concatenate([self._lo, lo])
+        return self._hi, self._lo
+
+
+def series_values(ratios: TermRatios, z: np.ndarray, tol: float = 1e-14,
+                  max_terms: int = 100_000) -> np.ndarray:
+    """pFq at each entry of the argument vector z (float or complex) by
+    direct summation.
+
+    Stops once three consecutive terms are <= tol * |partial sum| at every
+    node; raises OverflowError when a term or a partial sum is no longer
+    finite, since the sum of the remaining terms is then unknown."""
+    z = np.asarray(z)
+    dtype = np.result_type(z.dtype, ratios.dtype)
+    term = np.ones(z.shape, dtype)      # first term not yet summed
+    total = np.zeros(z.shape, dtype)
+    comp = np.zeros(z.shape, dtype)     # compensation across chunks
     consec = 0
     n = 0
     while n < max_terms:
-        y = term - comp
+        m = min(_CHUNK, max_terms - n)
+        # overflow is detected below, on the rows actually summed
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = ratios.ratios(n + m)[n:n + m, None] * z[None, :]
+            steps[0] *= term
+            nxt = np.cumprod(steps, axis=0)                    # t_(n+1) .. t_(n+m)
+            added = np.concatenate([term[None, :], nxt[:-1]])  # t_n .. t_(n+m-1)
+            partial = total + np.cumsum(added, axis=0)
+        small = np.all(np.abs(nxt) <= tol * np.maximum(np.abs(partial), _ABS_FLOOR),
+                       axis=1)
+        rows = m
+        for k, ok in enumerate(small.tolist()):
+            consec = consec + 1 if ok else 0
+            if consec >= 3:
+                rows = k + 1
+                break
+        if not (np.all(np.isfinite(nxt[:rows])) and np.all(np.isfinite(partial[:rows]))):
+            raise OverflowError(
+                f"pFq series term overflowed after {n + rows} terms "
+                f"(|z| up to {float(np.max(np.abs(z))):.6g})")
+        y = np.sum(added[:rows], axis=0) - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        ratio = np.full_like(z, 1.0 / (n + 1.0))
-        for a in num:
-            ratio *= a + n
-        for b in den:
-            ratio /= b + n
-        term = term * z * ratio
-        n += 1
-        if not np.all(np.isfinite(term)):
-            break  # overflowed entries cannot improve further
-        if np.all(np.abs(term) <= tol * np.maximum(np.abs(total), _ABS_FLOOR)):
-            consec += 1
-            if consec >= 3:
-                break
-        else:
-            consec = 0
+        if consec >= 3:
+            break
+        term = nxt[-1]
+        n += m
     return total
 
 
-def _series_vector_dd(num, den, z: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
+def _series_vector_dd(ratios: TermRatios, z: np.ndarray, tol: float,
+                      max_terms: int) -> np.ndarray:
     thi, tlo = dd.dd_ones(z.shape)
     shi, slo = dd.dd_zeros(z.shape)
     consec = 0
-    n = 0
-    while n < max_terms:
+    for n in range(max_terms):
+        if n % _CHUNK == 0:
+            rhi, rlo = ratios.dd_ratios(n + _CHUNK)
         shi, slo = dd.dd_add(shi, slo, thi, tlo)
-        for a in num:
-            fhi, flo = dd.two_sum(a, float(n))
-            thi, tlo = dd.dd_mul(thi, tlo, fhi, flo)
-        for b in den:
-            fhi, flo = dd.two_sum(b, float(n))
-            thi, tlo = dd.dd_div(thi, tlo, fhi, flo)
+        thi, tlo = dd.dd_mul(thi, tlo, rhi[n], rlo[n])
         thi, tlo = dd.dd_mul_d(thi, tlo, z)
-        thi, tlo = dd.dd_div_d(thi, tlo, n + 1.0)
-        n += 1
         if np.all(np.abs(thi) <= tol * np.maximum(np.abs(shi), _ABS_FLOOR)):
             consec += 1
             if consec >= 3:
                 break
         else:
             consec = 0
+            if not np.all(np.isfinite(thi)):
+                raise OverflowError(f"pFq series term overflowed after {n + 1} terms")
+    if not np.all(np.isfinite(shi)):
+        raise OverflowError("pFq partial sum overflowed")
     return shi + slo
 
 
 def series_values_real(spec: HyperSeriesSpec, z: np.ndarray, tol: float = 1e-14,
-                       max_terms: int = 100_000) -> np.ndarray:
+                       max_terms: int = 100_000,
+                       ratios: TermRatios | None = None) -> np.ndarray:
     """pFq(params; z_i) for a vector of real arguments, real parameters.
 
-    Switches to double-double term recurrences as soon as the predicted
-    alternating-sum cancellation exceeds the double-precision budget.
+    ratios is the parameters' term-ratio table; a caller that sums the
+    same series many times (the quadrature integrand) passes one table to
+    every call.  Switches to double-double term recurrences as soon as the
+    predicted alternating-sum cancellation exceeds the double-precision
+    budget.  Raises OverflowError when a term or partial sum overflows.
     """
-    num = [a.real for a in spec.numerator]
-    den = [b.real for b in spec.denominator]
+    if ratios is None:
+        ratios = TermRatios([a.real for a in spec.numerator],
+                            [b.real for b in spec.denominator])
     z = np.asarray(z, dtype=float)
     worst = spec.with_argument(float(np.min(z)))
     if np.min(z) < 0.0 and _predicted_cancellation(worst) > _DD_CANCEL_THRESHOLD:
-        return _series_vector_dd(num, den, z, tol, max_terms)
-    return _series_vector_float(num, den, z, tol, max_terms)
+        return _series_vector_dd(ratios, z, tol, max_terms)
+    return series_values(ratios, z, tol, max_terms)

@@ -165,15 +165,18 @@ def _laplace_ok(lid: LaplaceId, params: dict, s: complex, cfg: SamplerConfig) ->
     if case.power.real < _POWER_MARGIN:
         return False
     if lid in SUMMATION_OF:
+        # validity screens the sum's gamma arguments; only Gamma(v) is left
         ok, _why = summation.validity(SUMMATION_OF[lid], params, margin=cfg.pole_margin)
         if not ok:
             return False
+        num_args, den_args = [case.power], []
+    else:
+        num_args, den_args = case_gamma_arguments(case)
     integ = lhs_integrand(case)
     # the transform's series route adds the power as a numerator parameter
     excess = (integ.spec.excess() - case.power).real
     if _excess_too_small(W_FACTOR[lid], excess):
         return False
-    num_args, den_args = case_gamma_arguments(case)
     return _pole_margin_ok(num_args, den_args, cfg.pole_margin)
 
 

@@ -132,3 +132,37 @@ def test_result_fields_are_plain_python():
     assert isinstance(res.value, complex)
     assert isinstance(res.abs_err_est, float)
     assert isinstance(res.nodes_used, int)
+
+
+@pytest.mark.parametrize("a", [1.2, 1.2 + 0.3j])
+def test_integrand_overflow_is_refused(a):
+    # w/s = 0.99: the exponential tail runs out to u where pFq(0.99 u)
+    # no longer fits a double; the oracle must refuse, not return a value
+    with pytest.raises(OverflowError):
+        laplace_numeric(1.5, 1.0, 0.99, HyperSeriesSpec([a], [2.5], 1.0), tol=1e-7)
+
+
+def test_result_does_not_depend_on_earlier_integrals():
+    kummer = LaplaceCase(LaplaceId.KUMMERX_L, {"a": 1.2, "b": 0.6, "d": 1.4}, 2.2)
+    watson = LaplaceCase(LaplaceId.WATSON1X_L,
+                         {"a": 0.8, "b": 1.1, "c": 1.3, "d": 2.0}, 2.0)
+
+    def run(case):
+        integ = lhs_integrand(case)
+        return laplace_numeric(integ.power, case.s, integ.w, integ.spec, tol=1e-7)
+
+    first = run(kummer)
+    run(watson)
+    again = run(kummer)
+    assert first == again
+    assert first.nodes_used == again.nodes_used
+
+
+@pytest.mark.parametrize("max_panels", [1, 2, 7, 40])
+def test_sweep_never_exceeds_max_panels(max_panels):
+    integ = _PanelIntegrator(lambda u: 1.0 / np.sqrt(np.abs(u - 0.3)))
+    integ.integrate(0.0, 1.0, 1e-300, max_panels=max_panels)
+    # one panel to start, two per bisection: panels = (evaluations + 1) / 2
+    panels = (integ.nodes_used // 15 + 1) // 2
+    assert integ.nodes_used % 15 == 0
+    assert panels == max_panels

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlap.errors import DivergentSeriesError
-from hyperlap.series import (Convergence, HyperSeriesSpec, classify,
+from hyperlap.series import (Convergence, HyperSeriesSpec, TermRatios, classify,
                              derivative_shift, eval_series, hurwitz_zeta,
-                             levin_u, series_values_real)
+                             levin_u, series_values, series_values_real)
 
 from reference_oracles import brute_force_pfq, explicit_terminating_sum
 
@@ -220,6 +220,68 @@ def test_vector_eval_positive_arguments():
     for zz, got in zip(z, vals):
         want = eval_series(spec.with_argument(float(zz)), tol=1e-13).value.real
         assert abs(got - want) <= 1e-11 * abs(want)
+
+
+def _scalar_reference(num, den, z):
+    return [eval_series(F(num, den, complex(zz)), tol=1e-14) for zz in z]
+
+
+def test_vector_kernel_matches_scalar_positive_float():
+    num, den = [1.2, 3.3], [1.7, 2.3]
+    z = np.linspace(0.1, 60.0, 37)
+    got = series_values(TermRatios(num, den), z, tol=1e-14)
+    assert got.dtype == float
+    for g, ref in zip(got, _scalar_reference(num, den, z)):
+        assert abs(g - ref.value) <= 1e-13 * abs(ref.value)
+
+
+def test_vector_kernel_matches_scalar_negative_float_below_dd_threshold():
+    num, den = [1.2, 3.3], [1.7, 2.3]
+    z = np.linspace(-12.0, -0.5, 37)
+    spec = F(num, den, 1.0)
+    got = series_values_real(spec, z, tol=1e-14)
+    for g, ref in zip(got, _scalar_reference(num, den, z)):
+        assert ref.method == "direct"
+        # both sums carry the cancellation's rounding, nothing more
+        budget = 32.0 * ref.cancellation_ratio * EPS * abs(ref.value)
+        assert abs(g - ref.value) <= budget
+
+
+def test_vector_kernel_matches_scalar_double_double():
+    num, den = [1.2, 3.3], [2.2, 2.3]
+    z = np.linspace(-40.0, -20.0, 21)
+    got = series_values_real(F(num, den, 1.0), z, tol=1e-14)
+    for g, ref in zip(got, _scalar_reference(num, den, z)):
+        assert ref.method == "double-double"
+        assert abs(g - ref.value) <= 1e-12 * abs(ref.value)
+
+
+def test_vector_kernel_matches_scalar_complex_parameters():
+    num, den = [1.2 + 0.3j, 0.7], [1.7 - 0.3j, 2.3]
+    z = np.linspace(-10.0, 30.0, 37) * (1.0 + 0.2j)
+    got = series_values(TermRatios(num, den), z, tol=1e-14)
+    assert got.dtype == complex
+    for g, ref in zip(got, _scalar_reference(num, den, z)):
+        assert abs(g - ref.value) <= 1e-13 * abs(ref.value)
+
+
+def test_term_ratio_table_is_history_free():
+    num, den = [0.4, 1.9], [2.6, 0.8]
+    grown = TermRatios(num, den)
+    grown.ratios(1)
+    grown.ratios(150)
+    fresh = TermRatios(num, den).ratios(150)
+    assert np.array_equal(grown.ratios(150)[:150], fresh[:150])
+    hi, lo = TermRatios(num, den).dd_ratios(100)
+    assert np.allclose(hi[:100], fresh[:100], rtol=4 * EPS, atol=0.0)
+
+
+def test_vector_kernel_refuses_overflow():
+    z = np.array([1.0, 800.0])
+    with pytest.raises(OverflowError):
+        series_values_real(F([1.0], [2.0], 1.0), z)
+    with pytest.raises(OverflowError):
+        series_values(TermRatios([1.0 + 0.5j], [2.0]), z.astype(complex))
 
 
 # ----------------------------------------------------------- accelerators

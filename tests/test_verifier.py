@@ -148,3 +148,22 @@ def test_vacuous_suite():
     payload = res.to_dict()
     assert payload["schema_version"] == "1"
     json.dumps(payload)  # serializable
+
+
+def test_new_transform_draw_records_gamma_arguments_once(monkeypatch):
+    from hyperlap import laplace, summation, verifier
+
+    cfg = SamplerConfig(seed=54)
+    binding = sample_valid("lap.gauss2x", cfg, 1)[0]
+    params, s = verifier._split_laplace_binding(binding)
+    calls = []
+    original = summation.rhs_gamma_arguments
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(summation, "rhs_gamma_arguments", counted)
+    monkeypatch.setattr(laplace, "rhs_gamma_arguments", counted)
+    assert verifier._laplace_ok(LaplaceId.GAUSS2X_L, params, s, cfg)
+    assert calls == [SummationId.GAUSS2X]
