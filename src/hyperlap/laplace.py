@@ -28,8 +28,8 @@ from .errors import InvalidBinding, NotSpecializable, ValidityError
 from .gammafn import gamma, gamma_ratio, GammaRatioSpec
 from .series import HyperSeriesSpec, eval_series
 from .summation import (ARGUMENT, REQUIRED_SYMBOLS, ClosedFormBreakdown, DixonVariant,
-                        SummationId, _Gammas, require_no_exclusion, rhs_closed_form,
-                        rhs_gamma_arguments)
+                        SummationId, _Gammas, lhs_spec, require_no_exclusion,
+                        rhs_closed_form, rhs_gamma_arguments)
 
 __all__ = [
     "LaplaceCase",
@@ -182,7 +182,19 @@ def transform_rhs_series(v: complex, s: complex, w: complex,
 
 
 def lhs_integrand(case: LaplaceCase) -> LaplaceIntegrand:
-    """t-power, inner series and w for the integral side of the identity."""
+    """t-power, inner series and w for the integral side of the identity.
+
+    A new transform's inner series is the series of its sum (lhs_spec)
+    with the numerator parameter v taken out, the other parameters kept
+    in order; the transform law puts v back."""
+    if case.id in SUMMATION_OF:
+        series = lhs_spec(SUMMATION_OF[case.id], case.params)
+        num = list(series.numerator)
+        # the last match: v stands right before d+1, and a parameter equal
+        # to v further left must keep its place
+        del num[len(num) - 1 - num[::-1].index(case.power)]
+        return LaplaceIntegrand(case.power, HyperSeriesSpec(num, series.denominator, 1.0),
+                                case.w)
     p = case.params
     a = p.get("a")
     b = p.get("b")
@@ -196,13 +208,6 @@ def lhs_integrand(case: LaplaceCase) -> LaplaceIntegrand:
         LaplaceId.WATSON_L: lambda: ([a, b], [(a + b + 1) / 2, 2 * c]),
         LaplaceId.DIXON_L: lambda: ([a, b], [1 + a - b, 1 + a - c]),
         LaplaceId.WHIPPLE_L: lambda: ([a, b], [d, e]),
-        LaplaceId.GAUSS2X_L: lambda: ([a, d + 1], [(a + b + 3) / 2, d]),
-        LaplaceId.BAILEYX_L: lambda: ([a, d + 1], [c + 1, d]),
-        LaplaceId.KUMMERX_L: lambda: ([a, d + 1], [2 + a - b, d]),
-        LaplaceId.WATSON1X_L: lambda: ([a, b, d + 1], [(a + b + 1) / 2, 2 * c + 1, d]),
-        LaplaceId.WATSON2X_L: lambda: ([a, b, d + 1], [(a + b + 3) / 2, 2 * c, d]),
-        LaplaceId.DIXONX_L: lambda: ([a, b, d + 1], [2 + a - b, 1 + a - c, d]),
-        LaplaceId.WHIPPLEX_L: lambda: ([a, 1 - a, d + 1], [e + 1, 2 * c - e + 1, d]),
     }
     num, den = table[case.id]()
     return LaplaceIntegrand(case.power, HyperSeriesSpec(num, den, 1.0), case.w)

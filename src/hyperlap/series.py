@@ -344,6 +344,13 @@ def _alternating_zeta_tail(s: complex, m: int) -> complex:
     return sign * 2.0 ** (-s) * out
 
 
+def _fsum(x: np.ndarray) -> complex:
+    """Correctly rounded sum of x, real and imaginary parts apart."""
+    if np.iscomplexobj(x):
+        return complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
+    return complex(math.fsum(x.tolist()))
+
+
 def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
                          sign: int) -> SeriesResult | None:
     """Direct summation at z = +-1 with a fitted power-law tail.
@@ -354,60 +361,77 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
     (alternating) Hurwitz zeta values.  The error estimate is the
     difference between the 3- and 4-coefficient models, which observed
     runs put one to two orders above the true error.
+
+    The truncation points are the checkpoints 192, 384, 768, ... up to
+    min(max_terms, 24576).  The terms up to the next checkpoint are formed
+    as one segment, a cumulative product of the tabled ratios r_n * z
+    from the last term of the previous segment, and the prefix is summed
+    with math.fsum.  Raises OverflowError when a term, a partial sum or
+    the fitted data t_i i^(1+delta) is no longer finite.
     """
     s0 = 1.0 + spec.excess()  # tail exponent, exact from the parameters
-    terms: list[complex] = []  # signed terms t_n (z^n included)
-    total = complex(0.0)
-    comp = complex(0.0)
-    term = complex(1.0)
-    max_abs = 0.0
-    n = 0
+    table = TermRatios(spec.numerator, spec.denominator)
+    terms = np.ones(1, dtype=table.dtype)  # signed terms t_n (z^n included)
+    total = complex(1.0)
+    max_abs = 1.0
     best: tuple[float, complex, int] | None = None
     checkpoint = 192
     limit = min(max_terms, 24576)
-    while n <= limit:
-        terms.append(term)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_abs = max(max_abs, abs(total))
-        if n == checkpoint or (n == limit and best is None and n > 32):
-            m = n // 8
-            idx = [n - 3 * m, n - 2 * m, n - m, n]
-            xs = np.array([float(i) for i in idx])
-            # strip z^n to expose the smooth coefficient c(i) = t_i / z^i
-            cs = np.array(
-                [terms[i] if sign > 0 or i % 2 == 0 else -terms[i] for i in idx],
-                dtype=complex,
-            )
-            u = (n + 1.0) / xs  # scaled fit variable, conditioning
-            A = np.vander(u, 4, increasing=True)
+    while True:
+        if checkpoint <= limit:
+            n = checkpoint
+        elif best is None and 32 < limit and len(terms) <= limit:
+            n = limit  # no fit yet: one at the cap
+        else:
+            break
+        # overflow is detected below, on the segment as a whole
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = table.ratios(n)[len(terms) - 1:n] * sign
+            steps[0] *= terms[-1]
+            segment = np.cumprod(steps)  # t_len(terms) .. t_n
+            partial = total + np.cumsum(segment)
+        if not (np.all(np.isfinite(segment)) and np.all(np.isfinite(partial))):
+            raise OverflowError(
+                f"pFq series term at z = {sign} overflowed within {n + 1} terms")
+        max_abs = max(max_abs, float(np.max(np.abs(partial))))
+        terms = np.concatenate([terms, segment])
+        total = _fsum(terms)
+        m = n // 8
+        idx = np.array([n - 3 * m, n - 2 * m, n - m, n])
+        xs = idx.astype(float)
+        # strip z^n to expose the smooth coefficient c(i) = t_i / z^i
+        cs = terms[idx].astype(complex)
+        if sign < 0:
+            cs[idx % 2 == 1] *= -1.0
+        u = (n + 1.0) / xs  # scaled fit variable, conditioning
+        A = np.vander(u, 4, increasing=True)
+        with np.errstate(over="ignore", invalid="ignore"):
             g = cs * xs ** s0
-            try:
-                d4 = np.linalg.solve(A, g)
-                d3 = np.linalg.solve(A[1:, :3], g[1:])
-            except np.linalg.LinAlgError:
-                d4 = d3 = None
-            if d4 is not None:
-                mm = n + 1
-                scale = [(n + 1.0) ** k for k in range(4)]
-                if sign > 0:
-                    zk = [hurwitz_zeta(s0 + k, mm) for k in range(4)]
-                else:
-                    zk = [_alternating_zeta_tail(s0 + k, mm) for k in range(4)]
-                t4 = complex(sum(d4[k] * scale[k] * zk[k] for k in range(4)))
-                t3 = complex(sum(d3[k] * scale[k] * zk[k] for k in range(3)))
-                value = total + t4
-                err = float(abs(t4 - t3) + 8.0 * _EPS * max_abs)
-                if best is None or err < best[0]:
-                    best = (err, value, n + 1)
-                if err <= tol * max(abs(value), _ABS_FLOOR):
-                    cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
-                    return SeriesResult(value, n + 1, err, cancel, True, "direct+power-tail")
-            checkpoint *= 2
-        term *= _term_ratio(spec, n)
-        n += 1
+        if not np.all(np.isfinite(g)):
+            raise OverflowError(
+                f"power-tail fit of the pFq series at z = {sign} overflowed at {n + 1} terms")
+        try:
+            d4 = np.linalg.solve(A, g)
+            d3 = np.linalg.solve(A[1:, :3], g[1:])
+        except np.linalg.LinAlgError:
+            d4 = d3 = None
+        if d4 is not None:
+            mm = n + 1
+            scale = [(n + 1.0) ** k for k in range(4)]
+            if sign > 0:
+                zk = [hurwitz_zeta(s0 + k, mm) for k in range(4)]
+            else:
+                zk = [_alternating_zeta_tail(s0 + k, mm) for k in range(4)]
+            t4 = complex(sum(d4[k] * scale[k] * zk[k] for k in range(4)))
+            t3 = complex(sum(d3[k] * scale[k] * zk[k] for k in range(3)))
+            value = total + t4
+            err = float(abs(t4 - t3) + 8.0 * _EPS * max_abs)
+            if best is None or err < best[0]:
+                best = (err, value, n + 1)
+            if err <= tol * max(abs(value), _ABS_FLOOR):
+                cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
+                return SeriesResult(value, n + 1, err, cancel, True, "direct+power-tail")
+        checkpoint *= 2
     if best is None:
         return None
     err, value, used = best
@@ -550,20 +574,23 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
 # holds the term ratios r_n, so a call does no per-term parameter work: the
 # float/complex kernel forms a chunk of terms for all nodes at once (a
 # cumulative product down the rows of r_n * z), and the double-double
-# kernel multiplies each term by one tabled (hi, lo) ratio and by z.
+# kernel multiplies each term by one tabled (hi, lo) ratio and by z.  The
+# z = +-1 power tail (_sum_unit_power_tail) reads its segments of terms
+# from the same kind of table.
 # ---------------------------------------------------------------------------
 
-# rows of terms formed per step of the float/complex kernel; also the
-# growth step of the ratio table
+# rows of terms formed per step of the float/complex kernel; the ratio
+# table grows in whole multiples of it
 _CHUNK = 32
 
 
 class TermRatios:
     """Term ratios r_n = prod(a_i + n) / prod(b_j + n) / (n + 1) of one
-    parameter set, tabled for n = 0, 1, ... in chunks of _CHUNK.
+    parameter set, tabled for n = 0, 1, ... in whole chunks of _CHUNK.
 
-    Each chunk is computed over an arange of n, so an entry depends on n
-    and the parameters alone, never on what the table was asked before.
+    A request past the end grows the table in one step over an arange of
+    n, so an entry depends on n and the parameters alone, never on what
+    the table was asked before.
     Real parameters give a float table, complex ones a complex table; the
     double-double pairs (real parameters only) are built on first use."""
 
@@ -582,13 +609,15 @@ class TermRatios:
         return self._r.dtype
 
     @staticmethod
-    def _next_chunk(start: int) -> np.ndarray:
-        return np.arange(start, start + _CHUNK, dtype=float)
+    def _missing(start: int, stop: int) -> np.ndarray:
+        """The indices start .. that grow a table of start entries to hold
+        stop, rounded up to whole chunks."""
+        return np.arange(start, -(-stop // _CHUNK) * _CHUNK, dtype=float)
 
     def ratios(self, stop: int) -> np.ndarray:
         """The table, holding at least r_0 .. r_(stop-1)."""
-        while len(self._r) < stop:
-            n = self._next_chunk(len(self._r))
+        if len(self._r) < stop:
+            n = self._missing(len(self._r), stop)
             r = 1.0 / (n + 1.0)
             for a in self.numerator:
                 r = r * (a + n)
@@ -600,8 +629,8 @@ class TermRatios:
     def dd_ratios(self, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """The table as double-double (hi, lo) pairs, at least up to stop
         (real parameters)."""
-        while len(self._hi) < stop:
-            n = self._next_chunk(len(self._hi))
+        if len(self._hi) < stop:
+            n = self._missing(len(self._hi), stop)
             hi, lo = dd.dd_ones(n.shape)
             # a + n is not exactly representable in one double; keep each
             # factor as an error-free two_sum pair

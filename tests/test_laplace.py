@@ -7,11 +7,11 @@ from hyperlap.errors import (DegenerateParameterError, InvalidBinding,
                              NotSpecializable, ValidityError)
 from hyperlap.gammafn import gamma
 from hyperlap.laplace import (CLASSICAL_IDS, LaplaceCase, LaplaceId, NEW_IDS,
-                              SUMMATION_OF, closed_form, closed_form_direct,
-                              lhs_integrand, specialization_target,
-                              transform_rhs_series)
+                              REQUIRED_LAPLACE_SYMBOLS, SUMMATION_OF, closed_form,
+                              closed_form_direct, lhs_integrand,
+                              specialization_target, transform_rhs_series)
 from hyperlap.series import HyperSeriesSpec
-from hyperlap.summation import rhs_closed_form
+from hyperlap.summation import lhs_spec, rhs_closed_form
 from hyperlap.verifier import (SamplerConfig, _split_laplace_binding,
                                sample_for_specialization, sample_valid)
 
@@ -91,6 +91,19 @@ def test_lhs_integrand_structures():
     assert integ.power == c and integ.w == s
     assert integ.spec.numerator == (a + 0j, b + 0j, d + 1 + 0j)
     assert integ.spec.denominator == (2 + a - b + 0j, 1 + a - c + 0j, d + 0j)
+
+
+@pytest.mark.parametrize("lid", NEW_IDS)
+def test_lhs_integrand_is_the_sum_series_without_v(lid):
+    # a and c equal on purpose: v = c must go, the a before it must stay
+    values = {"a": 1.3, "b": 0.7, "c": 1.3, "d": 2.2, "e": 0.4}
+    case = LaplaceCase(lid, {k: values[k] for k in REQUIRED_LAPLACE_SYMBOLS[lid]}, 1.5)
+    integ = lhs_integrand(case)
+    spec = lhs_spec(SUMMATION_OF[lid], case.params)
+    num = spec.numerator
+    assert num[-2] == case.power
+    assert integ.spec.numerator == num[:-2] + num[-1:]
+    assert integ.spec.denominator == spec.denominator
 
 
 # -------------------------------------------------------------- closed forms

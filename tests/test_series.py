@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperlap import series
+from hyperlap.cli import main
 from hyperlap.errors import DivergentSeriesError
-from hyperlap.series import (Convergence, HyperSeriesSpec, TermRatios, classify,
-                             derivative_shift, eval_series, hurwitz_zeta,
+from hyperlap.series import (Convergence, HyperSeriesSpec, SeriesResult, TermRatios,
+                             classify, derivative_shift, eval_series, hurwitz_zeta,
                              levin_u, series_values, series_values_real)
 
 from reference_oracles import brute_force_pfq, explicit_terminating_sum
@@ -122,6 +124,108 @@ def test_alternating_unit_argument_against_brute_force():
     r = eval_series(F(num, den, -1.0), tol=1e-10)
     assert r.converged
     assert abs(r.value - ref) <= 1e-9 * abs(ref)
+
+
+def _scalar_unit_power_tail(spec, tol, max_terms, sign):
+    """The power tail as a scalar loop, one _term_ratio and one Kahan step
+    per term: the reference for the segmented series._sum_unit_power_tail."""
+    s0 = 1.0 + spec.excess()
+    terms = []
+    total = comp = complex(0.0)
+    term = complex(1.0)
+    max_abs = 0.0
+    n = 0
+    best = None
+    checkpoint = 192
+    limit = min(max_terms, 24576)
+    while n <= limit:
+        terms.append(term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        max_abs = max(max_abs, abs(total))
+        if n == checkpoint or (n == limit and best is None and n > 32):
+            m = n // 8
+            idx = [n - 3 * m, n - 2 * m, n - m, n]
+            xs = np.array([float(i) for i in idx])
+            cs = np.array([terms[i] if sign > 0 or i % 2 == 0 else -terms[i] for i in idx],
+                          dtype=complex)
+            A = np.vander((n + 1.0) / xs, 4, increasing=True)
+            g = cs * xs ** s0
+            try:
+                d4 = np.linalg.solve(A, g)
+                d3 = np.linalg.solve(A[1:, :3], g[1:])
+            except np.linalg.LinAlgError:
+                d4 = d3 = None
+            if d4 is not None:
+                scale = [(n + 1.0) ** k for k in range(4)]
+                zeta = series.hurwitz_zeta if sign > 0 else series._alternating_zeta_tail
+                zk = [zeta(s0 + k, n + 1) for k in range(4)]
+                t4 = complex(sum(d4[k] * scale[k] * zk[k] for k in range(4)))
+                t3 = complex(sum(d3[k] * scale[k] * zk[k] for k in range(3)))
+                value = total + t4
+                err = float(abs(t4 - t3) + 8.0 * EPS * max_abs)
+                if best is None or err < best[0]:
+                    best = (err, value, n + 1)
+                if err <= tol * max(abs(value), 1e-300):
+                    cancel = max(max_abs / max(abs(value), 1e-300), 1.0)
+                    return SeriesResult(value, n + 1, err, cancel, True, "direct+power-tail")
+            checkpoint *= 2
+        term *= series._term_ratio(spec, n)
+        n += 1
+    if best is None:
+        return None
+    err, value, used = best
+    cancel = max(max_abs / max(abs(value), 1e-300), 1.0)
+    return SeriesResult(value, used, err, cancel, err <= tol * max(abs(value), 1e-300),
+                        "direct+power-tail")
+
+
+def _unit_argument_grid():
+    """z = +-1 specs with excess 0.05 .. 3: 3F2 and 4F3, real and complex
+    parameters."""
+    families = [
+        ([0.4, 1.3, 0.7], [1.9]),
+        ([1.1, 0.6, 2.3, 0.9], [1.7, 2.4]),
+        ([0.4 + 0.3j, 1.3, 0.7 - 0.2j], [1.9 + 0.1j]),
+        ([1.1, 0.6 - 0.4j, 2.3, 0.9 + 0.25j], [1.7, 2.4 + 0.3j]),
+    ]
+    for num, den in families:
+        for excess in (0.05, 0.3, 1.0, 3.0):
+            # the last denominator parameter sets the real excess
+            last = excess + sum(num).real - sum(den).real
+            for z in (1.0, -1.0):
+                yield F(num, [*den, last], z)
+
+
+@pytest.mark.parametrize("max_terms", [20, 100, 500, 3000])
+def test_power_tail_matches_scalar_loop(max_terms):
+    for spec in _unit_argument_grid():
+        sign = 1 if spec.argument.real > 0 else -1
+        ref = _scalar_unit_power_tail(spec, 1e-12, max_terms, sign)
+        got = series._sum_unit_power_tail(spec, 1e-12, max_terms, sign)
+        if ref is None:
+            assert got is None
+            continue
+        assert (got.terms_used, got.converged, got.method) == \
+            (ref.terms_used, ref.converged, ref.method), spec
+        bound = 1e-13 * max(1.0, ref.cancellation_ratio) * abs(ref.value)
+        assert abs(got.value - ref.value) <= bound, spec
+        assert ref.tail_estimate / 1.01 <= got.tail_estimate <= 1.01 * ref.tail_estimate, spec
+
+
+@pytest.mark.parametrize("z", [1.0, -1.0])
+@pytest.mark.parametrize("a", [580, 600])
+def test_power_tail_refuses_overflow(a, z):
+    # the terms climb towards 1e308 long before they decay: with a = 600 a
+    # term overflows at n = 2650; with a = 580 the terms stay finite but the
+    # fitted data t_n n^2 at the 3072 checkpoint does not
+    num, den = [a, a, 1], [1.5, 2 * a + 0.5]
+    with pytest.raises(OverflowError, match="overflowed"):
+        eval_series(F(num, den, z))
+    assert main(["eval", "pfq", "--num", f"{a},{a},1", "--den", f"1.5,{2 * a + 0.5}",
+                 "--z", str(z)]) == 3
 
 
 def test_terminating_matches_explicit_pochhammer_sum():
@@ -274,6 +378,14 @@ def test_term_ratio_table_is_history_free():
     assert np.array_equal(grown.ratios(150)[:150], fresh[:150])
     hi, lo = TermRatios(num, den).dd_ratios(100)
     assert np.allclose(hi[:100], fresh[:100], rtol=4 * EPS, atol=0.0)
+    # one jump to the power tail's cap against step-by-step growth
+    for num, den in ((num, den), ([0.4 + 0.3j, 1.9], [2.6, 0.8 - 0.5j])):
+        grown = TermRatios(num, den)
+        for stop in (1, 150, 5000):
+            grown.ratios(stop)
+        jump = TermRatios(num, den).ratios(24576)
+        assert len(jump) == 24576
+        assert np.array_equal(grown.ratios(24576), jump)
 
 
 def test_vector_kernel_refuses_overflow():
