@@ -176,15 +176,15 @@ def derivative_shift(spec: HyperSeriesSpec) -> tuple[complex, HyperSeriesSpec]:
     return coeff, shifted
 
 
-def _predicted_cancellation(spec: HyperSeriesSpec) -> float:
-    """Rough size of the largest term relative to O(1), for real z < 0.
+def _predicted_cancellation(p: int, q: int, z: complex) -> float:
+    """Rough size of the largest term of a pFq series at z relative to
+    O(1), for real z < 0.
 
     For p = q the terms peak near exp(|z|); each extra denominator
     parameter tames the factorial growth to exp(k |z|^(1/k))."""
-    z = spec.argument
     if z.real >= 0.0 or z.imag != 0.0:
         return 1.0
-    k = spec.q - spec.p + 1
+    k = q - p + 1
     if k <= 0:
         return math.inf
     expo = k * abs(z.real) ** (1.0 / k)
@@ -368,6 +368,10 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
     from the last term of the previous segment, and the prefix is summed
     with math.fsum.  Raises OverflowError when a term, a partial sum or
     the fitted data t_i i^(1+delta) is no longer finite.
+
+    When no checkpoint converges, the one with the smallest estimate comes
+    back with converged=False; its estimate is infinite when the last
+    summed term is larger than the term at that checkpoint.
     """
     s0 = 1.0 + spec.excess()  # tail exponent, exact from the parameters
     table = TermRatios(spec.numerator, spec.denominator)
@@ -435,6 +439,10 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
     if best is None:
         return None
     err, value, used = best
+    if abs(terms[-1]) > abs(terms[used - 1]):
+        # the terms grew after the best fit: they have not reached the
+        # power-law decay the fit assumes, so its estimate bounds nothing
+        err = math.inf
     cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
     return SeriesResult(value, used, err, cancel,
                         err <= tol * max(abs(value), _ABS_FLOOR), "direct+power-tail")
@@ -558,7 +566,7 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
         if res is not None:
             return res
         return _sum_levin(spec, tol, max_terms)
-    if (_predicted_cancellation(spec) > _DD_CANCEL_THRESHOLD
+    if (_predicted_cancellation(spec.p, spec.q, spec.argument) > _DD_CANCEL_THRESHOLD
             and spec.argument.imag == 0.0
             and all(a.imag == 0.0 for a in spec.numerator)
             and all(b.imag == 0.0 for b in spec.denominator)):
@@ -571,16 +579,17 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
 #
 # The quadrature oracle sums the same series at a few hundred nodes per
 # integral, a few dozen nodes per call.  One TermRatios table per integral
-# holds the term ratios r_n, so a call does no per-term parameter work: the
-# float/complex kernel forms a chunk of terms for all nodes at once (a
-# cumulative product down the rows of r_n * z), and the double-double
-# kernel multiplies each term by one tabled (hi, lo) ratio and by z.  The
-# z = +-1 power tail (_sum_unit_power_tail) reads its segments of terms
-# from the same kind of table.
+# holds the term ratios r_n, so a call does no per-term parameter work.
+# Both kernels form a chunk of _CHUNK rows of terms for every node at once
+# and share one chunk loop (_sum_chunks): the float/complex kernel with a
+# cumulative product and a cumulative sum down the rows of r_n * z, the
+# double-double kernel with log-depth scans under dd_mul and dd_add over
+# the same rows.  The z = +-1 power tail (_sum_unit_power_tail) reads its
+# segments of terms from the same kind of table.
 # ---------------------------------------------------------------------------
 
-# rows of terms formed per step of the float/complex kernel; the ratio
-# table grows in whole multiples of it
+# rows of terms formed per step of the vector kernels; the ratio table
+# grows in whole multiples of it
 _CHUNK = 32
 
 
@@ -646,6 +655,109 @@ class TermRatios:
         return self._hi, self._lo
 
 
+def _sum_chunks(rows, tol: float, max_terms: int) -> None:
+    """The chunk loop of the vector kernels.
+
+    rows.form(n, m) forms rows n .. n+m-1 at every node and returns the
+    terms t_(n+1) .. t_(n+m) and the partial sums through t_n ..
+    t_(n+m-1) (the leading parts, for double-double); rows.keep(k) makes
+    the first k rows part of the running sum.  Stops once three
+    consecutive terms are <= tol * |partial sum| at every node, at that
+    row; raises OverflowError when a summed row's term or partial sum is
+    no longer finite, since the sum of the remaining terms is then
+    unknown."""
+    consec = 0
+    n = 0
+    # overflow is detected below, on the rows actually summed
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < max_terms:
+            m = min(_CHUNK, max_terms - n)
+            nxt, partial = rows.form(n, m)
+            small = (np.abs(nxt) <= tol * np.maximum(np.abs(partial), _ABS_FLOOR)).all(axis=1)
+            kept = m
+            for k, ok in enumerate(small.tolist()):
+                consec = consec + 1 if ok else 0
+                if consec >= 3:
+                    kept = k + 1
+                    break
+            if not (np.isfinite(nxt[:kept]).all() and np.isfinite(partial[:kept]).all()):
+                raise OverflowError(
+                    f"pFq series term overflowed after {n + kept} terms "
+                    f"(|z| up to {float(np.abs(rows.z).max()):.6g})")
+            rows.keep(kept)
+            if consec >= 3:
+                return
+            n += m
+
+
+class _Rows:
+    """Chunks of the float/complex kernel: one cumulative product down the
+    rows of r_n * z forms the terms, one cumulative sum the partial sums;
+    the running sum is compensated across chunks."""
+
+    def __init__(self, ratios: TermRatios, z: np.ndarray):
+        self.ratios = ratios
+        self.z = z
+        dtype = np.result_type(z.dtype, ratios.dtype)
+        self.term = np.ones(z.shape, dtype)    # first term not yet summed
+        self.total = np.zeros(z.shape, dtype)
+        self.comp = np.zeros(z.shape, dtype)   # compensation across chunks
+
+    def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        steps = self.ratios.ratios(n + m)[n:n + m, None] * self.z
+        steps[0] *= self.term
+        self.nxt = steps.cumprod(axis=0)                                  # t_(n+1) .. t_(n+m)
+        self.added = np.concatenate([self.term[None, :], self.nxt[:-1]])  # t_n .. t_(n+m-1)
+        return self.nxt, self.total + self.added.cumsum(axis=0)
+
+    def keep(self, k: int) -> None:
+        y = self.added[:k].sum(axis=0) - self.comp
+        t = self.total + y
+        self.comp = (t - self.total) - y
+        self.total = t
+        self.term = self.nxt[-1]
+
+
+def _dd_scan(op, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive scan of the (hi, lo) rows under the double-double
+    operation op, in place: ceil(log2(rows)) whole-array steps
+    (Hillis-Steele)."""
+    shift = 1
+    while shift < len(hi):
+        hi[shift:], lo[shift:] = op(hi[shift:], lo[shift:], hi[:-shift], lo[:-shift])
+        shift *= 2
+    return hi, lo
+
+
+class _DDRows:
+    """Chunks of the double-double kernel: the steps r_n * z as (hi, lo)
+    pairs with the carried term folded into row 0, scanned under dd_mul
+    for the terms; the terms with the running sum folded into row 0,
+    scanned under dd_add for the partial sums."""
+
+    def __init__(self, ratios: TermRatios, z: np.ndarray):
+        self.ratios = ratios
+        self.z = z
+        self.term = dd.dd_ones(z.shape)    # first term not yet summed
+        self.total = dd.dd_zeros(z.shape)
+
+    def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        rhi, rlo = self.ratios.dd_ratios(n + m)
+        shi, slo = dd.dd_mul_d(rhi[n:n + m, None], rlo[n:n + m, None], self.z)
+        thi, tlo = self.term
+        shi[0], slo[0] = dd.dd_mul(shi[0], slo[0], thi, tlo)
+        self.nxt = _dd_scan(dd.dd_mul, shi, slo)                  # t_(n+1) .. t_(n+m)
+        ahi = np.concatenate([thi[None, :], self.nxt[0][:-1]])  # t_n .. t_(n+m-1)
+        alo = np.concatenate([tlo[None, :], self.nxt[1][:-1]])
+        ahi[0], alo[0] = dd.dd_add(*self.total, thi, tlo)
+        self.partial = _dd_scan(dd.dd_add, ahi, alo)
+        return self.nxt[0], self.partial[0]
+
+    def keep(self, k: int) -> None:
+        self.total = (self.partial[0][k - 1], self.partial[1][k - 1])
+        self.term = (self.nxt[0][-1], self.nxt[1][-1])
+
+
 def series_values(ratios: TermRatios, z: np.ndarray, tol: float = 1e-14,
                   max_terms: int = 100_000) -> np.ndarray:
     """pFq at each entry of the argument vector z (float or complex) by
@@ -655,66 +767,19 @@ def series_values(ratios: TermRatios, z: np.ndarray, tol: float = 1e-14,
     node; raises OverflowError when a term or a partial sum is no longer
     finite, since the sum of the remaining terms is then unknown."""
     z = np.asarray(z)
-    dtype = np.result_type(z.dtype, ratios.dtype)
-    term = np.ones(z.shape, dtype)      # first term not yet summed
-    total = np.zeros(z.shape, dtype)
-    comp = np.zeros(z.shape, dtype)     # compensation across chunks
-    consec = 0
-    n = 0
-    while n < max_terms:
-        m = min(_CHUNK, max_terms - n)
-        # overflow is detected below, on the rows actually summed
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = ratios.ratios(n + m)[n:n + m, None] * z[None, :]
-            steps[0] *= term
-            nxt = np.cumprod(steps, axis=0)                    # t_(n+1) .. t_(n+m)
-            added = np.concatenate([term[None, :], nxt[:-1]])  # t_n .. t_(n+m-1)
-            partial = total + np.cumsum(added, axis=0)
-        small = np.all(np.abs(nxt) <= tol * np.maximum(np.abs(partial), _ABS_FLOOR),
-                       axis=1)
-        rows = m
-        for k, ok in enumerate(small.tolist()):
-            consec = consec + 1 if ok else 0
-            if consec >= 3:
-                rows = k + 1
-                break
-        if not (np.all(np.isfinite(nxt[:rows])) and np.all(np.isfinite(partial[:rows]))):
-            raise OverflowError(
-                f"pFq series term overflowed after {n + rows} terms "
-                f"(|z| up to {float(np.max(np.abs(z))):.6g})")
-        y = np.sum(added[:rows], axis=0) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if consec >= 3:
-            break
-        term = nxt[-1]
-        n += m
-    return total
+    rows = _Rows(ratios, z)
+    _sum_chunks(rows, tol, max_terms)
+    return rows.total
 
 
 def _series_vector_dd(ratios: TermRatios, z: np.ndarray, tol: float,
                       max_terms: int) -> np.ndarray:
-    thi, tlo = dd.dd_ones(z.shape)
-    shi, slo = dd.dd_zeros(z.shape)
-    consec = 0
-    for n in range(max_terms):
-        if n % _CHUNK == 0:
-            rhi, rlo = ratios.dd_ratios(n + _CHUNK)
-        shi, slo = dd.dd_add(shi, slo, thi, tlo)
-        thi, tlo = dd.dd_mul(thi, tlo, rhi[n], rlo[n])
-        thi, tlo = dd.dd_mul_d(thi, tlo, z)
-        if np.all(np.abs(thi) <= tol * np.maximum(np.abs(shi), _ABS_FLOOR)):
-            consec += 1
-            if consec >= 3:
-                break
-        else:
-            consec = 0
-            if not np.all(np.isfinite(thi)):
-                raise OverflowError(f"pFq series term overflowed after {n + 1} terms")
-    if not np.all(np.isfinite(shi)):
-        raise OverflowError("pFq partial sum overflowed")
-    return shi + slo
+    """series_values for real z in double-double.  The stopping rule is that
+    of a term-by-term loop; only the order in which the terms and partial
+    sums are rounded differs."""
+    rows = _DDRows(ratios, z)
+    _sum_chunks(rows, tol, max_terms)
+    return rows.total[0] + rows.total[1]
 
 
 def series_values_real(spec: HyperSeriesSpec, z: np.ndarray, tol: float = 1e-14,
@@ -732,7 +797,6 @@ def series_values_real(spec: HyperSeriesSpec, z: np.ndarray, tol: float = 1e-14,
         ratios = TermRatios([a.real for a in spec.numerator],
                             [b.real for b in spec.denominator])
     z = np.asarray(z, dtype=float)
-    worst = spec.with_argument(float(np.min(z)))
-    if np.min(z) < 0.0 and _predicted_cancellation(worst) > _DD_CANCEL_THRESHOLD:
+    if _predicted_cancellation(spec.p, spec.q, float(z.min())) > _DD_CANCEL_THRESHOLD:
         return _series_vector_dd(ratios, z, tol, max_terms)
     return series_values(ratios, z, tol, max_terms)

@@ -142,6 +142,13 @@ def test_integrand_overflow_is_refused(a):
         laplace_numeric(1.5, 1.0, 0.99, HyperSeriesSpec([a], [2.5], 1.0), tol=1e-7)
 
 
+def test_double_double_integrand_overflow_is_refused():
+    # w/s = -20: the alternating integrand takes the double-double path and
+    # its 1F1(1; 2; -20 u) terms overflow once u passes about 36
+    with pytest.raises(OverflowError):
+        laplace_numeric(1.0, 1.0, -20.0, HyperSeriesSpec([1.0], [2.0], 1.0), tol=1e-7)
+
+
 def test_result_does_not_depend_on_earlier_integrals():
     kummer = LaplaceCase(LaplaceId.KUMMERX_L, {"a": 1.2, "b": 0.6, "d": 1.4}, 2.2)
     watson = LaplaceCase(LaplaceId.WATSON1X_L,

@@ -228,6 +228,17 @@ def test_power_tail_refuses_overflow(a, z):
                  "--z", str(z)]) == 3
 
 
+@pytest.mark.parametrize("z", [1.0, -1.0])
+def test_power_tail_refuses_estimate_of_still_rising_terms(z):
+    # the terms of 3F2(300, 300, 1; 1.5, 600.5; +-1) rise until n ~ 44550,
+    # far past the 24576-term cap; no fit there bounds the error
+    r = eval_series(F([300, 300, 1], [1.5, 600.5], z))
+    assert not r.converged
+    assert r.tail_estimate == math.inf
+    assert main(["eval", "pfq", "--num", "300,300,1", "--den", "1.5,600.5",
+                 "--z", str(z)]) == 3
+
+
 def test_terminating_matches_explicit_pochhammer_sum():
     rng = np.random.default_rng(11)
     for _ in range(60):
@@ -394,6 +405,56 @@ def test_vector_kernel_refuses_overflow():
         series_values_real(F([1.0], [2.0], 1.0), z)
     with pytest.raises(OverflowError):
         series_values(TermRatios([1.0 + 0.5j], [2.0]), z.astype(complex))
+
+
+def test_double_double_kernel_refuses_overflow():
+    # 1F1(1; 2; z) at z = -800: the terms pass 1e308 long before they
+    # cancel; the double-double path must refuse like the float one
+    z = np.array([-20.0, -800.0])
+    with pytest.raises(OverflowError, match="overflowed"):
+        series_values_real(F([1.0], [2.0], 1.0), z)
+    with pytest.raises(OverflowError, match="overflowed"):
+        series._series_vector_dd(TermRatios([1.0], [2.0]), z, 1e-14, 100_000)
+
+
+def _per_term_dd_loop(ratios, z, tol, max_terms):
+    """The double-double kernel as a loop of one dd_add, one dd_mul and
+    one dd_mul_d per term: the reference for the chunk scans of
+    series._series_vector_dd.  Also returns sum |t_n| over the summed
+    terms."""
+    dd = series.dd
+    thi, tlo = dd.dd_ones(z.shape)
+    shi, slo = dd.dd_zeros(z.shape)
+    abs_sum = np.zeros(z.shape)
+    consec = 0
+    for n in range(max_terms):
+        rhi, rlo = ratios.dd_ratios(n + 1)
+        shi, slo = dd.dd_add(shi, slo, thi, tlo)
+        abs_sum += np.abs(thi)
+        thi, tlo = dd.dd_mul(thi, tlo, rhi[n], rlo[n])
+        thi, tlo = dd.dd_mul_d(thi, tlo, z)
+        if np.all(np.abs(thi) <= tol * np.maximum(np.abs(shi), 1e-300)):
+            consec += 1
+            if consec >= 3:
+                break
+        else:
+            consec = 0
+    return shi + slo, abs_sum
+
+
+@pytest.mark.parametrize("max_terms", [5, 40, 100_000])
+@pytest.mark.parametrize("nodes", [1, 7, 40])
+def test_double_double_kernel_matches_per_term_loop(nodes, max_terms):
+    rng = np.random.default_rng(1000 * nodes + max_terms)
+    # 1F1, 2F2 and a p < q set, over the alternating integrand's range
+    for num, den in (([1.2], [2.5]), ([1.2, 3.3], [2.2, 2.3]), ([0.7], [1.4, 2.9])):
+        z = -rng.uniform(14.0, 56.0, nodes)
+        got = series._series_vector_dd(TermRatios(num, den), z, 1e-14, max_terms)
+        want, abs_sum = _per_term_dd_loop(TermRatios(num, den), z, 1e-14, max_terms)
+        # same terms, summed in another order: the rounding of double-double
+        # sums of sum |t_n|, plus the final rounding to one double
+        bound = 64.0 * series.dd.DD_EPS * abs_sum + 4.0 * EPS * np.abs(want)
+        assert np.all(np.abs(got - want) <= bound), (num, den)
 
 
 # ----------------------------------------------------------- accelerators
