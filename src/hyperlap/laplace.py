@@ -28,8 +28,8 @@ from .errors import InvalidBinding, NotSpecializable, ValidityError
 from .gammafn import gamma, gamma_ratio, GammaRatioSpec
 from .series import HyperSeriesSpec, eval_series
 from .summation import (ARGUMENT, REQUIRED_SYMBOLS, ClosedFormBreakdown, DixonVariant,
-                        SummationId, _Gammas, lhs_spec, require_no_exclusion,
-                        rhs_closed_form, rhs_gamma_arguments)
+                        SummationId, _build, _Gammas, lhs_spec, require_no_exclusion,
+                        rhs_gamma_arguments)
 
 __all__ = [
     "LaplaceCase",
@@ -269,9 +269,10 @@ def closed_form(case: LaplaceCase,
     _check_case_validity(case)
     front = gamma(case.power) * _principal_power(case.s, -case.power)
     if case.id in SUMMATION_OF:
-        inner = rhs_closed_form(SUMMATION_OF[case.id], case.params, dixon_variant)
-        return ClosedFormBreakdown(front * inner.prefactor, inner.term1, inner.term2,
-                                   inner.alpha, inner.beta, front * inner.value)
+        # the sum's closed form, already screened by _check_case_validity
+        pre, t1, t2, alpha, beta = _build(SUMMATION_OF[case.id], case.params, _Gammas(),
+                                          dixon_variant)
+        return ClosedFormBreakdown(front * pre, t1, t2, alpha, beta, front * (pre * (t1 + t2)))
     term = _classical_term(case, _Gammas())
     return ClosedFormBreakdown(front, term, complex(0.0), complex(0.0), complex(0.0),
                                front * term)

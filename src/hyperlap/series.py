@@ -1,22 +1,21 @@
 """Direct evaluation of the generalized hypergeometric series pFq.
 
-The series  sum_n  prod_i (a_i)_n / prod_j (b_j)_n * z^n / n!  is summed by
-the term recurrence
-
-    t_{n+1} = t_n * prod_i (a_i + n) / prod_j (b_j + n) * z / (n + 1)
-
-with compensated (Kahan) accumulation.  Three special regimes get their
-own machinery:
+The series  sum_n  prod_i (a_i)_n / prod_j (b_j)_n * z^n / n!  has the
+term ratio  t_{n+1} / t_n = r_n * z,  r_n = prod_i (a_i + n) / prod_j
+(b_j + n) / (n + 1).  The float and complex regimes form the terms from
+a TermRatios table (_terms) and return their correctly rounded sum:
 
 * terminating series (a nonpositive-integer numerator parameter) are
   summed exactly to the last nonzero term;
+* other series off the unit circle are summed until three consecutive
+  terms are below tol relative to the partial sum;
 * |z| = 1 with p = q + 1 converges only algebraically; terms behave like
   n^(-1-delta) with delta the parametric excess, so the tail beyond the
   summed prefix is reconstructed from a fitted power-law model through
-  Hurwitz zeta values (a Levin u-transformation is kept as machinery and
-  as the fallback for unit-circle arguments other than +-1);
+  Hurwitz zeta values (a Levin u-transformation, with its own per-term
+  Kahan loop, is the fallback on the rest of the unit circle);
 * p = q with large negative real z suffers exponential cancellation and
-  is summed in double-double precision.
+  is summed term by term in double-double precision.
 """
 
 from __future__ import annotations
@@ -201,56 +200,50 @@ def _term_ratio(spec: HyperSeriesSpec, n: int) -> complex:
 
 
 def _sum_terminating(spec: HyperSeriesSpec, order: int) -> SeriesResult:
-    total = complex(0.0)
-    comp = complex(0.0)
-    term = complex(1.0)
-    max_abs = 0.0
-    for n in range(order + 1):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_abs = max(max_abs, abs(total))
-        if n < order:
-            term *= _term_ratio(spec, n)
+    table = TermRatios(spec.numerator, spec.denominator)
+    z = spec.argument if spec.argument.imag else spec.argument.real
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.concatenate([np.ones(1), _terms(table, z, 1.0, 0, order)])
+        partial = terms.cumsum()
+    if not np.isfinite(partial[-1]):  # a non-finite partial sum stays non-finite
+        raise OverflowError(f"terminating pFq series overflowed within {order + 1} terms")
+    total = _fsum(terms)
+    max_abs = float(np.abs(partial).max())
     cancel = max_abs / max(abs(total), _ABS_FLOOR)
-    # a-priori rounding bound of order+1 compensated additions
-    tail = (order + 1) * _EPS * max_abs
+    tail = (order + 1) * _EPS * max_abs  # a-priori rounding bound
     return SeriesResult(total, order + 1, tail, max(cancel, 1.0), True, "terminating")
 
 
 def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
-    total = complex(0.0)
-    comp = complex(0.0)
-    term = complex(1.0)
-    max_abs = 0.0
-    consec = 0
-    prev_abs = 1.0
-    n = 0
-    while n < max_terms:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_abs = max(max_abs, abs(total))
-        prev_abs = abs(term)
-        term *= _term_ratio(spec, n)
-        n += 1
-        if abs(term) <= tol * max(abs(total), _ABS_FLOOR):
-            consec += 1
-            if consec >= 3:
-                ratio = min(abs(term) / prev_abs if prev_abs > 0.0 else 0.0, 0.95)
-                tail = abs(term) / (1.0 - ratio)
-                cancel = max(max_abs / max(abs(total), _ABS_FLOOR), 1.0)
-                tail = max(tail, cancel * _EPS * abs(total))
-                return SeriesResult(total, n, tail, cancel, True, "direct")
-        else:
-            consec = 0
-    ratio = min(abs(term) / prev_abs if prev_abs > 0.0 else 0.0, 0.95)
-    tail = abs(term) / (1.0 - ratio)
-    cancel = max(max_abs / max(abs(total), _ABS_FLOOR), 1.0)
-    return SeriesResult(total, n, max(tail, cancel * _EPS * abs(total)), cancel,
-                        False, "direct")
+    """Sum until three consecutive |t_(k+1)| <= tol |partial sum through
+    t_k|, forming the terms in doubling segments."""
+    table = TermRatios(spec.numerator, spec.denominator)
+    z = spec.argument if spec.argument.imag else spec.argument.real
+    terms = np.ones(1)
+    stop = 0
+    # overflow is detected below, on the terms summed
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            start, stop = stop, min(max(2 * stop, 2 * _CHUNK), max_terms)
+            terms = np.concatenate([terms, _terms(table, z, terms[-1], start, stop)])
+            mags = np.abs(terms)  # t_0 .. t_stop
+            sums = np.abs(terms.cumsum())
+            small = mags[1:] <= tol * np.maximum(sums[:-1], _ABS_FLOOR)
+            hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+            if hits.size or stop == max_terms or not math.isfinite(mags[-1]):
+                break
+    n = int(hits[0]) + 3 if hits.size else stop  # terms summed: t_0 .. t_(n-1)
+    if not (math.isfinite(sums[n - 1]) and math.isfinite(mags[n])):
+        raise OverflowError(f"pFq series term overflowed within {n + 1} terms "
+                            f"(|z| = {abs(spec.argument):.6g})")
+    total = _fsum(terms[:n])
+    nxt, prev = float(mags[n]), float(mags[n - 1])
+    ratio = min(nxt / prev if prev > 0.0 else 0.0, 0.95)
+    cancel = max(float(sums[:n].max()) / max(abs(total), _ABS_FLOOR), 1.0)
+    tail = max(nxt / (1.0 - ratio), cancel * _EPS * abs(total))
+    # each step of the term recurrence rounds p+q+3 factors
+    tail += (spec.p + spec.q + 3) * _EPS * float(np.arange(n) @ mags[:n])
+    return SeriesResult(total, n, tail, cancel, hits.size > 0, "direct")
 
 
 def _sum_direct_dd(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
@@ -363,15 +356,14 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
     runs put one to two orders above the true error.
 
     The truncation points are the checkpoints 192, 384, 768, ... up to
-    min(max_terms, 24576).  The terms up to the next checkpoint are formed
-    as one segment, a cumulative product of the tabled ratios r_n * z
-    from the last term of the previous segment, and the prefix is summed
-    with math.fsum.  Raises OverflowError when a term, a partial sum or
-    the fitted data t_i i^(1+delta) is no longer finite.
+    min(max_terms, 24576); the terms up to the next one are one segment
+    from _terms.  Raises OverflowError when a term, a partial sum or the
+    fitted data t_i i^(1+delta) is no longer finite.
 
     When no checkpoint converges, the one with the smallest estimate comes
     back with converged=False; its estimate is infinite when the last
-    summed term is larger than the term at that checkpoint.
+    summed term is larger than the term at that checkpoint, or that term
+    larger than the first one its fit read.
     """
     s0 = 1.0 + spec.excess()  # tail exponent, exact from the parameters
     table = TermRatios(spec.numerator, spec.denominator)
@@ -390,9 +382,7 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
             break
         # overflow is detected below, on the segment as a whole
         with np.errstate(over="ignore", invalid="ignore"):
-            steps = table.ratios(n)[len(terms) - 1:n] * sign
-            steps[0] *= terms[-1]
-            segment = np.cumprod(steps)  # t_len(terms) .. t_n
+            segment = _terms(table, sign, terms[-1], len(terms) - 1, n)  # t_len(terms) .. t_n
             partial = total + np.cumsum(segment)
         if not (np.all(np.isfinite(segment)) and np.all(np.isfinite(partial))):
             raise OverflowError(
@@ -439,9 +429,11 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
     if best is None:
         return None
     err, value, used = best
-    if abs(terms[-1]) > abs(terms[used - 1]):
-        # the terms grew after the best fit: they have not reached the
-        # power-law decay the fit assumes, so its estimate bounds nothing
+    n = used - 1
+    if abs(terms[-1]) > abs(terms[n]) or abs(terms[n]) > abs(terms[n - 3 * (n // 8)]):
+        # the terms grew after the best fit, or across its own window: they
+        # have not reached the power-law decay the fit assumes, so its
+        # estimate bounds nothing
         err = math.inf
     cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
     return SeriesResult(value, used, err, cancel,
@@ -546,6 +538,8 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
     cls = classify(spec)
     if not cls.summable:
         raise DivergentSeriesError(
@@ -584,8 +578,7 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
 # and share one chunk loop (_sum_chunks): the float/complex kernel with a
 # cumulative product and a cumulative sum down the rows of r_n * z, the
 # double-double kernel with log-depth scans under dd_mul and dd_add over
-# the same rows.  The z = +-1 power tail (_sum_unit_power_tail) reads its
-# segments of terms from the same kind of table.
+# the same rows.
 # ---------------------------------------------------------------------------
 
 # rows of terms formed per step of the vector kernels; the ratio table
@@ -628,10 +621,12 @@ class TermRatios:
         if len(self._r) < stop:
             n = self._missing(len(self._r), stop)
             r = 1.0 / (n + 1.0)
-            for a in self.numerator:
-                r = r * (a + n)
-            for b in self.denominator:
-                r = r / (b + n)
+            # rows past a terminating order may divide by 0; none is read
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for a in self.numerator:
+                    r = r * (a + n)
+                for b in self.denominator:
+                    r = r / (b + n)
             self._r = np.concatenate([self._r, r])
         return self._r
 
@@ -653,6 +648,15 @@ class TermRatios:
             self._hi = np.concatenate([self._hi, hi])
             self._lo = np.concatenate([self._lo, lo])
         return self._hi, self._lo
+
+
+def _terms(table: TermRatios, z, term, start: int, stop: int) -> np.ndarray:
+    """t_(start+1) .. t_stop from t_start = term, one cumulative product of
+    the tabled r_n * z; z is a scalar, or a vector of nodes (one column
+    each).  Overflow is the caller's to detect."""
+    steps = np.multiply.outer(table.ratios(stop)[start:stop], z)
+    steps[:1] *= term
+    return steps.cumprod(axis=0)
 
 
 def _sum_chunks(rows, tol: float, max_terms: int) -> None:
@@ -704,9 +708,7 @@ class _Rows:
         self.comp = np.zeros(z.shape, dtype)   # compensation across chunks
 
     def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        steps = self.ratios.ratios(n + m)[n:n + m, None] * self.z
-        steps[0] *= self.term
-        self.nxt = steps.cumprod(axis=0)                                  # t_(n+1) .. t_(n+m)
+        self.nxt = _terms(self.ratios, self.z, self.term, n, n + m)        # t_(n+1) .. t_(n+m)
         self.added = np.concatenate([self.term[None, :], self.nxt[:-1]])  # t_n .. t_(n+m-1)
         return self.nxt, self.total + self.added.cumsum(axis=0)
 

@@ -120,3 +120,19 @@ def test_recorded_gamma_arguments_are_the_evaluated_ones(identity_id, monkeypatc
             want_num, want_den = case_gamma_arguments(case)
         assert num == Counter(want_num)
         assert den == Counter(want_den)
+
+
+def test_closed_form_screens_a_new_transform_once(monkeypatch):
+    # _check_case_validity reads the table once per kind of row; the sum's
+    # closed form is then evaluated without a second screen
+    calls = []
+    original = summation._exclusion_reason
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(summation, "_exclusion_reason", counted)
+    case = LaplaceCase(LaplaceId.GAUSS2X_L, {"a": 1.3, "b": 0.7, "d": 1.9}, S)
+    closed_form(case)
+    assert len(calls) == 2

@@ -239,6 +239,145 @@ def test_power_tail_refuses_estimate_of_still_rising_terms(z):
                  "--z", str(z)]) == 3
 
 
+@pytest.mark.parametrize("max_terms", [100, 200])
+def test_power_tail_refuses_single_fit_of_still_rising_terms(max_terms):
+    # one fit at the cap, the terms rising across its own window
+    r = eval_series(F([300, 300, 1], [1.5, 600.5], 1.0), max_terms=max_terms)
+    assert not r.converged
+    assert r.tail_estimate == math.inf
+
+
+# ------------------------------------------- scalar terminating and direct
+
+def _scalar_terminating(spec, order):
+    """The terminating sum as a per-term loop, one _term_ratio and one
+    Kahan step per term: the reference for series._sum_terminating.
+    Returns the result and the terms."""
+    terms = []
+    total = comp = complex(0.0)
+    term = complex(1.0)
+    max_abs = 0.0
+    for n in range(order + 1):
+        terms.append(term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        max_abs = max(max_abs, abs(total))
+        if n < order:
+            term *= series._term_ratio(spec, n)
+    cancel = max(max_abs / max(abs(total), 1e-300), 1.0)
+    return SeriesResult(total, order + 1, (order + 1) * EPS * max_abs, cancel, True,
+                        "terminating"), terms
+
+
+def _scalar_direct(spec, tol, max_terms):
+    """The direct sum as a per-term loop with a Kahan sum, under the same
+    stopping rule: the reference for series._sum_direct, whose estimate
+    adds the recurrence's rounding charge to this one's.  Returns the
+    result and the summed terms."""
+    terms = []
+    total = comp = complex(0.0)
+    term = complex(1.0)
+    max_abs = 0.0
+    consec = 0
+    prev_abs = 1.0
+    n = 0
+    while n < max_terms:
+        terms.append(term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        max_abs = max(max_abs, abs(total))
+        prev_abs = abs(term)
+        term *= series._term_ratio(spec, n)
+        n += 1
+        if abs(term) <= tol * max(abs(total), 1e-300):
+            consec += 1
+            if consec >= 3:
+                break
+        else:
+            consec = 0
+    ratio = min(abs(term) / prev_abs if prev_abs > 0.0 else 0.0, 0.95)
+    cancel = max(max_abs / max(abs(total), 1e-300), 1.0)
+    tail = max(abs(term) / (1.0 - ratio), cancel * EPS * abs(total))
+    return SeriesResult(total, n, tail, cancel, consec >= 3, "direct"), terms
+
+
+def _recurrence_charge(spec, terms):
+    """(p+q+3) eps sum n |t_n|: the rounding the term recurrence can carry."""
+    mags = np.abs(np.array(terms))
+    return (spec.p + spec.q + 3) * EPS * float(np.arange(len(mags)) @ mags)
+
+
+def _rounding_charge(spec, terms):
+    """The recurrence charge plus 4 eps sum |t_n| for the summation."""
+    return _recurrence_charge(spec, terms) + 4.0 * EPS * float(np.abs(np.array(terms)).sum())
+
+
+def _direct_grid():
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        yield F(rng.uniform(0.3, 3.0, 3), rng.uniform(0.3, 3.0, 2), 0.5)
+        yield F(rng.uniform(0.3, 3.0, 3) + 1j * rng.uniform(-0.5, 0.5, 3),
+                rng.uniform(0.3, 3.0, 2) + 1j * rng.uniform(-0.5, 0.5, 2), 0.5)
+        yield F(rng.uniform(0.3, 3.0, 2), rng.uniform(0.3, 3.0, 2), -rng.uniform(3.0, 13.0))
+
+
+@pytest.mark.parametrize("max_terms", [5, 40, 100_000])
+def test_direct_sum_matches_per_term_loop(max_terms):
+    for spec in _direct_grid():
+        ref, terms = _scalar_direct(spec, 1e-12, max_terms)
+        got = series._sum_direct(spec, 1e-12, max_terms)
+        assert (got.terms_used, got.converged, got.method) == \
+            (ref.terms_used, ref.converged, ref.method), spec
+        assert abs(got.value - ref.value) <= _rounding_charge(spec, terms), spec
+        assert abs(got.tail_estimate - ref.tail_estimate - _recurrence_charge(spec, terms)) \
+            <= 0.01 * got.tail_estimate, spec
+
+
+def test_terminating_sum_matches_per_term_loop():
+    rng = np.random.default_rng(22)
+    for order in range(31):
+        for cplx in (0.0, 0.4):
+            num = [-order, *(rng.uniform(0.3, 3.0, 2) + 1j * cplx * rng.uniform(-1, 1, 2))]
+            den = rng.uniform(0.3, 3.0, 2) + 1j * cplx * rng.uniform(-1, 1, 2)
+            spec = F(num, den, rng.uniform(-2.0, 2.0))
+            ref, terms = _scalar_terminating(spec, order)
+            got = series._sum_terminating(spec, order)
+            assert (got.terms_used, got.converged, got.method) == \
+                (ref.terms_used, ref.converged, ref.method), spec
+            assert abs(got.value - ref.value) <= _rounding_charge(spec, terms), spec
+            assert ref.tail_estimate / 1.01 <= got.tail_estimate <= 1.01 * ref.tail_estimate
+    spec = F([1.3, 0.2], [2.2, 0.7], 0.0)
+    ref, _ = _scalar_terminating(spec, 0)
+    assert eval_series(spec) == ref
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_terminating_sum_reads_no_table_row_past_its_order():
+    # the table rows past the order hold b + n = 0 and are never read
+    TermRatios([-2, 1], [-5]).ratios(3)
+    r = eval_series(F([-2, 1], [-5], 0.5))
+    assert abs(r.value - 1.225) <= r.tail_estimate + 4 * EPS
+
+
+def test_direct_sum_refuses_overflow():
+    # the terms 800^n / (n+1)! overflow long before they decay
+    with pytest.raises(OverflowError, match="overflowed"):
+        eval_series(F([1], [2], 800.0))
+    assert main(["eval", "pfq", "--num", "1", "--den", "2", "--z", "800"]) == 3
+
+
+def test_direct_sum_estimate_covers_recurrence_rounding():
+    # mpmath 1.3.0, 30 digits: hyper([1.39, 0.95], [1.43, 2.14], -10)
+    ref = 0.134383260948663775773
+    r = eval_series(F([1.39, 0.95], [1.43, 2.14], -10.0))
+    assert r.method == "direct" and r.converged
+    assert abs(r.value - ref) <= r.tail_estimate
+
+
 def test_terminating_matches_explicit_pochhammer_sum():
     rng = np.random.default_rng(11)
     for _ in range(60):
