@@ -6,14 +6,19 @@ substitution u = st:
 
     value = s^(-v) * integral_0^inf e^(-u) u^(v-1) pFq((w/s) u) du.
 
-Adaptive Gauss-Kronrod (G7/K15) panels handle the body, refined in
-sweeps: each sweep bisects the fewest worst panels that bring the
-unsplit error under half the budget and evaluates all their children in
-one integrand call.  The endpoint singularity for Re(v) < 1 is removed
-by the substitution u = x^(1/Re v) on the first panel.  Tails come in
-two flavors: exponential decay (w/s < 1, bounded analytically) and
-algebraic decay u^rho for the s = w family, where the tail is
-extrapolated from a fitted power-law model with
+The integrand is u^(v-1) phi(u) with phi(u) = e^(-u) pFq((w/s) u).  The
+panel at u = 0 integrates the power exactly: a u^(v-1)-weighted 25-point
+Clenshaw-Curtis rule, whose weights come from the Chebyshev moments of
+(1+x)^(v-1) (the algebraic singularity and, for complex v, the
+log-oscillation u^(i Im v) are in the weight, not in phi).  Every other
+panel is Gauss-Kronrod (G7/K15) with the power applied at each node.
+The coarse panels [0, 1], [1, u_body/4] and [u_body/4, u_body] give the
+scale of the integral and then seed one worklist, refined in sweeps:
+each sweep bisects the fewest worst panels that bring the unsplit error
+under half the budget and evaluates all their children in one integrand
+call.  Tails come in two flavors: exponential decay (w/s < 1, bounded
+analytically) and algebraic decay u^rho for the s = w family, where the
+tail is extrapolated from a fitted power-law model with
 rho = Re(v - 1 + sum(a) - sum(b)) known exactly.
 
 The integrand sums pFq((w/s) u) directly at every node (no transformation
@@ -74,39 +79,105 @@ class IntegralResult:
     tail_contribution: complex
 
 
+# the weighted endpoint rule: Clenshaw-Curtis nodes x_j = cos(j pi / 24);
+# the 13-point rule of its error estimate reads every other one
+_CC_N = 24
+_CC_NODES = np.cos(np.arange(_CC_N + 1) * np.pi / _CC_N)
+
+
+def _chebyshev_interpolation(n: int) -> np.ndarray:
+    """C with c = C f: the coefficients c_0 .. c_n of the degree-n
+    Chebyshev interpolant of f sampled at x_j = cos(j pi / n)."""
+    k = np.arange(n + 1)
+    c = (2.0 / n) * np.cos(np.outer(k, k) * np.pi / n)
+    c[:, [0, n]] *= 0.5
+    c[[0, n], :] *= 0.5
+    return c
+
+
+_CC_C25 = _chebyshev_interpolation(_CC_N)
+_CC_C13 = _chebyshev_interpolation(_CC_N // 2)
+
+
+def _power_moments(v: complex, n: int) -> np.ndarray:
+    """M_k = integral_-1^1 (1+x)^(v-1) T_k(x) dx for k < n, by the
+    Piessens-Branders recurrence (QUADPACK's QAWS moments)."""
+    two_v = 2.0 ** v
+    m = np.empty(n, dtype=complex)
+    m[0] = two_v / v
+    m[1] = m[0] * (v - 1.0) / (v + 1.0)
+    for k in range(2, n):
+        m[k] = -(two_v + k * (k - v - 1.0) * m[k - 1]) / ((k - 1.0) * (k + v))
+    return m
+
+
 class _PanelIntegrator:
-    """Adaptive G7/K15 bisection refined in deterministic sweeps.
+    """Adaptive bisection refined in deterministic sweeps.
+
+    With a weight exponent v the integrand is u^(v-1) f(u): a panel [0, b]
+    uses the u^(v-1)-weighted 25-point Clenshaw-Curtis rule, with
+    |I25 - I13| as its error, and every other panel G7/K15 with the power
+    applied at each node.  Without one, every panel is G7/K15 of f.
 
     A sweep orders the panels by error (larger first, lower index on ties),
     bisects the shortest prefix whose removal leaves the unsplit panels'
     error at most half the budget, and evaluates every child in one call
     of f.  The panel count never exceeds max_panels."""
 
-    def __init__(self, f):
+    def __init__(self, f, v: complex | None = None):
         self.f = f
+        self.v = v
         self.nodes_used = 0
+        if v is not None:
+            # W = M @ C integrates (1+x)^(v-1) times the Chebyshev
+            # interpolant of f exactly, for the 25- and the 13-point rule
+            m = _power_moments(v, _CC_N + 1)
+            self._w25, self._w13 = m @ _CC_C25, m[:_CC_N // 2 + 1] @ _CC_C13
+
+    def _power(self, u: np.ndarray):
+        if self.v is None or self.v == 1.0:
+            return 1.0
+        return np.exp((self.v - 1.0) * np.log(u.astype(complex)))
 
     def _panels(self, spans, points=()) -> tuple[list[tuple[complex, float]], np.ndarray]:
-        """K15 value and |K15 - G7| of each (a, b) span, and f at the extra
-        points, all from one call of f."""
+        """Value and error of each (a, b) span, and the integrand at the
+        extra points, all from one call of f."""
         ends = np.asarray(spans, dtype=float).reshape(-1, 2)
-        half = 0.5 * (ends[:, 1] - ends[:, 0])
-        mid = 0.5 * (ends[:, 0] + ends[:, 1])
+        weighted = (ends[:, 0] == 0.0) & (self.v is not None)
+        gk, cc = ends[~weighted], ends[weighted]
+        half = 0.5 * (gk[:, 1] - gk[:, 0])
+        mid = 0.5 * (gk[:, 0] + gk[:, 1])
         x = np.concatenate([(mid[:, None] + half[:, None] * _GK_NODES).ravel(),
                             np.asarray(points, dtype=float)])
-        fv = self.f(x)
-        self.nodes_used += len(x)
-        body = fv[:len(_GK_NODES) * len(mid)].reshape(len(mid), len(_GK_NODES))
-        i_k = np.sum(_GK_WK * body, axis=1) * half
-        i_g = np.sum(_GK_WG * body, axis=1) * half
-        panels = [(complex(k), float(abs(k - g))) for k, g in zip(i_k, i_g)]
-        return panels, fv[len(_GK_NODES) * len(mid):]
+        fv = self.f(np.concatenate([x, (0.5 * cc[:, 1:] * (1.0 + _CC_NODES)).ravel()]))
+        self.nodes_used += len(fv)
+        hv = fv[:len(x)] * self._power(x)
+        body = hv[:len(_GK_NODES) * len(mid)].reshape(len(mid), len(_GK_NODES))
+        value = np.empty(len(ends), dtype=complex)
+        err = np.empty(len(ends))
+        value[~weighted] = np.sum(_GK_WK * body, axis=1) * half
+        err[~weighted] = np.abs(value[~weighted] - np.sum(_GK_WG * body, axis=1) * half)
+        if len(cc):
+            phi = fv[len(x):].reshape(len(cc), len(_CC_NODES))
+            scale = (0.5 * cc[:, 1]) ** self.v
+            value[weighted] = scale * (phi @ self._w25)
+            err[weighted] = np.abs(value[weighted] - scale * (phi[:, ::2] @ self._w13))
+        panels = [(complex(val), float(e)) for val, e in zip(value, err)]
+        return panels, hv[len(_GK_NODES) * len(mid):]
+
+    def seed(self, spans) -> list[tuple[float, float, complex, float]]:
+        """(lo, hi, value, err) of each span, from one call of f."""
+        return [(*span, *panel) for span, panel in zip(spans, self._panels(spans)[0])]
 
     def integrate(self, a: float, b: float, abs_tol: float,
                   max_panels: int = 512) -> tuple[complex, float]:
-        (first,), _ = self._panels([(a, b)])
-        work = [(a, b, *first)]  # (lo, hi, value, err) in position order
-        total_err = first[1]
+        return self.refine(self.seed([(a, b)]), abs_tol, max_panels)
+
+    def refine(self, work, abs_tol: float,
+               max_panels: int = 512) -> tuple[complex, float]:
+        """Refine the evaluated panels work (position order) as one
+        worklist until their error is at most abs_tol."""
+        total_err = sum(item[3] for item in work)
         while total_err > abs_tol and len(work) < max_panels:
             order = sorted(range(len(work)), key=lambda i: (-work[i][3], i))
             unsplit = total_err
@@ -121,8 +192,7 @@ class _PanelIntegrator:
                 lo, hi = work[i][:2]
                 mid = 0.5 * (lo + hi)
                 halves += [(lo, mid), (mid, hi)]
-            children = iter([(*span, *panel)
-                             for span, panel in zip(halves, self._panels(halves)[0])])
+            children = iter(self.seed(halves))
             work = [piece for i, item in enumerate(work)
                     for piece in ((next(children), next(children)) if i in split else (item,))]
             total_err = sum(item[3] for item in work)
@@ -132,17 +202,16 @@ class _PanelIntegrator:
         return total, total_err
 
 
-def _integrand_factory(v: complex, spec: HyperSeriesSpec, ratio: complex,
-                       series_tol: float):
-    """h(u) = e^(-u) u^(v-1) F(ratio*u) evaluated on positive-u vectors.
+def _integrand_factory(spec: HyperSeriesSpec, ratio: complex, series_tol: float):
+    """phi(u) = e^(-u) F(ratio*u) evaluated on vectors of u >= 0; the
+    integrand is u^(v-1) phi(u), the power applied by _PanelIntegrator.
 
     F is summed directly at every node from one term-ratio table, built
-    here and shared by every call of h."""
-    v = complex(v)
+    here and shared by every call of phi."""
     ratios = TermRatios(spec.numerator, spec.denominator)
     real_path = ratio.imag == 0.0 and ratios.real
 
-    def h(u: np.ndarray) -> np.ndarray:
+    def phi(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if spec.p == 0 and spec.q == 0 and ratio == 0.0:
             fvals = np.ones_like(u)
@@ -151,31 +220,9 @@ def _integrand_factory(v: complex, spec: HyperSeriesSpec, ratio: complex,
                                        ratios=ratios)
         else:
             fvals = series_values(ratios, ratio * u, series_tol)
-        if v == 1.0:
-            power = 1.0
-        else:
-            power = np.exp((v - 1.0) * np.log(u.astype(complex)))
-        return np.exp(-u) * power * fvals
+        return np.exp(-u) * fvals
 
-    return h
-
-
-def _first_panel(h, v: complex, cut: float, integ: _PanelIntegrator,
-                 abs_tol: float) -> tuple[complex, float]:
-    """[0, cut] with the u = x^(1/Re v) endpoint substitution when needed."""
-    rv = v.real
-    if rv >= 1.0:
-        return integ.integrate(0.0, cut, abs_tol)
-    expo = 1.0 / rv
-
-    def g(x: np.ndarray) -> np.ndarray:
-        u = x ** expo
-        return h(u) * expo * x ** (expo - 1.0)
-
-    sub = _PanelIntegrator(g)
-    out = sub.integrate(0.0, cut ** rv, abs_tol)
-    integ.nodes_used += sub.nodes_used
-    return out
+    return phi
 
 
 def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
@@ -208,27 +255,20 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         raise ValidityError("Re(s)<=Re(w)")
 
     series_tol = min(1e-13, tol * 1e-3)
-    h = _integrand_factory(v, spec, ratio, series_tol)
-    integ = _PanelIntegrator(h)
+    integ = _PanelIntegrator(_integrand_factory(spec, ratio, series_tol), v)
 
-    # scale estimate from a coarse fixed pass, then a real budget
-    u1 = 1.0
+    # the coarse panels give the scale of the integral, then seed the
+    # refinement of [0, u_body] against the real budget
     u_body = max(24.0, 6.0 * abs(v))
-    coarse = abs(_first_panel(h, v, u1, integ, 1.0)[0])
-    body_panels, _ = integ._panels([(u1, 0.25 * u_body), (0.25 * u_body, u_body)])
-    coarse += sum(abs(val) for val, _err in body_panels)
-    scale = max(coarse, 1e-12)
+    work = integ.seed([(0.0, 1.0), (1.0, 0.25 * u_body), (0.25 * u_body, u_body)])
+    scale = max(sum(abs(item[2]) for item in work), 1e-12)
     abs_tol = tol * scale
-
-    total, err = _first_panel(h, v, u1, integ, 0.25 * abs_tol)
-    body, body_err = integ.integrate(u1, u_body, 0.5 * abs_tol)
-    total += body
-    err += body_err
+    total, err = integ.refine(work, 0.75 * abs_tol)
 
     tail_contribution = complex(0.0)
     if power_law:
         tail_contribution, tail_err, upper = _power_law_tail(
-            h, rho_c, u_body, integ, abs_tol)
+            rho_c, u_body, integ, abs_tol)
         total += tail_contribution
         err += tail_err
         method = TailMethod.POWER_LAW_EXTRAPOLATION
@@ -259,7 +299,7 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
                           complex(front * tail_contribution))
 
 
-def _power_law_tail(h, rho_c: complex, u_start: float, integ: _PanelIntegrator,
+def _power_law_tail(rho_c: complex, u_start: float, integ: _PanelIntegrator,
                     abs_tol: float) -> tuple[complex, float, float]:
     """Fit h(u) = u^rho (D0 + D1 (U/u) + D2 (U/u)^2 + D3 (U/u)^3) beyond U
     and integrate the model; the 3-vs-4 coefficient difference estimates
@@ -272,8 +312,7 @@ def _power_law_tail(h, rho_c: complex, u_start: float, integ: _PanelIntegrator,
     u_cap = 250.0
     for attempt in range(6):
         xs = upper * np.array([1.0, 1.35, 1.8, 2.4])
-        hv = h(xs)
-        integ.nodes_used += len(xs)
+        _, hv = integ._panels([], xs)
         g = hv * np.exp(-rho_c * np.log(xs.astype(complex)))
         uvar = upper / xs
         A = np.vander(uvar, 4, increasing=True)

@@ -52,6 +52,12 @@ _DD_CANCEL_THRESHOLD = 1e6
 _EPS = 2.220446049250313e-16
 
 
+def _termination_order(numerator: Sequence[complex]) -> int | None:
+    """Smallest m with some numerator parameter equal to -m, else None."""
+    orders = [round(-complex(a).real) for a in numerator if is_nonpositive_integer(a)]
+    return min(orders) if orders else None
+
+
 @dataclass(frozen=True)
 class HyperSeriesSpec:
     """Parameters and argument of a pFq series.
@@ -86,8 +92,7 @@ class HyperSeriesSpec:
 
     def termination_order(self) -> int | None:
         """Smallest m with some numerator parameter equal to -m, else None."""
-        orders = [round(-a.real) for a in self.numerator if is_nonpositive_integer(a)]
-        return min(orders) if orders else None
+        return _termination_order(self.numerator)
 
     @property
     def p(self) -> int:
@@ -594,7 +599,8 @@ class TermRatios:
     n, so an entry depends on n and the parameters alone, never on what
     the table was asked before.
     Real parameters give a float table, complex ones a complex table; the
-    double-double pairs (real parameters only) are built on first use."""
+    double-double pairs (real parameters only) are built on first use.
+    order is the series' termination order (None if it does not end)."""
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex]):
         params = [complex(x) for x in (*numerator, *denominator)]
@@ -602,6 +608,7 @@ class TermRatios:
         conv = (lambda x: complex(x).real) if self.real else complex
         self.numerator = tuple(conv(a) for a in numerator)
         self.denominator = tuple(conv(b) for b in denominator)
+        self.order = _termination_order(numerator)
         self._r = np.empty(0, dtype=float if self.real else complex)
         self._hi = np.empty(0)
         self._lo = np.empty(0)
@@ -637,14 +644,16 @@ class TermRatios:
             n = self._missing(len(self._hi), stop)
             hi, lo = dd.dd_ones(n.shape)
             # a + n is not exactly representable in one double; keep each
-            # factor as an error-free two_sum pair
-            for a in self.numerator:
-                fhi, flo = dd.two_sum(a, n)
-                hi, lo = dd.dd_mul(hi, lo, fhi, flo)
-            for b in self.denominator:
-                fhi, flo = dd.two_sum(b, n)
-                hi, lo = dd.dd_div(hi, lo, fhi, flo)
-            hi, lo = dd.dd_div_d(hi, lo, n + 1.0)
+            # factor as an error-free two_sum pair; rows past a terminating
+            # order may divide by 0, none is read
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for a in self.numerator:
+                    fhi, flo = dd.two_sum(a, n)
+                    hi, lo = dd.dd_mul(hi, lo, fhi, flo)
+                for b in self.denominator:
+                    fhi, flo = dd.two_sum(b, n)
+                    hi, lo = dd.dd_div(hi, lo, fhi, flo)
+                hi, lo = dd.dd_div_d(hi, lo, n + 1.0)
             self._hi = np.concatenate([self._hi, hi])
             self._lo = np.concatenate([self._lo, lo])
         return self._hi, self._lo
@@ -667,9 +676,12 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> None:
     t_(n+m-1) (the leading parts, for double-double); rows.keep(k) makes
     the first k rows part of the running sum.  Stops once three
     consecutive terms are <= tol * |partial sum| at every node, at that
-    row; raises OverflowError when a summed row's term or partial sum is
-    no longer finite, since the sum of the remaining terms is then
-    unknown."""
+    row, or after t_order of a terminating series (later rows may divide
+    by a zero denominator factor); raises OverflowError when a summed
+    row's term or partial sum is no longer finite, since the sum of the
+    remaining terms is then unknown."""
+    if rows.ratios.order is not None:
+        max_terms = min(max_terms, rows.ratios.order + 1)
     consec = 0
     n = 0
     # overflow is detected below, on the rows actually summed

@@ -7,8 +7,8 @@ from hyperlap.errors import SlowDecayError, ValidityError
 from hyperlap.gammafn import gamma, gamma_ratio, GammaRatioSpec
 from hyperlap.laplace import (LaplaceCase, LaplaceId, closed_form, lhs_integrand,
                               transform_rhs_series)
-from hyperlap.quadrature import (TailMethod, _PanelIntegrator, gamma_integral_check,
-                                 laplace_numeric)
+from hyperlap.quadrature import (TailMethod, _PanelIntegrator, _power_moments,
+                                 gamma_integral_check, laplace_numeric)
 from hyperlap.series import HyperSeriesSpec
 
 TRIVIAL = HyperSeriesSpec([], [], 1.0)
@@ -173,3 +173,97 @@ def test_sweep_never_exceeds_max_panels(max_panels):
     panels = (integ.nodes_used // 15 + 1) // 2
     assert integ.nodes_used % 15 == 0
     assert panels == max_panels
+
+
+# M_k = integral_-1^1 (1+x)^beta T_k(x) dx for k = 0, 1, 2, 7, 24, from the
+# explicit power series of the shifted Chebyshev polynomials (mpmath, 50
+# digits), frozen
+MOMENTS = {
+    -0.95: [20.705298476827533, -18.733365288558243, 16.857623963131356,
+            -14.95611353047467, 13.209783694350744],
+    -0.5 + 0.3j: [2.2925372599428377 - 0.7915970268705266j,
+                  -0.44363947668374226 + 0.8111010229488248j,
+                  -0.6273969084932682 - 0.47241132038347106j,
+                  0.15425294465543762 - 0.01526841551690252j,
+                  -0.034834301099525795 + 0.03552121173434159j],
+    2.3 - 0.2j: [2.970045689769011 - 0.23242562429247163j,
+                 1.5865938181159898 - 0.18866728144262535j,
+                 -0.4760130337201499 - 0.04465960952972527j,
+                 -0.10974947450465143 + 0.016370272408838107j,
+                 -0.008533149489700282 + 0.0011951406322774508j],
+    11 + 0.3j: [335.5321176256745 + 62.0795472839615j,
+                283.71898387064516 + 53.72453540385272j,
+                157.97575787750134 + 32.797445653475435j,
+                -68.2897923270556 - 14.645792835523544j,
+                -3.589596831311551 - 0.7605388166711352j],
+}
+
+
+@pytest.mark.parametrize("beta", list(MOMENTS))
+def test_power_moments_against_exact_values(beta):
+    got = _power_moments(complex(beta) + 1.0, 25)[[0, 1, 2, 7, 24]]
+    for g, want in zip(got, MOMENTS[beta]):
+        assert abs(g - want) <= 1e-14 * abs(got[0])
+        assert abs(g - want) <= 4e-14 * abs(want)
+
+
+@pytest.mark.parametrize("v", [0.05 + 0.3j, 0.5, 1.0, 2.5 - 0.3j, 7.3])
+@pytest.mark.parametrize("k", [0, 1, 5, 12])
+def test_weighted_endpoint_panel_is_exact_on_polynomials(v, k):
+    # both the 25- and the 13-point rule integrate u^(v-1) u^k exactly for
+    # k <= 12, so the value is exact and the error estimate is rounding
+    b = 1.7
+    integ = _PanelIntegrator(lambda u: u ** k, v)
+    (value, err), = integ._panels([(0.0, b)])[0]
+    want = b ** (v + k) / (v + k)
+    assert abs(value - want) <= 1e-14 * abs(want)
+    assert err <= 1e-14 * abs(want)
+    assert integ.nodes_used == 25
+
+
+def test_bisecting_the_endpoint_panel_keeps_the_weight_on_its_left_half():
+    integ = _PanelIntegrator(lambda u: np.cos(40.0 * u), 0.3 + 0.2j)
+    integ.integrate(0.0, 1.0, 1e-300, max_panels=2)
+    # weighted [0, 1], then weighted [0, 1/2] and G7/K15 [1/2, 1]
+    assert integ.nodes_used == 25 + 25 + 15
+
+
+# Gamma(alpha) 1.3^(-alpha), mpmath at 50 digits, frozen; the endpoint
+# substitution u = x^(1/Re alpha) returned NaN for the first two
+GAMMA_AT_1_3 = {
+    0.001: 999.1615937962995,
+    0.02 + 3j: 0.00391933289169799 - 0.012628000086298127j,
+    0.05 + 0.3j: -0.15884441698741075 - 2.9494808511058115j,
+    0.3 + 0.2j: 1.7593656475129253 - 1.401710639279948j,
+    0.5: 1.5545448637883084,
+    1.7: 0.5816845741392477,
+    2.5 - 0.3j: 0.6688944371695298 - 0.08969166414143215j,
+}
+
+
+@pytest.mark.parametrize("alpha", list(GAMMA_AT_1_3))
+def test_gamma_integral_check_near_the_endpoint_singularity(alpha):
+    res = gamma_integral_check(alpha, 1.3)
+    assert abs(res.value - GAMMA_AT_1_3[alpha]) <= res.abs_err_est
+    assert res.nodes_used <= 250
+
+
+def test_complex_order_transform_against_gauss_series():
+    # integral of t^(v-1) e^(-2t) 2F2(0.4, 1.1; 2.5, 3.1; t) dt
+    #   = Gamma(v) 2^(-v) 3F2(0.4, 1.1, v; 2.5, 3.1; 1/2), mpmath, frozen
+    v = 0.09 + 0.16j
+    want = 1.5938831277733898 - 4.541828841314254j
+    res = laplace_numeric(v, 2.0, 1.0, HyperSeriesSpec([0.4, 1.1], [2.5, 3.1], 1.0))
+    assert abs(res.value - want) <= res.abs_err_est
+    assert abs(res.value - want) <= 1e-12 * abs(want)
+
+
+def test_terminating_integrand_with_a_zero_denominator_factor_past_its_order():
+    # 1F1(-2; -3; x) = 1 + 2x/3 + x^2/6, so the transform is
+    # Gamma(v) s^(-v) (1 + (2/3) r v + r^2 v (v+1) / 6) with r = w/s
+    v, s, w = 1.5, 1.0, 0.5
+    r = w / s
+    want = math.gamma(v) * s ** -v * (1.0 + 2.0 / 3.0 * r * v + r * r * v * (v + 1.0) / 6.0)
+    res = laplace_numeric(v, s, w, HyperSeriesSpec([-2.0], [-3.0], 1.0))
+    assert abs(res.value - want) <= res.abs_err_est
+    assert abs(res.value - want) <= 1e-9 * abs(want)

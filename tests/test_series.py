@@ -538,6 +538,29 @@ def test_term_ratio_table_is_history_free():
         assert np.array_equal(grown.ratios(24576), jump)
 
 
+@pytest.mark.parametrize("num, den, z", [
+    # table rows past the order divide by the zero factor b + n
+    ([-2.0, 1.0], [-3.0], [0.5, 0.7]),
+    ([-2.0 + 0.0j, 1.0 + 0.2j], [-3.0], [0.5, -0.7 + 0.1j]),
+    ([-4.0], [-5.0], [0.3, 9.0]),
+])
+def test_vector_kernel_stops_at_termination_order(num, den, z):
+    got = series_values(TermRatios(num, den), np.array(z))
+    order = round(-num[0].real)
+    for g, zz in zip(got, z):
+        want = explicit_terminating_sum(num, den, zz, order)
+        assert abs(g - want) <= 1e-14 * abs(want)
+
+
+def test_double_double_kernel_stops_at_termination_order():
+    # 1F1(-4; -5; z) at z = -40 takes the double-double path
+    z = np.array([-40.0, -25.0])
+    got = series_values_real(F([-4.0], [-5.0], 1.0), z)
+    for g, zz in zip(got, z):
+        want = explicit_terminating_sum([-4.0], [-5.0], zz, 4)
+        assert abs(g - want) <= 1e-14 * abs(want)
+
+
 def test_vector_kernel_refuses_overflow():
     z = np.array([1.0, 800.0])
     with pytest.raises(OverflowError):
