@@ -8,12 +8,15 @@ a TermRatios table (_terms) and return their correctly rounded sum:
 * terminating series (a nonpositive-integer numerator parameter) are
   summed exactly to the last nonzero term;
 * other series off the unit circle are summed until three consecutive
-  terms are below tol relative to the partial sum;
+  terms are below tol relative to the partial sum, and the rest is
+  bounded by a geometric tail with a ratio bound valid for every later
+  step;
 * |z| = 1 with p = q + 1 converges only algebraically; terms behave like
-  n^(-1-delta) with delta the parametric excess, so the tail beyond the
-  summed prefix is reconstructed from a fitted power-law model through
-  Hurwitz zeta values (a Levin u-transformation, with its own per-term
-  Kahan loop, is the fallback on the rest of the unit circle);
+  n^(-1-delta) with delta the parametric excess.  At z = +-1 the
+  remainder past the summed prefix is its exact asymptotic expansion
+  C sum_k e_k zeta(1+delta+k, N), the e_k from the term ratio alone and
+  C from the computed term t_N (a Levin u-transformation, with its own
+  per-term Kahan loop, is the fallback on the rest of the unit circle);
 * p = q with large negative real z suffers exponential cancellation and
   is summed term by term in double-double precision.
 """
@@ -219,9 +222,38 @@ def _sum_terminating(spec: HyperSeriesSpec, order: int) -> SeriesResult:
     return SeriesResult(total, order + 1, tail, max(cancel, 1.0), True, "terminating")
 
 
+def _ratio_bound(spec: HyperSeriesSpec, n: int) -> float:
+    """An upper bound on sup_{m >= n} |r_m z|, p <= q + 1.
+
+    r_m pairs each numerator factor a + m with a denominator factor d + m
+    (the b_j, then the m + 1 of the factorial).  With x = Re d + n > 0 and
+    a - d = alpha + i beta, every m >= n has
+      |a + m| / |d + m| <= max(1, |1 + alpha / x|) + |beta| / x
+    (the bound of the real part is monotone in m, with limit 1), and an
+    unpaired denominator factor has 1 / |d + m| <= 1 / x.  The product
+    tends to the true limit |z| (p = q + 1) or 0 as n grows; it is
+    infinite when some x <= 0 or a numerator factor is unpaired."""
+    denominators = (*spec.denominator, complex(1.0))
+    if spec.p > len(denominators):
+        return math.inf
+    bound = abs(spec.argument)
+    for i, d in enumerate(denominators):
+        x = d.real + n
+        if x <= 0.0:
+            return math.inf
+        if i < spec.p:
+            diff = spec.numerator[i] - d
+            bound *= max(1.0, abs(1.0 + diff.real / x)) + abs(diff.imag) / x
+        else:
+            bound /= x
+    return bound
+
+
 def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
     """Sum until three consecutive |t_(k+1)| <= tol |partial sum through
-    t_k|, forming the terms in doubling segments."""
+    t_k|, forming the terms in doubling segments.  The rest of the series
+    after t_0 .. t_(n-1) is bounded by |t_n| / (1 - rho), rho from
+    _ratio_bound."""
     table = TermRatios(spec.numerator, spec.denominator)
     z = spec.argument if spec.argument.imag else spec.argument.real
     terms = np.ones(1)
@@ -242,10 +274,10 @@ def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResu
         raise OverflowError(f"pFq series term overflowed within {n + 1} terms "
                             f"(|z| = {abs(spec.argument):.6g})")
     total = _fsum(terms[:n])
-    nxt, prev = float(mags[n]), float(mags[n - 1])
-    ratio = min(nxt / prev if prev > 0.0 else 0.0, 0.95)
+    nxt = float(mags[n])
+    rho = _ratio_bound(spec, n)  # |t_(m+1)| <= rho |t_m| for every m >= n
     cancel = max(float(sums[:n].max()) / max(abs(total), _ABS_FLOOR), 1.0)
-    tail = max(nxt / (1.0 - ratio), cancel * _EPS * abs(total))
+    tail = max(nxt / (1.0 - rho) if rho < 1.0 else math.inf, cancel * _EPS * abs(total))
     # each step of the term recurrence rounds p+q+3 factors
     tail += (spec.p + spec.q + 3) * _EPS * float(np.arange(n) @ mags[:n])
     return SeriesResult(total, n, tail, cancel, hits.size > 0, "direct")
@@ -289,57 +321,40 @@ def _sum_direct_dd(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesR
     return SeriesResult(complex(value, 0.0), n, tail, cancel, converged, "double-double")
 
 
-# Bernoulli numbers B_2, B_4, ..., B_12 for the Euler-Maclaurin zeta tail
-_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
+# the weights of the zeta tails, k = 1 .. 6: B_2k / (2k)! (Euler-Maclaurin)
+# and E_(2k-1)(0) / (2 (2k-1)!) (Boole, for alternating sums), B the
+# Bernoulli numbers and E the Euler polynomials
+_EM_WEIGHTS = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                        -691 / 1307674368000])
+_BOOLE_WEIGHTS = np.array([1 / 4, -1 / 48, 1 / 480, -17 / 80640, 31 / 1451520,
+                           -691 / 319334400])
+
+
+def _zeta_tails(s: np.ndarray, a: float, sign: int) -> np.ndarray:
+    """a^s sum_{j>=0} sign^j (a+j)^(-s) for each entry of the vector s.
+
+    sign = +1, the scaled Hurwitz zeta, by Euler-Maclaurin:
+      a/(s-1) + 1/2 + sum_k B_2k/(2k)! s (s+1) ... (s+2k-2) a^(1-2k);
+    sign = -1 by Boole's summation, the alternating Euler-Maclaurin:
+      1/2 + sum_k E_(2k-1)(0)/(2 (2k-1)!) s (s+1) ... (s+2k-2) a^(1-2k),
+    which has no pole (conditionally convergent z = -1 series down to
+    s -> 0).  Double accuracy needs a >= ~20 (~40 for the alternating sum)
+    and |s| well below a.  The series callers use a >= 64, where s = 13
+    still gets 1e-13; orders that high enter the remainder as
+    e_k a^-k zeta_k with k near 9.
+    """
+    s = np.asarray(s, dtype=complex)
+    # the rising products s (s+1) ... (s+2k-2), one column per k
+    poch = np.cumprod(s[:, None] + np.arange(11.0), axis=1)[:, ::2]
+    inverse_powers = float(a) ** -np.arange(1.0, 12.0, 2.0)
+    if sign > 0:
+        return a / (s - 1.0) + 0.5 + poch @ (_EM_WEIGHTS * inverse_powers)
+    return 0.5 + poch @ (_BOOLE_WEIGHTS * inverse_powers)
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
-    """Hurwitz zeta sum_{n>=0} (a+n)^(-s) by Euler-Maclaurin.
-
-    Needs a >= ~20 for full double accuracy; that is guaranteed by the
-    callers, which only ask about tails of long prefix sums.
-    """
-    s = complex(s)
-    out = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** (-s)
-    poch = s
-    fact = 1.0
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        fact *= (2.0 * k) * (2.0 * k - 1.0)
-        out += b2k / fact * poch * a ** (-s - (2 * k - 1))
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-    return out
-
-
-def _pow_diff_over(w: complex, a1: float, a2: float) -> complex:
-    """(a1^w - a2^w) / (-w), stable through the removable point w = 0."""
-    l1, l2 = math.log(a1), math.log(a2)
-    u = w * (l1 - l2)
-    if abs(u) < 1e-4:
-        em1_over_u = 1.0 + u / 2.0 + u * u / 6.0  # expm1(u)/u
-    else:
-        em1_over_u = (cmath.exp(u) - 1.0) / u
-    return -cmath.exp(w * l2) * em1_over_u * (l1 - l2)
-
-
-def _alternating_zeta_tail(s: complex, m: int) -> complex:
-    """sum_{n>=m} (-1)^n n^(-s), via the even/odd Hurwitz split.
-
-    The two Hurwitz zetas are combined analytically so the expression
-    stays finite through s = 1 (their individual poles cancel; s = 1
-    arises for conditionally convergent z = -1 series with zero excess).
-    """
-    s = complex(s)
-    a1, a2 = m / 2.0, (m + 1) / 2.0
-    out = _pow_diff_over(1.0 - s, a1, a2)  # (a1^(1-s) - a2^(1-s)) / (s-1)
-    out += 0.5 * (a1 ** (-s) - a2 ** (-s))
-    poch = s
-    fact = 1.0
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        fact *= (2.0 * k) * (2.0 * k - 1.0)
-        out += b2k / fact * poch * (a1 ** (-s - (2 * k - 1)) - a2 ** (-s - (2 * k - 1)))
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-    sign = 1.0 if m % 2 == 0 else -1.0
-    return sign * 2.0 ** (-s) * out
+    """Hurwitz zeta sum_{n>=0} (a+n)^(-s); needs a >= ~20 (_zeta_tails)."""
+    return complex(a ** (-complex(s)) * _zeta_tails(np.array([s]), a, +1)[0])
 
 
 def _fsum(x: np.ndarray) -> complex:
@@ -349,100 +364,121 @@ def _fsum(x: np.ndarray) -> complex:
     return complex(math.fsum(x.tolist()))
 
 
+# orders of the remainder expansion summed past the cut; the next one is
+# the estimate of the truncation error
+_TAIL_ORDERS = 8
+# the first omitted order is multiplied by this, as the expansion is only
+# asymptotic
+_TAIL_SAFETY = 10.0
+# cuts N tried at z = +-1, shortest first
+_UNIT_RUNGS = (64, 128, 192, 384, 768, 1536, 3072, 6144, 12288, 24576)
+
+
+def _remainder_coefficients(numerator: Sequence[complex], denominator: Sequence[complex],
+                            orders: int) -> list:
+    """e_0 = 1, e_1, ..., e_orders of the smooth part of the terms at z = +-1,
+    c(n) ~ C n^-(1+delta) (1 + e_1/n + e_2/n^2 + ...), p = q + 1.
+
+    With x = 1/n the ratio c(n+1)/c(n) = r_n gives phi(x/(1+x)) = Q(x)
+    phi(x) for phi(x) = sum e_k x^k and Q(x) = prod(1 + a_i x) /
+    prod(1 + b_j x) (1+x)^delta.  Q has no x^1 term, so the equation at
+    order k+1 fixes e_k:
+      k e_k = sum_{j<k} e_j (binom(-j, k+1-j) - Q_(k+1-j)).
+    O(orders^2) operations, in float arithmetic for real parameters."""
+    if all(x.imag == 0.0 for x in (*numerator, *denominator)):
+        numerator = [x.real for x in numerator]
+        denominator = [x.real for x in denominator]
+    delta = sum(denominator) - sum(numerator)
+    size = orders + 2
+    q = [1.0] * size  # (1+x)^delta, then times each numerator and denominator factor
+    for m in range(1, size):
+        q[m] = q[m - 1] * (delta - m + 1) / m
+    for a in numerator:
+        for m in range(size - 1, 0, -1):
+            q[m] += a * q[m - 1]
+    for b in denominator:
+        for m in range(1, size):
+            q[m] -= b * q[m - 1]
+    e = [1.0]
+    for k in range(1, orders + 1):
+        acc = -q[k + 1]
+        for j in range(1, k):
+            m = k + 1 - j  # binom(-j, m) = (-1)^m binom(j+m-1, m) = (-1)^m binom(k, m)
+            binom = math.comb(k, m)
+            acc += e[j] * ((binom if m % 2 == 0 else -binom) - q[m])
+        e.append(acc / k)
+    return e
+
+
 def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
                          sign: int) -> SeriesResult | None:
-    """Direct summation at z = +-1 with a fitted power-law tail.
+    """Direct summation at z = +-1 with the exact remainder expansion.
 
-    The term magnitudes follow c(n) = n^(-1-delta) (C0 + C1/n + C2/n^2 +
-    C3/n^3 + ...); the C_k are fitted from four computed terms near the
-    truncation point and the tail is summed exactly under that model with
-    (alternating) Hurwitz zeta values.  The error estimate is the
-    difference between the 3- and 4-coefficient models, which observed
-    runs put one to two orders above the true error.
+    The prefix t_0 .. t_(N-1) is formed in one _terms segment per cut and
+    summed once, with _fsum, at the cut taken; the remainder is
+    C sum_k e_k zeta_k, with the e_k from the parameters alone
+    (_remainder_coefficients), zeta_k the (alternating) Hurwitz zeta of
+    1+delta+k at N, and C read from the computed term t_N, never from a
+    closed form.  N is the first rung of _UNIT_RUNGS up to
+    min(max_terms, 24576) at which the terms decay across [N/2, N] and
+    the first omitted order, times _TAIL_SAFETY (the expansion is only
+    asymptotic), is below tol |value|; None when max_terms is below the
+    first rung (the Levin fallback takes it).  Otherwise the last rung
+    comes back with converged=False, its estimate infinite when the terms
+    still rise there.
 
-    The truncation points are the checkpoints 192, 384, 768, ... up to
-    min(max_terms, 24576); the terms up to the next one are one segment
-    from _terms.  Raises OverflowError when a term, a partial sum or the
-    fitted data t_i i^(1+delta) is no longer finite.
-
-    When no checkpoint converges, the one with the smallest estimate comes
-    back with converged=False; its estimate is infinite when the last
-    summed term is larger than the term at that checkpoint, or that term
-    larger than the first one its fit read.
+    The estimate adds to that truncation charge the term recurrence's
+    rounding (p+q+3) eps sum_m |value - S_m| over the partial sums S_m of
+    the prefix (for terms of one sign this is the (p+q+3) eps sum n |t_n|
+    of _sum_direct, with n |tail| for the remainder) and eps max|S_m| for
+    the prefix's rounding.  Like _sum_direct's recurrence charge, it does
+    not decide convergence.  Raises OverflowError when a term, a partial
+    sum or the remainder is no longer finite.
     """
-    s0 = 1.0 + spec.excess()  # tail exponent, exact from the parameters
+    limit = min(max_terms, _UNIT_RUNGS[-1])
+    if limit < _UNIT_RUNGS[0]:
+        return None
+    s = 1.0 + spec.excess()
+    orders = np.arange(_TAIL_ORDERS + 2)
+    coeffs = np.array(_remainder_coefficients(spec.numerator, spec.denominator,
+                                              _TAIL_ORDERS + 1))
     table = TermRatios(spec.numerator, spec.denominator)
-    terms = np.ones(1, dtype=table.dtype)  # signed terms t_n (z^n included)
-    total = complex(1.0)
-    max_abs = 1.0
-    best: tuple[float, complex, int] | None = None
-    checkpoint = 192
-    limit = min(max_terms, 24576)
-    while True:
-        if checkpoint <= limit:
-            n = checkpoint
-        elif best is None and 32 < limit and len(terms) <= limit:
-            n = limit  # no fit yet: one at the cap
-        else:
-            break
-        # overflow is detected below, on the segment as a whole
+    terms = np.ones(1, dtype=table.dtype)  # signed terms t_0 .. t_n (z^n included)
+    for n in [n for n in _UNIT_RUNGS if n < limit] + [limit]:
+        # overflow is detected below: a non-finite term or partial sum leaves
+        # the last partial sum non-finite
         with np.errstate(over="ignore", invalid="ignore"):
-            segment = _terms(table, sign, terms[-1], len(terms) - 1, n)  # t_len(terms) .. t_n
-            partial = total + np.cumsum(segment)
-        if not (np.all(np.isfinite(segment)) and np.all(np.isfinite(partial))):
+            terms = np.concatenate([terms, _terms(table, sign, terms[-1], len(terms) - 1, n)])
+            partial = np.cumsum(terms[:n])  # S_0 .. S_(n-1)
+        if not cmath.isfinite(partial[-1]):
             raise OverflowError(
                 f"pFq series term at z = {sign} overflowed within {n + 1} terms")
-        max_abs = max(max_abs, float(np.max(np.abs(partial))))
-        terms = np.concatenate([terms, segment])
-        total = _fsum(terms)
-        m = n // 8
-        idx = np.array([n - 3 * m, n - 2 * m, n - m, n])
-        xs = idx.astype(float)
-        # strip z^n to expose the smooth coefficient c(i) = t_i / z^i
-        cs = terms[idx].astype(complex)
-        if sign < 0:
-            cs[idx % 2 == 1] *= -1.0
-        u = (n + 1.0) / xs  # scaled fit variable, conditioning
-        A = np.vander(u, 4, increasing=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = cs * xs ** s0
-        if not np.all(np.isfinite(g)):
+        decaying = float(np.abs(table.ratios(n)[n // 2:n]).max()) <= 1.0
+        if not (decaying or n == limit):
+            continue
+        # the remainder over t_n: sum_k e_k n^-k n^(s+k) zeta_k / phi(1/n)
+        scaled = coeffs / float(n) ** orders
+        zetas = scaled * _zeta_tails(s + orders, n, sign)
+        kept, phi = complex(zetas[:-1].sum()), complex(scaled[:-1].sum())
+        tail = complex(terms[n]) * kept / phi
+        nxt = complex(terms[n]) * (kept + complex(zetas[-1])) / (phi + complex(scaled[-1]))
+        if not cmath.isfinite(tail):
             raise OverflowError(
-                f"power-tail fit of the pFq series at z = {sign} overflowed at {n + 1} terms")
-        try:
-            d4 = np.linalg.solve(A, g)
-            d3 = np.linalg.solve(A[1:, :3], g[1:])
-        except np.linalg.LinAlgError:
-            d4 = d3 = None
-        if d4 is not None:
-            mm = n + 1
-            scale = [(n + 1.0) ** k for k in range(4)]
-            if sign > 0:
-                zk = [hurwitz_zeta(s0 + k, mm) for k in range(4)]
-            else:
-                zk = [_alternating_zeta_tail(s0 + k, mm) for k in range(4)]
-            t4 = complex(sum(d4[k] * scale[k] * zk[k] for k in range(4)))
-            t3 = complex(sum(d3[k] * scale[k] * zk[k] for k in range(3)))
-            value = total + t4
-            err = float(abs(t4 - t3) + 8.0 * _EPS * max_abs)
-            if best is None or err < best[0]:
-                best = (err, value, n + 1)
-            if err <= tol * max(abs(value), _ABS_FLOOR):
-                cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
-                return SeriesResult(value, n + 1, err, cancel, True, "direct+power-tail")
-        checkpoint *= 2
-    if best is None:
-        return None
-    err, value, used = best
-    n = used - 1
-    if abs(terms[-1]) > abs(terms[n]) or abs(terms[n]) > abs(terms[n - 3 * (n // 8)]):
-        # the terms grew after the best fit, or across its own window: they
-        # have not reached the power-law decay the fit assumes, so its
-        # estimate bounds nothing
-        err = math.inf
+                f"remainder of the pFq series at z = {sign} overflowed at {n} terms")
+        value = complex(partial[-1]) + tail  # the accepted cut's prefix is fsum'd below
+        budget = tol * max(abs(value), _ABS_FLOOR)
+        max_abs = float(np.abs(partial).max())
+        # a rounding eta_m in step m of the term recurrence moves every later
+        # term, the remainder's C included, by eta_m: value - S_m in all
+        rounding = ((spec.p + spec.q + 3) * _EPS * float(np.abs(value - partial).sum())
+                    + _EPS * max_abs)
+        truncation = _TAIL_SAFETY * abs(nxt - tail) if decaying else math.inf
+        if truncation <= budget:
+            break
+    value = _fsum(terms[:n]) + tail
     cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
-    return SeriesResult(value, used, err, cancel,
-                        err <= tol * max(abs(value), _ABS_FLOOR), "direct+power-tail")
+    return SeriesResult(value, n, truncation + rounding, cancel, truncation <= budget,
+                        "direct+power-tail")
 
 
 class levin_u:
