@@ -17,9 +17,13 @@ scale of the integral and then seed one worklist, refined in sweeps:
 each sweep bisects the fewest worst panels that bring the unsplit error
 under half the budget and evaluates all their children in one integrand
 call.  Tails come in two flavors: exponential decay (w/s < 1, bounded
-analytically) and algebraic decay u^rho for the s = w family, where the
-tail is extrapolated from a fitted power-law model with
-rho = Re(v - 1 + sum(a) - sum(b)) known exactly.
+analytically) and algebraic decay u^rho for the s = w family, with
+rho = v - 1 + sum(a) - sum(b) known exactly.  There one integrand call
+evaluates the panel [u_body, 2 u_body] and six nodes on [U, 3U],
+U = 2 u_body, where u^rho sum_{k<6} D_k (U/u)^k is fitted and integrated
+analytically; the two five-coefficient fits on five of the nodes bound
+the model error.  U doubles (one more call each time) only while that
+bound exceeds its share of the budget.
 
 The integrand sums pFq((w/s) u) directly at every node (no transformation
 or closed form), from one table of term ratios built per integral
@@ -267,8 +271,7 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
 
     tail_contribution = complex(0.0)
     if power_law:
-        tail_contribution, tail_err, upper = _power_law_tail(
-            rho_c, u_body, integ, abs_tol)
+        tail_contribution, tail_err = _power_law_tail(rho_c, u_body, integ, abs_tol)
         total += tail_contribution
         err += tail_err
         method = TailMethod.POWER_LAW_EXTRAPOLATION
@@ -299,39 +302,63 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
                           complex(front * tail_contribution))
 
 
-def _power_law_tail(rho_c: complex, u_start: float, integ: _PanelIntegrator,
-                    abs_tol: float) -> tuple[complex, float, float]:
-    """Fit h(u) = u^rho (D0 + D1 (U/u) + D2 (U/u)^2 + D3 (U/u)^3) beyond U
-    and integrate the model; the 3-vs-4 coefficient difference estimates
-    the model error.  U doubles until that estimate meets the budget."""
-    upper = u_start
+# the power-law model: K coefficients fitted at K nodes geomspace(U, 3U, K)
+_FIT_K = 6
+_FIT_SPAN = 3.0
+
+
+def _power_law_tail(rho_c: complex, u_body: float, integ: _PanelIntegrator,
+                    abs_tol: float) -> tuple[complex, float]:
+    """Integral of h over [u_body, inf) and its error.
+
+    Beyond U the integrand is fitted as h(u) = u^rho sum_{k<6} D_k (U/u)^k
+    at six nodes geomspace(U, 3U, 6), with rho known exactly, and the model
+    is integrated analytically (_fit_power_law).  One integrand call
+    evaluates the panel [u_body, 2 u_body] (then refined against a quarter
+    of the budget) and the fit at U = 2 u_body.  While the model error
+    exceeds another quarter, U doubles, again one call for the next panel
+    and the next fit.  No node passes u_max = max(600, 2.4 u_body): double
+    precision runs out near exp(709) in the series.  When even the first
+    fit would pass it, the fit is taken at U = u_body, with no panel, on
+    nodes spanning [U, min(3U, u_max)]."""
+    u_max = max(600.0, 2.4 * u_body)
+    if 2.0 * _FIT_SPAN * u_body > u_max:
+        xs = np.geomspace(u_body, min(_FIT_SPAN * u_body, u_max), _FIT_K)
+        _, hv = integ._panels([], xs)
+        return _fit_power_law(rho_c, xs, hv)
     extra = complex(0.0)
     extra_err = 0.0
-    # double precision runs out near exp(709); keep every series argument
-    # safely inside that, the fitted model covers the rest
-    u_cap = 250.0
-    for attempt in range(6):
-        xs = upper * np.array([1.0, 1.35, 1.8, 2.4])
-        _, hv = integ._panels([], xs)
-        g = hv * np.exp(-rho_c * np.log(xs.astype(complex)))
-        uvar = upper / xs
-        A = np.vander(uvar, 4, increasing=True)
-        d4 = np.linalg.solve(A, g)
-        d3 = np.linalg.solve(A[1:, :3], g[1:])
-        # model term D_k U^k u^(rho-k) integrates over [U, inf) to
-        # D_k U^(rho+1) / (k-1-rho)
-        u_pow = cmath.exp((rho_c + 1.0) * math.log(upper))
-        mom = [u_pow / (k - 1.0 - rho_c) for k in range(4)]
-        t4 = complex(sum(d4[k] * mom[k] for k in range(4)))
-        t3 = complex(sum(d3[k] * mom[k] for k in range(3)))
-        model_err = float(abs(t4 - t3))
-        if model_err <= 0.25 * abs_tol or attempt == 5 or 2.0 * upper > u_cap:
-            return extra + t4, extra_err + model_err, upper
-        val, perr = integ.integrate(upper, 2.0 * upper, 0.25 * abs_tol)
+    lo = u_body
+    while True:
+        upper = 2.0 * lo
+        xs = np.geomspace(upper, _FIT_SPAN * upper, _FIT_K)
+        (panel,), hv = integ._panels([(lo, upper)], xs)
+        val, perr = integ.refine([(lo, upper, *panel)], 0.25 * abs_tol)
         extra += val
         extra_err += perr
-        upper *= 2.0
-    return extra, extra_err, upper
+        tail, model_err = _fit_power_law(rho_c, xs, hv)
+        if model_err <= 0.25 * abs_tol or 2.0 * _FIT_SPAN * upper > u_max:
+            return extra + tail, extra_err + model_err
+        lo = upper
+
+
+def _fit_power_law(rho_c: complex, xs: np.ndarray, hv: np.ndarray) -> tuple[complex, float]:
+    """Integral t over [U, inf), U = xs[0], of the model
+    u^rho sum_{k<K} D_k (U/u)^k that interpolates h = hv at the K nodes xs,
+    and its model error: the larger difference from the (K-1)-coefficient
+    fits that leave out the first and the last node.  The outer fit alone
+    shares most of t's truncation error and can miss it several times
+    over; the inner one extrapolates further and is the cautious one."""
+    upper = xs[0]
+    g = hv * np.exp(-rho_c * np.log(xs))
+    A = np.vander(upper / xs, len(xs), increasing=True)
+    # the model term D_k U^k u^(rho-k) integrates over [U, inf) to
+    # D_k U^(rho+1) / (k-1-rho)
+    mom = cmath.exp((rho_c + 1.0) * math.log(upper)) / (np.arange(len(xs)) - 1.0 - rho_c)
+    t_all = complex(np.linalg.solve(A, g) @ mom)
+    t_outer = complex(np.linalg.solve(A[1:, :-1], g[1:]) @ mom[:-1])
+    t_inner = complex(np.linalg.solve(A[:-1, :-1], g[:-1]) @ mom[:-1])
+    return t_all, float(max(abs(t_all - t_outer), abs(t_all - t_inner)))
 
 
 def gamma_integral_check(alpha: complex, s: complex, tol: float = 1e-9) -> IntegralResult:

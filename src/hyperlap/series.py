@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -68,26 +69,28 @@ class HyperSeriesSpec:
     Construction rejects a nonpositive-integer denominator parameter
     unless a numerator parameter is a nonpositive integer of strictly
     smaller magnitude (the series then terminates before the zero
-    denominator factor is reached).
+    denominator factor is reached).  order, the termination order, is
+    found once here.
     """
 
     numerator: tuple[complex, ...]
     denominator: tuple[complex, ...]
     argument: complex
+    order: int | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex],
                  argument: complex):
         object.__setattr__(self, "numerator", tuple(complex(x) for x in numerator))
         object.__setattr__(self, "denominator", tuple(complex(x) for x in denominator))
         object.__setattr__(self, "argument", complex(argument))
+        object.__setattr__(self, "order", _termination_order(self.numerator))
         self._validate()
 
     def _validate(self) -> None:
-        term_order = self.termination_order()
         for b in self.denominator:
             if is_nonpositive_integer(b):
                 mag = round(-b.real)
-                if term_order is None or term_order >= mag:
+                if self.order is None or self.order >= mag:
                     raise ValueError(
                         f"denominator parameter {b} is a nonpositive integer and the "
                         "series does not terminate before the zero factor"
@@ -95,7 +98,7 @@ class HyperSeriesSpec:
 
     def termination_order(self) -> int | None:
         """Smallest m with some numerator parameter equal to -m, else None."""
-        return _termination_order(self.numerator)
+        return self.order
 
     @property
     def p(self) -> int:
@@ -149,7 +152,7 @@ def classify(spec: HyperSeriesSpec) -> ConvergenceClass:
     terminating too: only the n = 0 term survives.
     """
     delta = spec.excess()
-    if spec.termination_order() is not None or spec.argument == 0.0:
+    if spec.order is not None or spec.argument == 0.0:
         return ConvergenceClass(Convergence.TERMINATING, delta)
     p, q = spec.p, spec.q
     if p <= q:
@@ -587,7 +590,7 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
             f"series p={spec.p}, q={spec.q} at z={spec.argument} diverges"
         )
     if cls.kind is Convergence.TERMINATING:
-        order = spec.termination_order()
+        order = spec.order
         if order is None or spec.argument == 0.0:
             order = 0
         return _sum_terminating(spec, order)
@@ -636,7 +639,8 @@ class TermRatios:
     the table was asked before.
     Real parameters give a float table, complex ones a complex table; the
     double-double pairs (real parameters only) are built on first use.
-    order is the series' termination order (None if it does not end)."""
+    order, the series' termination order (None if it does not end), is
+    found on first use: only the vector kernels read it."""
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex]):
         params = [complex(x) for x in (*numerator, *denominator)]
@@ -644,10 +648,13 @@ class TermRatios:
         conv = (lambda x: complex(x).real) if self.real else complex
         self.numerator = tuple(conv(a) for a in numerator)
         self.denominator = tuple(conv(b) for b in denominator)
-        self.order = _termination_order(numerator)
         self._r = np.empty(0, dtype=float if self.real else complex)
         self._hi = np.empty(0)
         self._lo = np.empty(0)
+
+    @functools.cached_property
+    def order(self) -> int | None:
+        return _termination_order(self.numerator)
 
     @property
     def dtype(self) -> np.dtype:

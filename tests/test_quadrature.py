@@ -267,3 +267,62 @@ def test_terminating_integrand_with_a_zero_denominator_factor_past_its_order():
     res = laplace_numeric(v, s, w, HyperSeriesSpec([-2.0], [-3.0], 1.0))
     assert abs(res.value - want) <= res.abs_err_est
     assert abs(res.value - want) <= 1e-9 * abs(want)
+
+
+# s = w draws whose value a four-coefficient power-law tail fit misses by
+# more than its own estimate (1F1 and 2F2 written out; the transforms
+# through their integrands), and a 2F2 at tol 1e-9 where the five-node fit
+# on the outer nodes shares the six-node fit's error and misses it 2.5
+# times over.  Gamma(v) s^(-v) p+1Fp(a, v; b; 1), mpmath at 40 digits,
+# frozen.
+POWER_LAW_TRANSFORMS = [
+    (LaplaceId.WHIPPLEX_L, {"a": 0.8669174575192078, "c": 1.5661864893984943,
+                            "d": 1.9683610411590986, "e": 2.143377866266895},
+     1.2050079052097882, 0.7132074671523847),
+    (LaplaceId.WHIPPLE_L, {"a": 1.0901227546123626, "b": -0.09012275461236263,
+                           "c": 1.5784107759718087, "d": 2.5678626190404117,
+                           "e": 1.588958932903205},
+     1.520330874367771, 0.43224017459748265),
+    (LaplaceId.WATSON1X_L, {"a": 0.5119577790302055, "b": 1.469796300756123,
+                            "c": 2.0641140880611135, "d": 0.43633485457986754},
+     0.8095412963307339, 5.507976876609461),
+]
+POWER_LAW_INTEGRANDS = [
+    ([0.7736279842091658, 0.5836375028937277], [1.3166197533515922, 3.5932439144994204],
+     1.9652374814316358, 1.2259115443486719, 1e-7, 0.9160609576055844),
+    ([1.8164920386855146], [5.815188914804159],
+     2.4189869633128827, 1.8334709870290196, 1e-7, 1.2774724980603587),
+    ([1.7892313880103001, 2.5176619330581387], [2.8312918761849617, 7.138109354435994],
+     4.1946682991001785, 1.2608936944107303, 1e-9, 21.006144288221407),
+]
+
+
+@pytest.mark.parametrize("ident, params, s, want", POWER_LAW_TRANSFORMS)
+def test_power_law_transform_lies_within_its_estimate(ident, params, s, want):
+    case = LaplaceCase(ident, params, s)
+    integ = lhs_integrand(case)
+    res = laplace_numeric(integ.power, case.s, integ.w, integ.spec, tol=1e-7)
+    assert res.tail_method is TailMethod.POWER_LAW_EXTRAPOLATION
+    assert abs(res.value - want) <= res.abs_err_est
+
+
+@pytest.mark.parametrize("num, den, v, s, tol, want", POWER_LAW_INTEGRANDS)
+def test_power_law_integrand_lies_within_its_estimate(num, den, v, s, tol, want):
+    res = laplace_numeric(v, s, s, HyperSeriesSpec(num, den, 1.0), tol=tol)
+    assert res.tail_method is TailMethod.POWER_LAW_EXTRAPOLATION
+    assert abs(res.value - want) <= res.abs_err_est
+
+
+# Gamma(v) 2F1(1.5, v; v + 3.7; 1) by Gauss's sum, mpmath at 40 digits,
+# frozen.  At v = 30 and 45 the body already ends at u = 180 and 270, so
+# the fit nodes must stop short of where pFq(u) overflows a double.
+GAUSS_SUM_LARGE_V = {30.0: 4.317461457862916e+32, 45.0: 2.29529452920706e+56}
+
+
+@pytest.mark.parametrize("v", list(GAUSS_SUM_LARGE_V))
+def test_power_law_tail_at_large_order_stays_in_range(v):
+    want = GAUSS_SUM_LARGE_V[v]
+    res = laplace_numeric(v, 1.0, 1.0, HyperSeriesSpec([1.5], [v + 3.7], 1.0), tol=1e-7)
+    assert res.tail_method is TailMethod.POWER_LAW_EXTRAPOLATION
+    assert abs(res.value - want) <= res.abs_err_est
+    assert abs(res.value - want) <= 1e-7 * want
