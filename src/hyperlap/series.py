@@ -12,11 +12,12 @@ a TermRatios table (_terms) and return their correctly rounded sum:
   bounded by a geometric tail with a ratio bound valid for every later
   step;
 * |z| = 1 with p = q + 1 converges only algebraically; terms behave like
-  n^(-1-delta) with delta the parametric excess.  At z = +-1 the
-  remainder past the summed prefix is its exact asymptotic expansion
-  C sum_k e_k zeta(1+delta+k, N), the e_k from the term ratio alone and
-  C from the computed term t_N (a Levin u-transformation, with its own
-  per-term Kahan loop, is the fallback on the rest of the unit circle);
+  C z^n n^(-1-delta) sum_k e_k n^-k with delta the parametric excess.
+  The remainder past the summed prefix is its exact asymptotic expansion,
+  the e_k from the term ratio alone and C from the computed term t_N; its
+  sums sum_j z^j (1 + j/N)^(-1-delta-k) expand in the power sums
+  sum_j j^l z^j, read as zeta(-l) at z = 1 and as the Abel sums
+  Li_(-l)(z), polynomials in 1/(1-z), on the rest of the circle;
 * p = q with large negative real z suffers exponential cancellation and
   is summed term by term in double-double precision.
 """
@@ -45,7 +46,6 @@ __all__ = [
     "classify",
     "derivative_shift",
     "eval_series",
-    "levin_u",
     "series_values",
     "series_values_real",
 ]
@@ -201,15 +201,6 @@ def _predicted_cancellation(p: int, q: int, z: complex) -> float:
     return math.exp(min(expo, 700.0))
 
 
-def _term_ratio(spec: HyperSeriesSpec, n: int) -> complex:
-    r = spec.argument / (n + 1)
-    for a in spec.numerator:
-        r *= a + n
-    for b in spec.denominator:
-        r /= b + n
-    return r
-
-
 def _sum_terminating(spec: HyperSeriesSpec, order: int) -> SeriesResult:
     table = TermRatios(spec.numerator, spec.denominator)
     z = spec.argument if spec.argument.imag else spec.argument.real
@@ -252,11 +243,21 @@ def _ratio_bound(spec: HyperSeriesSpec, n: int) -> float:
     return bound
 
 
+def _recurrence_charge(spec: HyperSeriesSpec, value: complex, partial: np.ndarray) -> float:
+    """The rounding the term recurrence can carry into a sum with partial
+    sums S_m: a rounding eta_m in step m moves every later term by eta_m,
+    value - S_m in all, and each step rounds p+q+3 factors.  For terms of
+    one sign this is (p+q+3) eps sum n |t_n|; alternating terms charge far
+    less."""
+    return (spec.p + spec.q + 3) * _EPS * float(np.abs(value - partial).sum())
+
+
 def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
     """Sum until three consecutive |t_(k+1)| <= tol |partial sum through
     t_k|, forming the terms in doubling segments.  The rest of the series
     after t_0 .. t_(n-1) is bounded by |t_n| / (1 - rho), rho from
-    _ratio_bound."""
+    _ratio_bound; the estimate adds the term recurrence's rounding
+    (_recurrence_charge)."""
     table = TermRatios(spec.numerator, spec.denominator)
     z = spec.argument if spec.argument.imag else spec.argument.real
     terms = np.ones(1)
@@ -267,7 +268,8 @@ def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResu
             start, stop = stop, min(max(2 * stop, 2 * _CHUNK), max_terms)
             terms = np.concatenate([terms, _terms(table, z, terms[-1], start, stop)])
             mags = np.abs(terms)  # t_0 .. t_stop
-            sums = np.abs(terms.cumsum())
+            partial = terms.cumsum()
+            sums = np.abs(partial)
             small = mags[1:] <= tol * np.maximum(sums[:-1], _ABS_FLOOR)
             hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
             if hits.size or stop == max_terms or not math.isfinite(mags[-1]):
@@ -281,8 +283,7 @@ def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResu
     rho = _ratio_bound(spec, n)  # |t_(m+1)| <= rho |t_m| for every m >= n
     cancel = max(float(sums[:n].max()) / max(abs(total), _ABS_FLOOR), 1.0)
     tail = max(nxt / (1.0 - rho) if rho < 1.0 else math.inf, cancel * _EPS * abs(total))
-    # each step of the term recurrence rounds p+q+3 factors
-    tail += (spec.p + spec.q + 3) * _EPS * float(np.arange(n) @ mags[:n])
+    tail += _recurrence_charge(spec, total, partial[:n])
     return SeriesResult(total, n, tail, cancel, hits.size > 0, "direct")
 
 
@@ -324,40 +325,61 @@ def _sum_direct_dd(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesR
     return SeriesResult(complex(value, 0.0), n, tail, cancel, converged, "double-double")
 
 
-# the weights of the zeta tails, k = 1 .. 6: B_2k / (2k)! (Euler-Maclaurin)
-# and E_(2k-1)(0) / (2 (2k-1)!) (Boole, for alternating sums), B the
-# Bernoulli numbers and E the Euler polynomials
-_EM_WEIGHTS = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
-                        -691 / 1307674368000])
-_BOOLE_WEIGHTS = np.array([1 / 4, -1 / 48, 1 / 480, -17 / 80640, 31 / 1451520,
-                           -691 / 319334400])
+# orders l of the power sums L_l(z) = sum_{j>=0} j^l z^j kept in the
+# remainder; the next two are part of its estimate
+_POWER_ORDERS = 12
 
 
-def _zeta_tails(s: np.ndarray, a: float, sign: int) -> np.ndarray:
-    """a^s sum_{j>=0} sign^j (a+j)^(-s) for each entry of the vector s.
+def _abel_polynomials(orders: int) -> np.ndarray:
+    """Integer coefficients c[l, m], l < orders, of the Abel sums
+    L_l(z) = Li_(-l)(z) = sum_m c[l, m] w^m, w = 1/(1-z) (L_0 = w, the
+    Eulerian polynomials of DLMF 25.12.iii).  z d/dz = (w^2 - w) d/dw
+    gives c[l, m] = (m-1) c[l-1, m-1] - m c[l-1, m]."""
+    m = np.arange(orders + 1.0)
+    c = np.zeros((orders, orders + 1))
+    c[0, 1] = 1.0
+    for l in range(1, orders):
+        c[l, 1:] = (m[1:] - 1.0) * c[l - 1, :-1]
+        c[l] -= m * c[l - 1]
+    return c
 
-    sign = +1, the scaled Hurwitz zeta, by Euler-Maclaurin:
-      a/(s-1) + 1/2 + sum_k B_2k/(2k)! s (s+1) ... (s+2k-2) a^(1-2k);
-    sign = -1 by Boole's summation, the alternating Euler-Maclaurin:
-      1/2 + sum_k E_(2k-1)(0)/(2 (2k-1)!) s (s+1) ... (s+2k-2) a^(1-2k),
-    which has no pole (conditionally convergent z = -1 series down to
-    s -> 0).  Double accuracy needs a >= ~20 (~40 for the alternating sum)
-    and |s| well below a.  The series callers use a >= 64, where s = 13
-    still gets 1e-13; orders that high enter the remainder as
-    e_k a^-k zeta_k with k near 9.
-    """
-    s = np.asarray(s, dtype=complex)
-    # the rising products s (s+1) ... (s+2k-2), one column per k
-    poch = np.cumprod(s[:, None] + np.arange(11.0), axis=1)[:, ::2]
-    inverse_powers = float(a) ** -np.arange(1.0, 12.0, 2.0)
-    if sign > 0:
-        return a / (s - 1.0) + 0.5 + poch @ (_EM_WEIGHTS * inverse_powers)
-    return 0.5 + poch @ (_BOOLE_WEIGHTS * inverse_powers)
+
+_ABEL_POLYNOMIALS = _abel_polynomials(_POWER_ORDERS + 2)
+_POWERS = np.arange(_POWER_ORDERS + 3.0)  # exponents of w; l - 1 and l below
+# the weights L_l at z = 1: zeta(-l), and 1 + zeta(0) = 1/2 at l = 0 (the
+# Euler-Maclaurin constants; the integral term is apart); at z = -1 they
+# are Boole's
+_ZETA_WEIGHTS = np.array([1 / 2, -1 / 12, 0.0, 1 / 120, 0.0, -1 / 252, 0.0, 1 / 240, 0.0,
+                          -1 / 132, 0.0, 691 / 32760, 0.0, -1 / 12])
+_ALTERNATING_WEIGHTS = _ABEL_POLYNOMIALS @ 0.5 ** _POWERS
+
+
+def _abel_weights(z: complex) -> np.ndarray:
+    """L_0(z) .. L_13(z) for |z| = 1; real and tabled at z = +-1."""
+    if z == 1.0:
+        return _ZETA_WEIGHTS
+    if z == -1.0:
+        return _ALTERNATING_WEIGHTS
+    return _ABEL_POLYNOMIALS @ (1.0 / (1.0 - z)) ** _POWERS
+
+
+def _binomial_powers(s: np.ndarray, a: float) -> np.ndarray:
+    """binom(-s, l) a^-l, l = 1 .. 13, one row per entry of the vector s.
+
+    With weights w = _abel_weights(z), sum_{j>=0} z^j (1 + j/a)^(-s) is
+    w_0 + sum_l binom(-s, l) a^-l w_l, expanding in powers of j/a (Abel
+    summed at z != 1; at z = 1 the Euler-Maclaurin formula adds the
+    integral a/(s-1)).  Double accuracy needs a >= ~20 (~40 at z = -1),
+    |s| well below a, and a |1-z| well above |s| + 13, as
+    L_l ~ l! / (1-z)^(l+1) near z = 1."""
+    return np.cumprod((s[:, None] + _POWERS[:-2]) / (-a * _POWERS[1:-1]), axis=1)
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
-    """Hurwitz zeta sum_{n>=0} (a+n)^(-s); needs a >= ~20 (_zeta_tails)."""
-    return complex(a ** (-complex(s)) * _zeta_tails(np.array([s]), a, +1)[0])
+    """Hurwitz zeta sum_{n>=0} (a+n)^(-s); needs a >= ~20 (_binomial_powers)."""
+    s = complex(s)
+    powers = _binomial_powers(np.array([s]), float(a))[0]
+    return complex(a ** -s * (a / (s - 1.0) + _ZETA_WEIGHTS[0] + powers @ _ZETA_WEIGHTS[1:]))
 
 
 def _fsum(x: np.ndarray) -> complex:
@@ -370,17 +392,17 @@ def _fsum(x: np.ndarray) -> complex:
 # orders of the remainder expansion summed past the cut; the next one is
 # the estimate of the truncation error
 _TAIL_ORDERS = 8
-# the first omitted order is multiplied by this, as the expansion is only
+# the omitted orders are multiplied by this, as the expansions are only
 # asymptotic
 _TAIL_SAFETY = 10.0
-# cuts N tried at z = +-1, shortest first
+# cuts N tried on |z| = 1, shortest first
 _UNIT_RUNGS = (64, 128, 192, 384, 768, 1536, 3072, 6144, 12288, 24576)
 
 
 def _remainder_coefficients(numerator: Sequence[complex], denominator: Sequence[complex],
                             orders: int) -> list:
-    """e_0 = 1, e_1, ..., e_orders of the smooth part of the terms at z = +-1,
-    c(n) ~ C n^-(1+delta) (1 + e_1/n + e_2/n^2 + ...), p = q + 1.
+    """e_0 = 1, e_1, ..., e_orders of the smooth part c(n) = t_n / z^n of the
+    terms, c(n) ~ C n^-(1+delta) (1 + e_1/n + e_2/n^2 + ...), p = q + 1.
 
     With x = 1/n the ratio c(n+1)/c(n) = r_n gives phi(x/(1+x)) = Q(x)
     phi(x) for phi(x) = sum e_k x^k and Q(x) = prod(1 + a_i x) /
@@ -413,36 +435,44 @@ def _remainder_coefficients(numerator: Sequence[complex], denominator: Sequence[
     return e
 
 
-def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
-                         sign: int) -> SeriesResult | None:
-    """Direct summation at z = +-1 with the exact remainder expansion.
+def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
+    """Direct summation on |z| = 1 (p = q + 1) with the exact remainder
+    expansion.
 
-    The prefix t_0 .. t_(N-1) is formed in one _terms segment per cut and
-    summed once, with _fsum, at the cut taken; the remainder is
-    C sum_k e_k zeta_k, with the e_k from the parameters alone
-    (_remainder_coefficients), zeta_k the (alternating) Hurwitz zeta of
-    1+delta+k at N, and C read from the computed term t_N, never from a
-    closed form.  N is the first rung of _UNIT_RUNGS up to
-    min(max_terms, 24576) at which the terms decay across [N/2, N] and
-    the first omitted order, times _TAIL_SAFETY (the expansion is only
-    asymptotic), is below tol |value|; None when max_terms is below the
-    first rung (the Levin fallback takes it).  Otherwise the last rung
-    comes back with converged=False, its estimate infinite when the terms
-    still rise there.
+    The prefix t_0 .. t_(N-1) is one _terms segment per cut, summed with
+    _fsum at the cut taken.  With t_n = C z^n n^-s phi(1/n), s = 1 + delta,
+    phi(x) = sum_k e_k x^k from the parameters alone
+    (_remainder_coefficients) and C read from the computed t_N, never from
+    a closed form, the remainder is
+      t_N / phi(1/N) sum_{k<=8} e_k N^-k sum_{j>=0} z^j (1 + j/N)^(-s-k),
+    each inner sum taken through the power sums L_l(z), l < 12
+    (_binomial_powers).  z within 1e-14 of +-1 is taken as +-1, whose
+    terms stay real.
 
-    The estimate adds to that truncation charge the term recurrence's
-    rounding (p+q+3) eps sum_m |value - S_m| over the partial sums S_m of
-    the prefix (for terms of one sign this is the (p+q+3) eps sum n |t_n|
-    of _sum_direct, with n |tail| for the remainder) and eps max|S_m| for
-    the prefix's rounding.  Like _sum_direct's recurrence charge, it does
-    not decide convergence.  Raises OverflowError when a term, a partial
-    sum or the remainder is no longer finite.
+    The truncation charge is _TAIL_SAFETY (the expansions are only
+    asymptotic) times the first omitted order e_9 plus the l = 12, 13
+    columns.  N is the first rung of _UNIT_RUNGS up to min(max_terms,
+    24576), or max_terms below the first rung, at which the terms decay
+    across [N/2, N] and that charge is below tol |value|.  Otherwise the
+    last cut comes back with converged=False, its estimate infinite when
+    the terms still rise there.  The estimate adds the recurrence's
+    rounding (_recurrence_charge, the remainder in the value) and
+    eps max|S_m| for the prefix; they do not decide convergence.  Raises
+    OverflowError when a term, a partial sum or the remainder is no longer
+    finite.
     """
+    z = spec.argument
+    if abs(z - 1.0) <= 1e-14:
+        z = 1.0
+    elif abs(z + 1.0) <= 1e-14:
+        z = -1.0
+    weights = _abel_weights(z)
     limit = min(max_terms, _UNIT_RUNGS[-1])
-    if limit < _UNIT_RUNGS[0]:
-        return None
     s = 1.0 + spec.excess()
+    s = s if s.imag else s.real  # real arrays for real parameters
     orders = np.arange(_TAIL_ORDERS + 2)
+    exponents = s + orders
+    integral = 1.0 / (exponents - 1.0) if z == 1.0 else 0.0
     coeffs = np.array(_remainder_coefficients(spec.numerator, spec.denominator,
                                               _TAIL_ORDERS + 1))
     table = TermRatios(spec.numerator, spec.denominator)
@@ -451,125 +481,39 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
         # overflow is detected below: a non-finite term or partial sum leaves
         # the last partial sum non-finite
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.concatenate([terms, _terms(table, sign, terms[-1], len(terms) - 1, n)])
+            terms = np.concatenate([terms, _terms(table, z, terms[-1], len(terms) - 1, n)])
             partial = np.cumsum(terms[:n])  # S_0 .. S_(n-1)
         if not cmath.isfinite(partial[-1]):
             raise OverflowError(
-                f"pFq series term at z = {sign} overflowed within {n + 1} terms")
+                f"pFq series term at z = {z} overflowed within {n + 1} terms")
         decaying = float(np.abs(table.ratios(n)[n // 2:n]).max()) <= 1.0
         if not (decaying or n == limit):
             continue
-        # the remainder over t_n: sum_k e_k n^-k n^(s+k) zeta_k / phi(1/n)
+        # the remainder over t_n: sum_k e_k n^-k sum_j z^j (1 + j/n)^(-s-k) / phi(1/n)
         scaled = coeffs / float(n) ** orders
-        zetas = scaled * _zeta_tails(s + orders, n, sign)
-        kept, phi = complex(zetas[:-1].sum()), complex(scaled[:-1].sum())
-        tail = complex(terms[n]) * kept / phi
-        nxt = complex(terms[n]) * (kept + complex(zetas[-1])) / (phi + complex(scaled[-1]))
+        powers = _binomial_powers(exponents, float(n))
+        omitted = powers[:, _POWER_ORDERS - 1:] @ weights[_POWER_ORDERS:]  # l = 12, 13
+        kept = weights[0] + n * integral + powers @ weights[1:] - omitted  # l < 12
+        phi, kept_sum = complex(scaled[:-1].sum()), complex(scaled[:-1] @ kept[:-1])
+        t_n = complex(terms[n])
+        tail = t_n * kept_sum / phi
+        nxt = t_n * (kept_sum + complex(scaled[-1] * kept[-1])) / (phi + complex(scaled[-1]))
         if not cmath.isfinite(tail):
             raise OverflowError(
-                f"remainder of the pFq series at z = {sign} overflowed at {n} terms")
+                f"remainder of the pFq series at z = {z} overflowed at {n} terms")
         value = complex(partial[-1]) + tail  # the accepted cut's prefix is fsum'd below
         budget = tol * max(abs(value), _ABS_FLOOR)
         max_abs = float(np.abs(partial).max())
-        # a rounding eta_m in step m of the term recurrence moves every later
-        # term, the remainder's C included, by eta_m: value - S_m in all
-        rounding = ((spec.p + spec.q + 3) * _EPS * float(np.abs(value - partial).sum())
-                    + _EPS * max_abs)
-        truncation = _TAIL_SAFETY * abs(nxt - tail) if decaying else math.inf
+        rounding = _recurrence_charge(spec, value, partial) + _EPS * max_abs
+        truncation = (_TAIL_SAFETY * (abs(nxt - tail)
+                                      + abs(t_n * complex(scaled[:-1] @ omitted[:-1]) / phi))
+                      if decaying else math.inf)
         if truncation <= budget:
             break
     value = _fsum(terms[:n]) + tail
     cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
     return SeriesResult(value, n, truncation + rounding, cancel, truncation <= budget,
                         "direct+power-tail")
-
-
-class levin_u:
-    """Streaming Levin u-transformation.
-
-    Feed partial sums and terms one at a time; ``estimate`` holds the
-    current extrapolation and ``last_delta`` its change on the latest
-    step, which serves as the tail estimate.
-    """
-
-    def __init__(self, beta: float = 1.0):
-        self.beta = beta
-        self.n = 0
-        self._num: list[complex] = []
-        self._den: list[complex] = []
-        self.estimate: complex = complex(0.0)
-        self.last_delta: float = math.inf
-
-    def step(self, partial_sum: complex, term: complex) -> complex:
-        b = self.beta
-        n = self.n
-        omega = (b + n) * term
-        if omega == 0.0:
-            # terminating input; the partial sum is already exact
-            self.estimate = partial_sum
-            self.last_delta = 0.0
-            return self.estimate
-        self._num.append(partial_sum / omega)
-        self._den.append(1.0 / omega)
-        for j in range(n - 1, -1, -1):
-            k = n - j - 1
-            x = b + j + k
-            c = (b + j) / x * (x / (x + 1.0)) ** k
-            self._num[j] = self._num[j + 1] - c * self._num[j]
-            self._den[j] = self._den[j + 1] - c * self._den[j]
-        self.n += 1
-        if self._den[0] != 0.0:
-            new = self._num[0] / self._den[0]
-            self.last_delta = abs(new - self.estimate)
-            self.estimate = new
-        return self.estimate
-
-
-def _sum_levin(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
-    accel = levin_u()
-    total = complex(0.0)
-    comp = complex(0.0)
-    term = complex(1.0)
-    max_abs = 0.0
-    hits = 0
-    best_delta = math.inf
-    best_est = complex(0.0)
-    stall = 0
-    limit = min(max_terms, 400)
-    n = 0
-    while n < limit:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_abs = max(max_abs, abs(total))
-        est = accel.step(total, term)
-        delta = accel.last_delta
-        if n >= 4:
-            if delta < best_delta:
-                best_delta, best_est, stall = delta, est, 0
-            else:
-                stall += 1
-            if delta <= 0.25 * tol * max(abs(est), _ABS_FLOOR):
-                hits += 1
-                if hits >= 2:
-                    cancel = max(max_abs / max(abs(est), _ABS_FLOOR), 1.0)
-                    tail = max(4.0 * delta, cancel * _EPS * abs(est))
-                    return SeriesResult(est, n + 1, tail, cancel, True, "levin-u")
-            else:
-                hits = 0
-            # numerical floor reached: deltas no longer improving
-            if stall >= 10 and best_delta < 1e-10 * max(abs(best_est), _ABS_FLOOR):
-                cancel = max(max_abs / max(abs(best_est), _ABS_FLOOR), 1.0)
-                tail = 4.0 * best_delta
-                ok = tail <= tol * max(abs(best_est), _ABS_FLOOR)
-                return SeriesResult(best_est, n + 1, tail, cancel, ok, "levin-u")
-        term *= _term_ratio(spec, n)
-        n += 1
-    cancel = max(max_abs / max(abs(best_est), _ABS_FLOOR), 1.0)
-    tail = 4.0 * best_delta if math.isfinite(best_delta) else math.inf
-    ok = tail <= tol * max(abs(best_est), _ABS_FLOOR)
-    return SeriesResult(best_est, n, tail, cancel, ok, "levin-u")
 
 
 def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
@@ -595,15 +539,7 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
             order = 0
         return _sum_terminating(spec, order)
     if cls.kind in (Convergence.UNIT_CIRCLE_ABSOLUTE, Convergence.UNIT_CIRCLE_CONDITIONAL):
-        z = spec.argument
-        res = None
-        if abs(z - 1.0) <= 1e-14:
-            res = _sum_unit_power_tail(spec, tol, max_terms, +1)
-        elif abs(z + 1.0) <= 1e-14:
-            res = _sum_unit_power_tail(spec, tol, max_terms, -1)
-        if res is not None:
-            return res
-        return _sum_levin(spec, tol, max_terms)
+        return _sum_unit_power_tail(spec, tol, max_terms)
     if (_predicted_cancellation(spec.p, spec.q, spec.argument) > _DD_CANCEL_THRESHOLD
             and spec.argument.imag == 0.0
             and all(a.imag == 0.0 for a in spec.numerator)

@@ -10,7 +10,7 @@ from hyperlap.cli import main
 from hyperlap.errors import DivergentSeriesError
 from hyperlap.series import (Convergence, HyperSeriesSpec, SeriesResult, TermRatios,
                              classify, derivative_shift, eval_series, hurwitz_zeta,
-                             levin_u, series_values, series_values_real)
+                             series_values, series_values_real)
 
 from reference_oracles import brute_force_pfq, explicit_terminating_sum
 
@@ -19,6 +19,17 @@ EPS = 2.0 ** -52
 
 def F(num, den, z):
     return HyperSeriesSpec(num, den, z)
+
+
+def _term_ratio(spec, n):
+    """t_(n+1) / t_n = z prod(a_i + n) / prod(b_j + n) / (n + 1), one
+    scalar step of the scalar reference loops."""
+    r = spec.argument / (n + 1)
+    for a in spec.numerator:
+        r *= a + n
+    for b in spec.denominator:
+        r /= b + n
+    return r
 
 
 # ---------------------------------------------------------------- classify
@@ -184,25 +195,23 @@ _UNIT_GRID_REFERENCES = [
 ]
 
 
-@pytest.mark.parametrize("max_terms", [20, 100, 500, 3000])
+@pytest.mark.parametrize("max_terms", [20, 40, 100, 500, 3000])
 def test_power_tail_against_frozen_references(max_terms):
     for spec, ref in zip(_unit_argument_grid(), _UNIT_GRID_REFERENCES, strict=True):
-        sign = 1 if spec.argument.real > 0 else -1
-        got = series._sum_unit_power_tail(spec, 1e-12, max_terms, sign)
-        if max_terms < 64:
-            assert got is None  # below the first cut the Levin fallback takes it
-            continue
-        assert got.method == "direct+power-tail" and got.converged, spec
-        assert got.terms_used <= max_terms, spec
+        got = series._sum_unit_power_tail(spec, 1e-12, max_terms)
+        assert got.method == "direct+power-tail" and got.terms_used <= max_terms, spec
+        if max_terms < 64 and not got.converged:
+            continue  # one cut at max_terms, short of the first rung
+        assert got.converged, spec
         assert abs(got.value - ref) <= got.tail_estimate + 4 * EPS * abs(ref), spec
 
 
-# z = +-1 draws at tol 1e-12: 3F2 and 4F3, complex parameters, excess
-# 0.05 .. 0.1 at z = 1 (2F1 too), -1 < Re delta <= 0 at z = -1 (delta = 0
-# exactly in the fifth z = -1 row), parameters up to 16.  mpmath 1.3.0, 40
-# digits, computed as _UNIT_GRID_REFERENCES; every row but the 4F3 with
-# excess 0.06 was checked against an independent mpmath route (hyper,
-# Thomae's relation for 3F2(1) or Gauss's sum) to 1e-37
+# unit-circle draws at tol 1e-12, mpmath 1.3.0 at 40 digits.  z = +-1: 3F2
+# and 4F3, complex parameters, excess 0.05 .. 0.1 at z = 1 (2F1 too),
+# -1 < Re delta <= 0 at z = -1 (delta = 0 exactly in the fifth z = -1 row),
+# parameters up to 16, computed as _UNIT_GRID_REFERENCES; every row but the
+# 4F3 with excess 0.06 was checked against an independent mpmath route
+# (hyper, Thomae's relation for 3F2(1) or Gauss's sum) to 1e-37
 _UNIT_DRAWS = [
     ([0.4, 1.3, 0.7], [1.9, 0.55], 1, 12.905962818897941772),
     ([1.6, 0.9, 2.2], [2.4, 2.38], 1, 18.147537755323905595),
@@ -241,6 +250,50 @@ _UNIT_DRAWS = [
     ([-0.5, 1.3, 2.2], [1.7, 3.1], 1, 0.64228495750708567004),
     ([-0.5, 1.3, 2.2], [1.7, 0.9], -1, 1.7244287749070189838),
     ([6.5, 0.7, 1.9, 4.4], [5.2, 2.1, 7.1], 1, 3.53792240810245172),
+    # |z| = 1, z != +-1; mpmath hyper, which agrees with 60 digits to 1e-35.
+    # The six perfbench eval-regimes probes the earlier Levin u fallback
+    # left unconverged (seed 42: levin.1, levin.6, levin.10; seed 7:
+    # levin.6, levin.7, levin.10), theta = 0.05 and -0.05, complex
+    # parameters, and -1 < Re delta <= 0: delta = 0 exactly in 3F2(0.6,
+    # 1.4, 2.5; 1.8, 2.7), delta = -0.9 in 2F1(1.2, 0.9; 1.2) = (1-z)^-0.9,
+    # and a complex excess with real part -0.15
+    ([2.2118463363456873, 2.2941670434349333, 1.1563135620509426],
+     [4.059805535552056, 1.9033424796768086], (0.7448055619982051+0.6672815558791789j),
+     complex(0.94763134280522712755, 1.0844162080393711053)),
+    ([2.2595780137316717, 1.8307320473623445, 2.347740040398836],
+     [5.617681095669102, 1.432035447332174], (0.9095149281059816+0.4156712589924533j),
+     complex(1.0879347193596543412, 3.1195393821552048137)),
+    ([2.413992351070429, 1.8388213103321214, 0.5824607613728932],
+     [3.0367065152633335, 2.6370458561667762], (0.8082138158662265+0.588889147329914j),
+     complex(1.1667826094323304115, 0.4259074603732755053)),
+    ([0.8037403536992676, 0.5873344052326788, 2.182259743120111],
+     [3.181983015604043, 1.1001844279295858], (0.8877436332951589+0.46033818171417235j),
+     complex(1.2417855717731794462, 0.4037832522779472664)),
+    ([1.391661247564808, 1.860487579710867, 0.9842300230701244],
+     [2.9625133035901303, 1.9457838222893342], (0.7285190930618763+0.6850254966381187j),
+     complex(1.101895224876167879, 0.57460384363969485335)),
+    ([2.196466666216336, 1.2069551504617182, 1.1853532473531767],
+     [4.833681705536229, 0.3951390933102035], (0.8394421967017899+0.5434489841709832j),
+     complex(0.74280716234669054477, 3.2613806576865611354)),
+    ([0.4, 1.3, 0.7], [1.9, 0.8], (0.9987502603949663+0.04997916927067833j),
+     complex(1.7209177945809994966, 0.29179331564978985044)),
+    ([1.35, 0.85], [2.25], (0.9987502603949663-0.04997916927067833j),
+     complex(3.11834838082596251, -1.3733582001763421315)),
+    ([(0.4+0.3j), 1.3, (0.7-0.2j)], [(1.9+0.1j), 1.1], (-0.4161468365471424-0.9092974268256817j),
+     complex(0.92403023941943081796, -0.16491781144769084724)),
+    ([1.1, (0.6-0.4j), 2.3, (0.9+0.25j)],
+     [1.7, (2.4+0.3j), (2.0-0.45j)], (0.7648421872844885+0.644217687237691j),
+     complex(1.1679726744503988169, 0.20176794371750720219)),
+    ([0.6, 1.4, 2.5], [1.8, 2.7], (0.5403023058681398+0.8414709848078965j),
+     complex(0.94331823194603751146, 0.46888627148368534325)),
+    ([1.1, 0.6, 2.3], [1.7, 1.8], (-0.8011436155469337-0.5984721441039565j),
+     complex(0.71643576935927219938, -0.11745547196298320342)),
+    ([1.2, 0.9], [1.2], (0.955336489125606+0.29552020666133955j),
+     complex(0.85382005808615169572, 2.8396396142712189971)),
+    ([(0.7+0.2j), 1.9, 0.45], [(2.6-0.3j), (0.3+0.1j)], (-0.5885011172553458+0.8084964038195901j),
+     complex(0.60014287652072954479, 0.23758910720629552163)),
+    ([0.6, 1.4, 2.5], [1.8, 1.73], (0.9210609940028851-0.3894183423086505j),
+     complex(0.95752325467956571002, -1.5015083829945826742)),
 ]
 
 
@@ -251,12 +304,15 @@ def test_unit_argument_draws_against_frozen_references(num, den, z, ref):
     assert abs(r.value - ref) <= r.tail_estimate + 4 * EPS * abs(ref)
 
 
-@pytest.mark.parametrize("z", [1.0, -1.0])
+# exp(2i), rounded
+_UNIT_Z = complex(-0.4161468365471424, 0.9092974268256817)
+
+
+@pytest.mark.parametrize("z", [1.0, -1.0, _UNIT_Z])
 @pytest.mark.parametrize("a", [580, 600])
 def test_power_tail_refuses_overflow(a, z):
-    # the terms climb towards 1e308 long before they decay: with a = 600 a
-    # term overflows at n = 2650; with a = 580 the terms stay finite but the
-    # fitted data t_n n^2 at the 3072 checkpoint does not
+    # the terms climb towards 1e308 long before they decay and overflow, at
+    # n = 2650 with a = 600 and past the 3072 cut with a = 580
     num, den = [a, a, 1], [1.5, 2 * a + 0.5]
     with pytest.raises(OverflowError, match="overflowed"):
         eval_series(F(num, den, z))
@@ -264,10 +320,11 @@ def test_power_tail_refuses_overflow(a, z):
                  "--z", str(z)]) == 3
 
 
-@pytest.mark.parametrize("z", [1.0, -1.0])
+@pytest.mark.parametrize("z", [1.0, -1.0, _UNIT_Z])
 def test_power_tail_refuses_estimate_of_still_rising_terms(z):
-    # the terms of 3F2(300, 300, 1; 1.5, 600.5; +-1) rise until n ~ 44550,
-    # far past the 24576-term cap; no fit there bounds the error
+    # the terms of 3F2(300, 300, 1; 1.5, 600.5; z), |z| = 1, rise until
+    # n ~ 44550, far past the 24576-term cap; no expansion there bounds the
+    # error
     r = eval_series(F([300, 300, 1], [1.5, 600.5], z))
     assert not r.converged
     assert r.tail_estimate == math.inf
@@ -301,7 +358,7 @@ def _scalar_terminating(spec, order):
         total = t
         max_abs = max(max_abs, abs(total))
         if n < order:
-            term *= series._term_ratio(spec, n)
+            term *= _term_ratio(spec, n)
     cancel = max(max_abs / max(abs(total), 1e-300), 1.0)
     return SeriesResult(total, order + 1, (order + 1) * EPS * max_abs, cancel, True,
                         "terminating"), terms
@@ -327,7 +384,7 @@ def _scalar_direct(spec, tol, max_terms):
         comp = (t - total) - y
         total = t
         max_abs = max(max_abs, abs(total))
-        term *= series._term_ratio(spec, n)
+        term *= _term_ratio(spec, n)
         n += 1
         if abs(term) <= tol * max(abs(total), 1e-300):
             consec += 1
@@ -336,7 +393,7 @@ def _scalar_direct(spec, tol, max_terms):
         else:
             consec = 0
     # the largest step ratio past the cut: 4000 steps and the limit
-    ratio = max(abs(series._term_ratio(spec, m)) for m in range(n, n + 4000))
+    ratio = max(abs(_term_ratio(spec, m)) for m in range(n, n + 4000))
     ratio = max(ratio, abs(spec.argument) if spec.p == spec.q + 1 else 0.0)
     cancel = max(max_abs / max(abs(total), 1e-300), 1.0)
     tail = max(abs(term) / (1.0 - ratio) if ratio < 1.0 else math.inf,
@@ -345,9 +402,10 @@ def _scalar_direct(spec, tol, max_terms):
 
 
 def _recurrence_charge(spec, terms):
-    """(p+q+3) eps sum n |t_n|: the rounding the term recurrence can carry."""
-    mags = np.abs(np.array(terms))
-    return (spec.p + spec.q + 3) * EPS * float(np.arange(len(mags)) @ mags)
+    """(p+q+3) eps sum_m |S - S_m| over the partial sums S_m of the terms,
+    S their sum: the rounding the term recurrence can carry."""
+    partial = np.cumsum(terms)
+    return (spec.p + spec.q + 3) * EPS * float(np.abs(partial[-1] - partial).sum())
 
 
 def _rounding_charge(spec, terms):
@@ -416,6 +474,21 @@ def test_direct_sum_estimate_covers_recurrence_rounding():
     # mpmath 1.3.0, 30 digits: hyper([1.39, 0.95], [1.43, 2.14], -10)
     ref = 0.134383260948663775773
     r = eval_series(F([1.39, 0.95], [1.43, 2.14], -10.0))
+    assert r.method == "direct" and r.converged
+    assert abs(r.value - ref) <= r.tail_estimate
+
+
+# mpmath 1.3.0, 40 digits: alternating 2F2 direct sums, whose recurrence
+# charge sum_m |value - S_m| is 1.3-23x below the positive-terms sum n |t_n|
+@pytest.mark.parametrize("num,den,z,ref", [
+    ([2.7386, 0.4827], [2.1164, 1.5759], -9.936, 0.25804644594224325751),
+    ([0.4071, 0.4383], [0.7766, 2.9424], -6.371, 0.73815773905256580628),
+    ([1.8938, 2.9563], [2.2037, 0.8671], -7.532, 0.0094190747334572768764),
+    ([0.5801, 1.0691], [1.116, 0.3522], -11.503, -0.12858112491263806254),
+    ([2.7216, 1.6975], [2.0156, 1.9074], -9.781, -0.00021930928642769705969),
+])
+def test_alternating_direct_sum_within_its_estimate(num, den, z, ref):
+    r = eval_series(F(num, den, z))
     assert r.method == "direct" and r.converged
     assert abs(r.value - ref) <= r.tail_estimate
 
@@ -681,28 +754,6 @@ def test_double_double_kernel_matches_per_term_loop(nodes, max_terms):
 
 # ----------------------------------------------------------- accelerators
 
-def test_levin_u_alternating_harmonic():
-    acc = levin_u()
-    s = 0.0
-    for n in range(30):
-        t = (-1.0) ** n / (n + 1)
-        s += t
-        est = acc.step(s, t)
-    assert abs(est - math.log(2.0)) < 1e-12
-
-
-def test_levin_u_geometric():
-    # the transform converges within ~8 terms; later orders slowly pick up
-    # roundoff again, so judge it at the convergence point
-    acc = levin_u()
-    s = 0.0
-    for n in range(12):
-        t = 0.7 ** n
-        s += t
-        est = acc.step(s, t)
-    assert abs(est - 1.0 / 0.3) < 1e-11
-
-
 def test_hurwitz_zeta_anchor_and_recurrence():
     # zeta(2) anchor through the shifted sum
     partial = sum(1.0 / k ** 2 for k in range(1, 40))
@@ -777,23 +828,86 @@ def test_hurwitz_zeta_against_mpmath(s, a, ref):
 @pytest.mark.parametrize("s,m,ref", _ALTERNATING)
 def test_alternating_zeta_tail_against_mpmath(s, m, ref):
     # sum_{n>=m} (-1)^n n^-s = (-1)^m m^-s times the scaled tail
-    got = (-1) ** m * m ** -complex(s) * series._zeta_tails(np.array([s]), m, -1)[0]
+    weights = series._abel_weights(-1.0)
+    tail = weights[0] + series._binomial_powers(np.array([complex(s)]), m)[0] @ weights[1:]
+    got = (-1) ** m * m ** -complex(s) * tail
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
-def test_levin_fallback_on_complex_unit_circle():
-    # unit-circle arguments away from +-1 go through the Levin fallback;
-    # the Pfaff transformation gives an independent inside-the-disk route
+def test_unit_circle_sum_against_pfaff():
+    # unit-circle arguments away from +-1 take the same remainder expansion
+    # as z = +-1; the Pfaff transformation gives an independent
+    # inside-the-disk route
     import cmath
     a, b, c = 0.7, 1.1, 2.6
     for theta in (2.0943951023931953, 1.5707963267948966):  # 2pi/3, pi/2
         z = cmath.exp(1j * theta)
         r = eval_series(F([a, b], [c], z), tol=1e-9)
-        assert r.method == "levin-u" and r.converged
+        assert r.method == "direct+power-tail" and r.converged
         zp = z / (z - 1)
         pfaff = (1 - z) ** (-a) * eval_series(F([a, c - b], [c], zp),
                                               tol=1e-13).value
         assert abs(r.value - pfaff) <= 1e-9 * abs(pfaff)
+
+
+# mpmath 1.3.0, 40 digits: 1/(1-z) and Li_(-l)(z), l = 1 .. 13, at the two
+# double arguments given, z = exp(i theta) rounded, theta = 0.05 and -2.9
+_ABEL_SUMS = [
+    (complex(0.9987502603949663, 0.04997916927067833), [
+        complex(0.49999999999998551274, 19.995833159711887497),
+        complex(-400.08334375103348651, -5.7936981265647355383e-13),
+        complex(3.4762189966768182714e-11, -15999.99958325065032),
+        complex(960000.00833829471974, 2.7809751731794848911e-9),
+        complex(-2.7809751731881114848e-7, 76799999.999801498848),
+        complex(-7680000000.0039732688, -0.000033371702078240064336),
+        complex(0.0046720382909536101954, -921599999999.99976415),
+        complex(129023999999999.9998, 0.74752612655257760389),
+        complex(-134.55470277946396813, 20643839999999999.212),
+        complex(-3715891199999999842.4, -26910.940555892793512),
+        complex(5920406.9222964145476, -7.4317823999999996533e+20),
+        complex(1.6349921279999999168e+23, 1420897661.3511394854),
+        complex(-369433391951.29626463, 3.9239811071999997836e+25),
+        complex(-1.0202350878719999394e+28, -103441349746362.95366)]),
+    (complex(-0.9709581651495905, -0.23924932921398243), [
+        complex(0.49999999999999998804, -0.060693659927536824322),
+        complex(-0.25368372035539948931, 1.452309204402176023e-18),
+        complex(6.2465668488102559144e-18, 0.030793986904805935547),
+        complex(0.13244885948473968586, -2.9688172205474360471e-18),
+        complex(-1.3305929650513500459e-17, -0.062949211046233538383),
+        complex(-0.28213180924020027259, 1.2993711068937649956e-17),
+        complex(6.1372909254754427277e-17, 0.27551169357657925465),
+        complex(1.3013183130507736001, -9.8332336503827642752e-17),
+        complex(-4.9391811566264989239e-16, -2.0849862229333551996),
+        complex(-10.472775315104430825, 1.1452480326113980354e-15),
+        complex(6.1579785283412013793e-15, 24.28322619734910169),
+        complex(130.57048016153918521, -1.9047323640398781096e-14),
+        complex(-1.1010716563524938157e-13, -403.86925385870793894),
+        complex(-2334.6533964114613967, 4.2924683339988353828e-13)]),
+    # Li_(-l)(-1), exact: (2^(l+1) - 1) B_(l+1) / (l+1), 1/2 at l = 0
+    (-1.0, [0.5, -0.25, 0.0, 0.125, 0.0, -0.25, 0.0, 1.0625, 0.0, -7.75, 0.0, 86.375, 0.0,
+            -1365.25]),
+]
+
+
+@pytest.mark.parametrize("z,refs", _ABEL_SUMS)
+def test_abel_weights_against_polylog(z, refs):
+    got = series._abel_weights(z)
+    # the rounding of w = 1/(1-z), (l+1)-fold in w^(l+1), and of the
+    # polynomials in w: eps times the size of their terms (cancelling near
+    # z = -1), l + 4 times
+    scale = np.abs(series._ABEL_POLYNOMIALS) @ abs(1 / (1 - z)) ** np.arange(15.0)
+    assert np.all(np.abs(got - np.array(refs)) <= (np.arange(14) + 4) * EPS * scale)
+
+
+def test_abel_weights_at_one_are_zeta_at_negative_integers():
+    # mpmath 1.3.0: zeta(-l), l = 1 .. 13; 1 + zeta(0) = 1/2 at l = 0
+    zeta = [0.5, -0.083333333333333333333, 0.0, 0.0083333333333333333333, 0.0,
+            -0.003968253968253968254, 0.0, 0.0041666666666666666667, 0.0,
+            -0.0075757575757575757576, 0.0, 0.021092796092796092796, 0.0,
+            -0.083333333333333333333]
+    got = series._abel_weights(1.0)
+    assert got.dtype == float
+    assert np.all(np.abs(got - zeta) <= EPS * np.abs(zeta))
 
 
 @settings(max_examples=60, deadline=None)
