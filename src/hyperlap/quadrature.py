@@ -28,7 +28,16 @@ bound exceeds its share of the budget.
 The integrand sums pFq((w/s) u) directly at every node (no transformation
 or closed form), from one table of term ratios built per integral
 (series.TermRatios); the values come out the same whichever integrals
-ran before.
+ran before.  For Re(w/s) < 0 the terms alternate and cancel, and the
+precision follows the measured rounding, not a prediction: each node's
+sum comes with a bound on its rounding (its charge), and every call adds
+the charges, weighted like the values by the panel rules, to a running
+total that goes into the error estimate.  A real integrand starts in
+float.  When the seed's total passes a tenth of the absolute tolerance,
+the seed is made again in double-double; when a later call would take the
+total past it, that call is, and the rest of the integral stays in
+double-double.  A complex alternating integrand has no double-double sum
+and only carries the charge.
 """
 
 from __future__ import annotations
@@ -40,8 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import series
 from .errors import SlowDecayError, ValidityError
-from .series import HyperSeriesSpec, TermRatios, series_values, series_values_real
+from .series import HyperSeriesSpec, TermRatios, series_values
 
 __all__ = ["IntegralResult", "TailMethod", "gamma_integral_check", "laplace_numeric"]
 
@@ -126,22 +136,63 @@ class _PanelIntegrator:
     A sweep orders the panels by error (larger first, lower index on ties),
     bisects the shortest prefix whose removal leaves the unsplit panels'
     error at most half the budget, and evaluates every child in one call
-    of f.  The panel count never exceeds max_panels."""
+    of f.  The panel count never exceeds max_panels.
 
-    def __init__(self, f, v: complex | None = None):
+    An f that rounds measurably returns (values, charge), a bound on each
+    value's rounding.  Every call adds the charge, weighted like the values
+    by the rule (absolute weights), to the running total rounding.  When a
+    call would take that total past budget and a more precise integrand
+    precise is at hand, the call is made again with it, and it replaces f
+    for the rest of the integral."""
+
+    def __init__(self, f, v: complex | None = None, precise=None):
         self.f = f
         self.v = v
+        self.precise = precise
         self.nodes_used = 0
+        self.rounding = 0.0
+        self.budget = math.inf
         if v is not None:
             # W = M @ C integrates (1+x)^(v-1) times the Chebyshev
             # interpolant of f exactly, for the 25- and the 13-point rule
             m = _power_moments(v, _CC_N + 1)
             self._w25, self._w13 = m @ _CC_C25, m[:_CC_N // 2 + 1] @ _CC_C13
+            self._abs_w25 = np.abs(self._w25)
 
     def _power(self, u: np.ndarray):
         if self.v is None or self.v == 1.0:
             return 1.0
         return np.exp((self.v - 1.0) * np.log(u.astype(complex)))
+
+    def sharpen(self) -> bool:
+        """Make the precise integrand f from now on; False if there is none."""
+        if self.precise is None:
+            return False
+        self.f, self.precise = self.precise, None
+        return True
+
+    def _evaluate(self, u: np.ndarray, weights) -> np.ndarray:
+        """f at the nodes u; a charged f adds weights() @ charge to the
+        rounding, with the precise integrand when the budget needs it."""
+        fv = self.f(u)
+        self.nodes_used += len(u)
+        if not isinstance(fv, tuple):
+            return fv
+        fv, charge = fv
+        w = weights()
+        # an infinite charge (partial sums near the overflow threshold) is
+        # refused below
+        with np.errstate(invalid="ignore"):
+            added = float(w @ charge)
+            if self.rounding + added > self.budget and self.sharpen():
+                fv, charge = self.f(u)
+                self.nodes_used += len(u)
+                added = float(w @ charge)
+        if not math.isfinite(added):
+            raise OverflowError("rounding bound of the integrand overflowed "
+                                f"(u up to {float(u.max()):.6g})")
+        self.rounding += added
+        return fv
 
     def _panels(self, spans, points=()) -> tuple[list[tuple[complex, float]], np.ndarray]:
         """Value and error of each (a, b) span, and the integrand at the
@@ -153,9 +204,18 @@ class _PanelIntegrator:
         mid = 0.5 * (gk[:, 0] + gk[:, 1])
         x = np.concatenate([(mid[:, None] + half[:, None] * _GK_NODES).ravel(),
                             np.asarray(points, dtype=float)])
-        fv = self.f(np.concatenate([x, (0.5 * cc[:, 1:] * (1.0 + _CC_NODES)).ravel()]))
-        self.nodes_used += len(fv)
-        hv = fv[:len(x)] * self._power(x)
+        power = self._power(x)
+        scale = (0.5 * cc[:, 1]) ** self.v if len(cc) else np.empty(0)
+
+        def weights():
+            # the rules' absolute weights at every node; none at the points
+            gk_w = np.concatenate([(_GK_WK * half[:, None]).ravel(), np.zeros(len(points))])
+            cc_w = np.abs(scale)[:, None] * self._abs_w25 if len(cc) else np.empty(0)
+            return np.concatenate([gk_w * np.abs(power), np.ravel(cc_w)])
+
+        fv = self._evaluate(np.concatenate([x, (0.5 * cc[:, 1:] * (1.0 + _CC_NODES)).ravel()]),
+                            weights)
+        hv = fv[:len(x)] * power
         body = hv[:len(_GK_NODES) * len(mid)].reshape(len(mid), len(_GK_NODES))
         value = np.empty(len(ends), dtype=complex)
         err = np.empty(len(ends))
@@ -163,7 +223,6 @@ class _PanelIntegrator:
         err[~weighted] = np.abs(value[~weighted] - np.sum(_GK_WG * body, axis=1) * half)
         if len(cc):
             phi = fv[len(x):].reshape(len(cc), len(_CC_NODES))
-            scale = (0.5 * cc[:, 1]) ** self.v
             value[weighted] = scale * (phi @ self._w25)
             err[weighted] = np.abs(value[weighted] - scale * (phi[:, ::2] @ self._w13))
         panels = [(complex(val), float(e)) for val, e in zip(value, err)]
@@ -207,26 +266,33 @@ class _PanelIntegrator:
 
 
 def _integrand_factory(spec: HyperSeriesSpec, ratio: complex, series_tol: float):
-    """phi(u) = e^(-u) F(ratio*u) evaluated on vectors of u >= 0; the
-    integrand is u^(v-1) phi(u), the power applied by _PanelIntegrator.
+    """phi(u) = e^(-u) F(ratio*u) evaluated on vectors of u >= 0, and a
+    more precise phi or None; the integrand is u^(v-1) phi(u), the power
+    applied by _PanelIntegrator.
 
     F is summed directly at every node from one term-ratio table, built
-    here and shared by every call of phi."""
+    here and shared by every call of phi.  For Re(ratio) < 0 the terms
+    alternate and cancel, and phi also returns e^(-u) times each sum's
+    rounding charge; with real parameters and a real ratio the precise phi
+    sums in double-double.  Other integrands carry no charge."""
     ratios = TermRatios(spec.numerator, spec.denominator)
-    real_path = ratio.imag == 0.0 and ratios.real
+    real = ratio.imag == 0.0 and ratios.real
+    z = ratio.real if real else ratio
 
-    def phi(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if spec.p == 0 and spec.q == 0 and ratio == 0.0:
-            fvals = np.ones_like(u)
-        elif real_path:
-            fvals = series_values_real(spec, ratio.real * u, tol=series_tol,
-                                       ratios=ratios)
-        else:
-            fvals = series_values(ratios, ratio * u, series_tol)
-        return np.exp(-u) * fvals
+    if spec.p == 0 and spec.q == 0 and ratio == 0.0:
+        return (lambda u: np.exp(-u)), None
+    if ratio.real >= 0.0:
+        return (lambda u: np.exp(-u) * series_values(ratios, z * u, series_tol)), None
 
-    return phi
+    def charged(kernel):
+        def phi(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            fvals, charge = kernel(ratios, z * u, series_tol)
+            damp = np.exp(-u)
+            return damp * fvals, damp * charge
+        return phi
+
+    return (charged(series._series_vector),
+            charged(series._series_vector_dd) if real else None)
 
 
 def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
@@ -259,14 +325,23 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         raise ValidityError("Re(s)<=Re(w)")
 
     series_tol = min(1e-13, tol * 1e-3)
-    integ = _PanelIntegrator(_integrand_factory(spec, ratio, series_tol), v)
+    phi, precise = _integrand_factory(spec, ratio, series_tol)
+    integ = _PanelIntegrator(phi, v, precise)
 
     # the coarse panels give the scale of the integral, then seed the
-    # refinement of [0, u_body] against the real budget
+    # refinement of [0, u_body] against the real budget; the integrand's
+    # rounding may take a tenth of it, else the seed is made again with
+    # the precise integrand
     u_body = max(24.0, 6.0 * abs(v))
-    work = integ.seed([(0.0, 1.0), (1.0, 0.25 * u_body), (0.25 * u_body, u_body)])
+    spans = [(0.0, 1.0), (1.0, 0.25 * u_body), (0.25 * u_body, u_body)]
+    work = integ.seed(spans)
     scale = max(sum(abs(item[2]) for item in work), 1e-12)
+    if integ.rounding > 0.1 * tol * scale and integ.sharpen():
+        integ.rounding = 0.0
+        work = integ.seed(spans)
+        scale = max(sum(abs(item[2]) for item in work), 1e-12)
     abs_tol = tol * scale
+    integ.budget = 0.1 * abs_tol
     total, err = integ.refine(work, 0.75 * abs_tol)
 
     tail_contribution = complex(0.0)
@@ -277,8 +352,10 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         method = TailMethod.POWER_LAW_EXTRAPOLATION
     else:
         # exponential decay: extend panels until they are negligible, then
-        # bound the remainder by |h(U)| / lambda (U evaluated with the panel)
-        lam = 1.0 if spec.p < spec.q or w == 0.0 else max(1.0 - ratio.real, 0.05)
+        # bound the remainder by |h(U)| / lambda (U evaluated with the panel);
+        # for Re(w/s) < 0, h decays like e^(-u) times a power, so lambda
+        # stays at 1
+        lam = 1.0 if spec.p < spec.q or w == 0.0 else max(1.0 - max(ratio.real, 0.0), 0.05)
         u_lo = u_body
         width = max(8.0, 4.0 / lam)
         for _ in range(64):
@@ -296,6 +373,7 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
             err += bound
         method = TailMethod.EXP_DECAY
 
+    err += integ.rounding
     front = cmath.exp(-v * cmath.log(s))
     return IntegralResult(complex(front * total), float(abs(front) * err),
                           integ.nodes_used, method,

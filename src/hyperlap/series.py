@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 _ABS_FLOOR = 1e-300
-# predicted cancellation above which the double-double path engages
+# predicted cancellation above which eval_series sums in double-double
 _DD_CANCEL_THRESHOLD = 1e6
 _EPS = 2.220446049250313e-16
 
@@ -375,13 +375,6 @@ def _binomial_powers(s: np.ndarray, a: float) -> np.ndarray:
     return np.cumprod((s[:, None] + _POWERS[:-2]) / (-a * _POWERS[1:-1]), axis=1)
 
 
-def hurwitz_zeta(s: complex, a: float) -> complex:
-    """Hurwitz zeta sum_{n>=0} (a+n)^(-s); needs a >= ~20 (_binomial_powers)."""
-    s = complex(s)
-    powers = _binomial_powers(np.array([s]), float(a))[0]
-    return complex(a ** -s * (a / (s - 1.0) + _ZETA_WEIGHTS[0] + powers @ _ZETA_WEIGHTS[1:]))
-
-
 def _fsum(x: np.ndarray) -> complex:
     """Correctly rounded sum of x, real and imaginary parts apart."""
     if np.iscomplexobj(x):
@@ -558,7 +551,8 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
 # and share one chunk loop (_sum_chunks): the float/complex kernel with a
 # cumulative product and a cumulative sum down the rows of r_n * z, the
 # double-double kernel with log-depth scans under dd_mul and dd_add over
-# the same rows.
+# the same rows.  The loop also measures each node's rounding (its charge),
+# so a caller picks the precision from the rounding it can afford.
 # ---------------------------------------------------------------------------
 
 # rows of terms formed per step of the vector kernels; the ratio table
@@ -647,8 +641,9 @@ def _terms(table: TermRatios, z, term, start: int, stop: int) -> np.ndarray:
     return steps.cumprod(axis=0)
 
 
-def _sum_chunks(rows, tol: float, max_terms: int) -> None:
-    """The chunk loop of the vector kernels.
+def _sum_chunks(rows, tol: float, max_terms: int, measure: bool = True) -> np.ndarray | None:
+    """The chunk loop of the vector kernels; returns each node's rounding
+    charge, or None when not asked to measure it.
 
     rows.form(n, m) forms rows n .. n+m-1 at every node and returns the
     terms t_(n+1) .. t_(n+m) and the partial sums through t_n ..
@@ -658,17 +653,24 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> None:
     row, or after t_order of a terminating series (later rows may divide
     by a zero denominator factor); raises OverflowError when a summed
     row's term or partial sum is no longer finite, since the sum of the
-    remaining terms is then unknown."""
+    remaining terms is then unknown.
+
+    The charge is _recurrence_charge's (p+q+3) unit sum_m |value - S_m|
+    over the N summed rows, bounded by the triangle inequality as
+    (p+q+3) unit (sum_m |S_m| + N |value|), unit the kernel's rounding
+    unit (rows.unit); sum_m |S_m| reuses the stopping test's |S_m|."""
     if rows.ratios.order is not None:
         max_terms = min(max_terms, rows.ratios.order + 1)
     consec = 0
     n = 0
+    abs_sum = 0.0
     # overflow is detected below, on the rows actually summed
     with np.errstate(over="ignore", invalid="ignore"):
         while n < max_terms:
             m = min(_CHUNK, max_terms - n)
             nxt, partial = rows.form(n, m)
-            small = (np.abs(nxt) <= tol * np.maximum(np.abs(partial), _ABS_FLOOR)).all(axis=1)
+            sums = np.abs(partial)
+            small = (np.abs(nxt) <= tol * np.maximum(sums, _ABS_FLOOR)).all(axis=1)
             kept = m
             for k, ok in enumerate(small.tolist()):
                 consec = consec + 1 if ok else 0
@@ -680,15 +682,23 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> None:
                     f"pFq series term overflowed after {n + kept} terms "
                     f"(|z| up to {float(np.abs(rows.z).max()):.6g})")
             rows.keep(kept)
+            if measure:
+                abs_sum = abs_sum + sums[:kept].sum(axis=0)
+            n += kept
             if consec >= 3:
-                return
-            n += m
+                break
+    if not measure:
+        return None
+    factors = len(rows.ratios.numerator) + len(rows.ratios.denominator) + 3
+    return factors * rows.unit * (abs_sum + n * sums[kept - 1])
 
 
 class _Rows:
     """Chunks of the float/complex kernel: one cumulative product down the
     rows of r_n * z forms the terms, one cumulative sum the partial sums;
     the running sum is compensated across chunks."""
+
+    unit = _EPS
 
     def __init__(self, ratios: TermRatios, z: np.ndarray):
         self.ratios = ratios
@@ -728,6 +738,8 @@ class _DDRows:
     for the terms; the terms with the running sum folded into row 0,
     scanned under dd_add for the partial sums."""
 
+    unit = dd.DD_EPS
+
     def __init__(self, ratios: TermRatios, z: np.ndarray):
         self.ratios = ratios
         self.z = z
@@ -751,6 +763,14 @@ class _DDRows:
         self.term = (self.nxt[0][-1], self.nxt[1][-1])
 
 
+def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
+                   max_terms: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+    """series_values and each node's rounding charge (_sum_chunks)."""
+    rows = _Rows(ratios, z)
+    charge = _sum_chunks(rows, tol, max_terms)
+    return rows.total, charge
+
+
 def series_values(ratios: TermRatios, z: np.ndarray, tol: float = 1e-14,
                   max_terms: int = 100_000) -> np.ndarray:
     """pFq at each entry of the argument vector z (float or complex) by
@@ -759,20 +779,19 @@ def series_values(ratios: TermRatios, z: np.ndarray, tol: float = 1e-14,
     Stops once three consecutive terms are <= tol * |partial sum| at every
     node; raises OverflowError when a term or a partial sum is no longer
     finite, since the sum of the remaining terms is then unknown."""
-    z = np.asarray(z)
-    rows = _Rows(ratios, z)
-    _sum_chunks(rows, tol, max_terms)
+    rows = _Rows(ratios, np.asarray(z))
+    _sum_chunks(rows, tol, max_terms, measure=False)
     return rows.total
 
 
 def _series_vector_dd(ratios: TermRatios, z: np.ndarray, tol: float,
-                      max_terms: int) -> np.ndarray:
-    """series_values for real z in double-double.  The stopping rule is that
-    of a term-by-term loop; only the order in which the terms and partial
-    sums are rounded differs."""
+                      max_terms: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+    """_series_vector for real z in double-double.  The stopping rule is
+    that of a term-by-term loop; only the order in which the terms and
+    partial sums are rounded differs."""
     rows = _DDRows(ratios, z)
-    _sum_chunks(rows, tol, max_terms)
-    return rows.total[0] + rows.total[1]
+    charge = _sum_chunks(rows, tol, max_terms)
+    return rows.total[0] + rows.total[1], charge
 
 
 def series_values_real(spec: HyperSeriesSpec, z: np.ndarray, tol: float = 1e-14,
@@ -781,15 +800,16 @@ def series_values_real(spec: HyperSeriesSpec, z: np.ndarray, tol: float = 1e-14,
     """pFq(params; z_i) for a vector of real arguments, real parameters.
 
     ratios is the parameters' term-ratio table; a caller that sums the
-    same series many times (the quadrature integrand) passes one table to
-    every call.  Switches to double-double term recurrences as soon as the
-    predicted alternating-sum cancellation exceeds the double-precision
-    budget.  Raises OverflowError when a term or partial sum overflows.
+    same series many times passes one table to every call.  Sums in float
+    and measures the rounding: when some node's charge (_sum_chunks)
+    exceeds tol * |value|, the vector is summed again in double-double.
+    Raises OverflowError when a term or partial sum overflows.
     """
     if ratios is None:
         ratios = TermRatios([a.real for a in spec.numerator],
                             [b.real for b in spec.denominator])
     z = np.asarray(z, dtype=float)
-    if _predicted_cancellation(spec.p, spec.q, float(z.min())) > _DD_CANCEL_THRESHOLD:
-        return _series_vector_dd(ratios, z, tol, max_terms)
-    return series_values(ratios, z, tol, max_terms)
+    values, charge = _series_vector(ratios, z, tol, max_terms)
+    if (charge > tol * np.abs(values)).any():
+        values = _series_vector_dd(ratios, z, tol, max_terms)[0]
+    return values

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperlap import series
 from hyperlap.errors import SlowDecayError, ValidityError
 from hyperlap.gammafn import gamma, gamma_ratio, GammaRatioSpec
 from hyperlap.laplace import (LaplaceCase, LaplaceId, closed_form, lhs_integrand,
@@ -71,7 +72,7 @@ def test_power_law_tail_against_gauss_sum():
         assert abs(res.value - ref) <= max(res.abs_err_est * 4, 1e-12 * abs(ref))
 
 
-def test_alternating_integrand_uses_double_double():
+def test_alternating_integrand_agrees_with_closed_form():
     case = LaplaceCase(LaplaceId.KUMMERX_L, {"a": 1.2, "b": 0.6, "d": 1.4}, 2.2)
     integ = lhs_integrand(case)
     res = laplace_numeric(integ.power, case.s, integ.w, integ.spec, tol=1e-7)
@@ -143,8 +144,9 @@ def test_integrand_overflow_is_refused(a):
 
 
 def test_double_double_integrand_overflow_is_refused():
-    # w/s = -20: the alternating integrand takes the double-double path and
-    # its 1F1(1; 2; -20 u) terms overflow once u passes about 36
+    # w/s = -20: the float seed rounds by far more than its budget, so the
+    # integral moves to double-double, and its 1F1(1; 2; -20 u) terms
+    # overflow once u passes about 36
     with pytest.raises(OverflowError):
         laplace_numeric(1.0, 1.0, -20.0, HyperSeriesSpec([1.0], [2.0], 1.0), tol=1e-7)
 
@@ -326,3 +328,104 @@ def test_power_law_tail_at_large_order_stays_in_range(v):
     assert res.tail_method is TailMethod.POWER_LAW_EXTRAPOLATION
     assert abs(res.value - want) <= res.abs_err_est
     assert abs(res.value - want) <= 1e-7 * want
+
+
+# Alternating integrands, Re(w/s) < 0.  Gamma(v) s^(-v) p+1Fq(v, a; b; w/s),
+# mpmath at 40 digits, frozen.
+# The catalog's Kummer-type transforms at w/s = -1, through their integrands
+KUMMER_TRANSFORMS = [
+    (LaplaceId.KUMMERX_L, {"a": 1.2, "b": 0.6, "d": 1.4}, 2.2, 0.6611537075303483329867),
+    (LaplaceId.KUMMERX_L, {"a": 2.3, "b": 1.7, "d": 0.9}, 0.8, 0.06822525741331166518048),
+    (LaplaceId.KUMMER_L, {"a": 1.3, "b": 0.4}, 1.7, 1.468576985174179165741),
+    (LaplaceId.KUMMER_L, {"a": 0.6, "b": 1.9}, 3.1, 0.1317439883033983122853),
+]
+
+
+def _refuse_double_double(*args):
+    raise AssertionError("the integral left float")
+
+
+@pytest.mark.parametrize("ident, params, s, want", KUMMER_TRANSFORMS)
+def test_kummer_transform_integrand_stays_in_float(ident, params, s, want, monkeypatch):
+    # e^(-u) damps the cancellation of F(-u): the float sums' measured
+    # rounding stays within the budget, so no call takes double-double
+    monkeypatch.setattr(series, "_series_vector_dd", _refuse_double_double)
+    case = LaplaceCase(ident, params, s)
+    integ = lhs_integrand(case)
+    assert integ.w / case.s == -1.0
+    res = laplace_numeric(integ.power, case.s, integ.w, integ.spec, tol=1e-7)
+    assert abs(res.value - want) <= res.abs_err_est
+    assert abs(res.value - want) <= 1e-7 * abs(want)
+
+
+# 2F2 draws at w/s = -1 in the form of the quad.neg probes (seed 1 and seed
+# 8 of the benchmark) with sum(a) - sum(b) = 2.6 and 3.7: their terms grow far
+# enough that the float rounding passes the budget
+CANCELLING_DRAWS = [
+    (1.9308022490072039, 2.218464079596159, [2.1215879900531087, 2.840326726113049],
+     [0.930324940838483, 1.3887088998447528], -0.01859684349977268612879),
+    (2.1477439665534446, 2.246018706627701, [2.4964477208275966, 2.4976567449032263],
+     [0.9613697499392122, 0.343507628553269], 0.06999792286690457893689),
+]
+
+
+@pytest.mark.parametrize("v, s, num, den, want", CANCELLING_DRAWS)
+def test_cancelling_integrand_falls_back_to_double_double(v, s, num, den, want, monkeypatch):
+    calls = []
+    kernel = series._series_vector_dd
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "_series_vector_dd", counted)
+    res = laplace_numeric(v, s, -s, HyperSeriesSpec(num, den, 1.0), tol=1e-7)
+    assert calls
+    assert abs(res.value - want) <= res.abs_err_est
+    assert abs(res.value - want) <= 1e-7 * abs(want)
+
+
+# complex-parameter 2F2 at w/s = -1: no double-double sum, so the float
+# rounding is only charged; the first draw's error was 1.3 times the
+# estimate before the charge
+COMPLEX_ALTERNATING = [
+    (1.3595225860281313, 3.2928001775060296,
+     [2.6522604511187087 - 0.23349937406761767j, 2.7138828085674223 - 0.19391365699715013j],
+     [0.454594059575018 - 0.21000251691636618j, 1.3385565533448303 - 0.3963198924672995j],
+     -0.03750973337501519878438 - 0.0004544917751691922696077j),
+    (2.3539334145692297, 0.7329576622277268,
+     [1.513299059897632 + 0.09282925606604675j, 2.9474003276226703 - 0.2905708206612513j],
+     [0.7384400297107594 - 0.3546633755756172j, 2.3917792314438633 - 0.11754430046932185j],
+     -0.1915597274436746872153 - 0.4079174658114510265658j),
+    (0.9633964427846144, 2.3062890567320613,
+     [2.070649350989101 - 0.16184715726398924j, 2.1052005287072433 - 0.3716555985579465j],
+     [1.0559777093289102 - 0.46728162180308463j, 0.5265553501992652 + 0.05476961981650652j],
+     -0.09085799628119719725475 - 0.005844419337686432027768j),
+]
+
+
+@pytest.mark.parametrize("v, s, num, den, want", COMPLEX_ALTERNATING)
+def test_complex_alternating_integrand_lies_within_its_estimate(v, s, num, den, want):
+    res = laplace_numeric(v, s, -s, HyperSeriesSpec(num, den, 1.0), tol=1e-7)
+    assert abs(res.value - want) <= res.abs_err_est
+
+
+def test_double_double_rounding_is_charged_at_large_negative_ratio():
+    # 1F1(1; 2; -2.9 u) = (1 - e^(-2.9 u)) / (2.9 u): the transform at v = 1
+    # is ln(3.9) / 2.9.  Double-double loses about e^(1.9 u) DD_EPS at the
+    # far nodes; the estimate must carry it
+    want = math.log(3.9) / 2.9
+    res = laplace_numeric(1.0, 1.0, -2.9, HyperSeriesSpec([1.0], [2.0], 1.0), tol=1e-7)
+    assert abs(res.value - want) <= res.abs_err_est
+    assert abs(res.value - want) <= 1e-7 * want
+
+
+def test_exponential_tail_bound_at_negative_ratio():
+    # 1F1(1.75; 1.8) at w/s = -2.68 and tol 1e-3: the body is accurate, so
+    # the tail's |h(U)| / lambda is about a fifth of the estimate; h decays
+    # like e^(-u) times a power, and lambda = 1 - w/s would overstate that
+    # decay 3.68 times.  Gamma(v) 2F1(v, 1.75; 1.8; -2.68), mpmath, frozen
+    want = 0.05442010839594395897159
+    res = laplace_numeric(2.6, 1.0, -2.68, HyperSeriesSpec([1.75], [1.8], 1.0), tol=1e-3)
+    assert res.tail_method is TailMethod.EXP_DECAY
+    assert abs(res.value - want) <= res.abs_err_est

@@ -9,7 +9,7 @@ from hyperlap import series
 from hyperlap.cli import main
 from hyperlap.errors import DivergentSeriesError
 from hyperlap.series import (Convergence, HyperSeriesSpec, SeriesResult, TermRatios,
-                             classify, derivative_shift, eval_series, hurwitz_zeta,
+                             classify, derivative_shift, eval_series,
                              series_values, series_values_real)
 
 from reference_oracles import brute_force_pfq, explicit_terminating_sum
@@ -625,8 +625,7 @@ def test_vector_kernel_matches_scalar_positive_float():
 def test_vector_kernel_matches_scalar_negative_float_below_dd_threshold():
     num, den = [1.2, 3.3], [1.7, 2.3]
     z = np.linspace(-12.0, -0.5, 37)
-    spec = F(num, den, 1.0)
-    got = series_values_real(spec, z, tol=1e-14)
+    got = series_values(TermRatios(num, den), z, tol=1e-14)
     for g, ref in zip(got, _scalar_reference(num, den, z)):
         assert ref.method == "direct"
         # both sums carry the cancellation's rounding, nothing more
@@ -686,9 +685,9 @@ def test_vector_kernel_stops_at_termination_order(num, den, z):
 
 
 def test_double_double_kernel_stops_at_termination_order():
-    # 1F1(-4; -5; z) at z = -40 takes the double-double path
+    # 1F1(-4; -5; z) at z = -40 in the double-double kernel
     z = np.array([-40.0, -25.0])
-    got = series_values_real(F([-4.0], [-5.0], 1.0), z)
+    got = series._series_vector_dd(TermRatios([-4.0], [-5.0]), z, 1e-14)[0]
     for g, zz in zip(got, z):
         want = explicit_terminating_sum([-4.0], [-5.0], zz, 4)
         assert abs(g - want) <= 1e-14 * abs(want)
@@ -744,7 +743,7 @@ def test_double_double_kernel_matches_per_term_loop(nodes, max_terms):
     # 1F1, 2F2 and a p < q set, over the alternating integrand's range
     for num, den in (([1.2], [2.5]), ([1.2, 3.3], [2.2, 2.3]), ([0.7], [1.4, 2.9])):
         z = -rng.uniform(14.0, 56.0, nodes)
-        got = series._series_vector_dd(TermRatios(num, den), z, 1e-14, max_terms)
+        got = series._series_vector_dd(TermRatios(num, den), z, 1e-14, max_terms)[0]
         want, abs_sum = _per_term_dd_loop(TermRatios(num, den), z, 1e-14, max_terms)
         # same terms, summed in another order: the rounding of double-double
         # sums of sum |t_n|, plus the final rounding to one double
@@ -752,18 +751,56 @@ def test_double_double_kernel_matches_per_term_loop(nodes, max_terms):
         assert np.all(np.abs(got - want) <= bound), (num, den)
 
 
+# 2F2(a; b; -u) at quadrature nodes of a w/s = -1 integrand, mpmath 1.3.0 at
+# 40 digits: a quad.neg draw with sum(a) - sum(b) = 2.6, a catalog-like
+# draw, and complex parameters.  At u = 24 and 30 the first and the last
+# float sums are noise, and their charges exceed |value|
+_ALTERNATING_NODES = [0.5, 3.0, 8.0, 15.0, 24.0, 30.0]
+_ALTERNATING_VECTOR = [
+    ([2.1215879900531087, 2.840326726113049], [0.930324940838483, 1.3887088998447528],
+     [-0.22926899262646255208, 0.11364811324337369715, -0.0093703594210300496464,
+      -0.001085064751490687969, -0.0001624348356313033686, -0.000078387338469601114595]),
+    ([1.2, 1.7], [2.3, 0.6],
+     [0.4363560679044202948, -0.18095150822911315582, -0.089500229181161455108,
+      -0.041280255535088032293, -0.023077682211815625642, -0.017526476614559890044]),
+    ([2.6522604511187087 - 0.23349937406761767j, 2.7138828085674223 - 0.19391365699715013j],
+     [0.454594059575018 - 0.21000251691636618j, 1.3385565533448303 - 0.3963198924672995j],
+     [-0.85486281806331232152 - 0.59061432613556060998j,
+      0.35356891433830808929 + 0.13453746071010142655j,
+      -0.045713327008186671333 - 0.013822639481940384915j,
+      0.0010833000722726233315 + 0.0051692985785735593747j,
+      0.00014922951026637402506 + 0.00051627241368151877657j,
+      0.000053973291088426367622 + 0.00021792819009297610776j]),
+]
+
+
+@pytest.mark.parametrize("num, den, want", _ALTERNATING_VECTOR)
+def test_float_kernel_charge_bounds_its_error(num, den, want):
+    table = TermRatios(num, den)
+    z = -np.array(_ALTERNATING_NODES, dtype=table.dtype)
+    got, charge = series._series_vector(table, z, 1e-13)
+    err = np.abs(got - np.array(want))
+    assert np.all(err <= charge)
+    # the rule is (p+q+3) eps (sum_m |S_m| + N |value|): never below 7 eps |value|
+    assert np.all(charge >= 7.0 * EPS * np.abs(got))
+
+
+def test_series_values_real_measures_its_rounding():
+    # positive z: the float sums round within a loose tol and stay float;
+    # z = -30 rounds by far more, and the vector is summed in double-double
+    spec = F([1.2, 1.7], [2.3, 0.6], 1.0)
+    table = TermRatios([1.2, 1.7], [2.3, 0.6])
+    z = np.array([0.5, 8.0, 24.0])
+    assert np.array_equal(series_values_real(spec, z, tol=1e-9),
+                          series_values(table, z, tol=1e-9))
+    z = -np.array(_ALTERNATING_NODES)
+    got = series_values_real(spec, z, tol=1e-13)
+    assert np.array_equal(got, series._series_vector_dd(table, z, 1e-13)[0])
+    want = np.array(_ALTERNATING_VECTOR[1][2])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
 # ----------------------------------------------------------- accelerators
-
-def test_hurwitz_zeta_anchor_and_recurrence():
-    # zeta(2) anchor through the shifted sum
-    partial = sum(1.0 / k ** 2 for k in range(1, 40))
-    assert abs(partial + hurwitz_zeta(2.0, 40.0).real - math.pi ** 2 / 6) < 1e-13
-    # self-consistency zeta(s, a) = a^-s + zeta(s, a+1)
-    for s in (1.3, 2.7, 4.2):
-        lhs = hurwitz_zeta(s, 33.0)
-        rhs = 33.0 ** (-s) + hurwitz_zeta(s, 34.0)
-        assert abs(lhs - rhs) < 1e-15 * abs(lhs)
-
 
 # mpmath 1.3.0, 40 digits: e_k from exp of the Stirling expansion (DLMF
 # 5.11.8) of log prod Gamma(n+a_i) / prod Gamma(n+b_j) / Gamma(n+1), whose
@@ -796,18 +833,10 @@ def test_remainder_coefficients_against_exact_values(params, exact):
         assert abs(g - e) <= 1e-13 * abs(e), k
 
 
-# mpmath 1.3.0, 40 digits: zeta(s, a), and (-1)^m lerchphi(-1, s, m) for the
+# mpmath 1.3.0, 40 digits: (-1)^m lerchphi(-1, s, m) for the
 # alternating tail, at the cuts and orders 1+delta+k the z = +-1 sums use;
 # s near 0 is delta near -1 at z = -1, s = 1 the zero excess.  The
 # asymptotic sums lose a few digits only at the highest orders (s ~ 10)
-_HURWITZ = [
-    (1.05, 64, 16.251411000113002607),
-    (2.3, 384, 0.00033663657613636304524),
-    (4 + 0.3j, 64, complex(2.8997415663980749969e-7, -1.2623426890157057583e-6)),
-    (10.7, 64, 3.356275484038821356e-19),
-    (1.2 - 0.4j, 24576, complex(0.12571967278197797135, -0.26804481517581925134)),
-    (3.5 + 0.2j, 1536, complex(1.0203084818147306981e-10, -4.3144819151838084482e-9)),
-]
 _ALTERNATING = [
     (0.02, 64, 0.46016571195999640846),
     (1.0, 65, -0.0077514722906963861712),
@@ -818,11 +847,6 @@ _ALTERNATING = [
     (2.7, 128, 1.032902072600523309e-6),
     (9.9 - 0.2j, 65, complex(-4.0785009473414601366e-19, -4.4906463802772194019e-19)),
 ]
-
-
-@pytest.mark.parametrize("s,a,ref", _HURWITZ)
-def test_hurwitz_zeta_against_mpmath(s, a, ref):
-    assert abs(hurwitz_zeta(s, a) - ref) <= 1e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("s,m,ref", _ALTERNATING)
