@@ -46,7 +46,6 @@ __all__ = [
     "classify",
     "derivative_shift",
     "eval_series",
-    "series_values",
     "series_values_real",
 ]
 
@@ -95,10 +94,6 @@ class HyperSeriesSpec:
                         f"denominator parameter {b} is a nonpositive integer and the "
                         "series does not terminate before the zero factor"
                     )
-
-    def termination_order(self) -> int | None:
-        """Smallest m with some numerator parameter equal to -m, else None."""
-        return self.order
 
     @property
     def p(self) -> int:
@@ -641,9 +636,8 @@ def _terms(table: TermRatios, z, term, start: int, stop: int) -> np.ndarray:
     return steps.cumprod(axis=0)
 
 
-def _sum_chunks(rows, tol: float, max_terms: int, measure: bool = True) -> np.ndarray | None:
-    """The chunk loop of the vector kernels; returns each node's rounding
-    charge, or None when not asked to measure it.
+def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
+    """The chunk loop of the vector kernels; returns each node's rounding charge.
 
     rows.form(n, m) forms rows n .. n+m-1 at every node and returns the
     terms t_(n+1) .. t_(n+m) and the partial sums through t_n ..
@@ -682,13 +676,10 @@ def _sum_chunks(rows, tol: float, max_terms: int, measure: bool = True) -> np.nd
                     f"pFq series term overflowed after {n + kept} terms "
                     f"(|z| up to {float(np.abs(rows.z).max()):.6g})")
             rows.keep(kept)
-            if measure:
-                abs_sum = abs_sum + sums[:kept].sum(axis=0)
+            abs_sum = abs_sum + sums[:kept].sum(axis=0)
             n += kept
             if consec >= 3:
                 break
-    if not measure:
-        return None
     factors = len(rows.ratios.numerator) + len(rows.ratios.denominator) + 3
     return factors * rows.unit * (abs_sum + n * sums[kept - 1])
 
@@ -765,23 +756,15 @@ class _DDRows:
 
 def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
                    max_terms: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
-    """series_values and each node's rounding charge (_sum_chunks)."""
-    rows = _Rows(ratios, z)
-    charge = _sum_chunks(rows, tol, max_terms)
-    return rows.total, charge
-
-
-def series_values(ratios: TermRatios, z: np.ndarray, tol: float = 1e-14,
-                  max_terms: int = 100_000) -> np.ndarray:
     """pFq at each entry of the argument vector z (float or complex) by
-    direct summation.
+    direct summation, and each node's rounding charge (_sum_chunks).
 
     Stops once three consecutive terms are <= tol * |partial sum| at every
     node; raises OverflowError when a term or a partial sum is no longer
     finite, since the sum of the remaining terms is then unknown."""
-    rows = _Rows(ratios, np.asarray(z))
-    _sum_chunks(rows, tol, max_terms, measure=False)
-    return rows.total
+    rows = _Rows(ratios, z)
+    charge = _sum_chunks(rows, tol, max_terms)
+    return rows.total, charge
 
 
 def _series_vector_dd(ratios: TermRatios, z: np.ndarray, tol: float,
