@@ -441,7 +441,10 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
     asymptotic) times the first omitted order e_9 plus the l = 12, 13
     columns.  N is the first rung of _UNIT_RUNGS up to min(max_terms,
     24576), or max_terms below the first rung, at which the terms decay
-    across [N/2, N] and that charge is below tol |value|.  Otherwise the
+    across [N/2, N] and that charge is below tol |value|.  The expansion
+    needs N |1-z| well above |s| + 13, as L_l ~ l! / (1-z)^(l+1): where
+    24576 |1-z| < 4 (|s| + 13) (z close to 1, but not 1) the rungs go on
+    doubling up to max_terms.  Otherwise the
     last cut comes back with converged=False, its estimate infinite when
     the terms still rise there.  The estimate adds the recurrence's
     rounding (_recurrence_charge, the remainder in the value) and
@@ -455,9 +458,13 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
     elif abs(z + 1.0) <= 1e-14:
         z = -1.0
     weights = _abel_weights(z)
-    limit = min(max_terms, _UNIT_RUNGS[-1])
     s = 1.0 + spec.excess()
     s = s if s.imag else s.real  # real arrays for real parameters
+    rungs = list(_UNIT_RUNGS)
+    if z != 1.0 and rungs[-1] * abs(1.0 - z) < 4.0 * (abs(s) + 13.0):
+        while rungs[-1] < max_terms:
+            rungs.append(2 * rungs[-1])
+    limit = min(max_terms, rungs[-1])
     orders = np.arange(_TAIL_ORDERS + 2)
     exponents = s + orders
     integral = 1.0 / (exponents - 1.0) if z == 1.0 else 0.0
@@ -465,7 +472,7 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
                                               _TAIL_ORDERS + 1))
     table = TermRatios(spec.numerator, spec.denominator)
     terms = np.ones(1, dtype=table.dtype)  # signed terms t_0 .. t_n (z^n included)
-    for n in [n for n in _UNIT_RUNGS if n < limit] + [limit]:
+    for n in [n for n in rungs if n < limit] + [limit]:
         # overflow is detected below: a non-finite term or partial sum leaves
         # the last partial sum non-finite
         with np.errstate(over="ignore", invalid="ignore"):
@@ -542,17 +549,25 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
 # The quadrature oracle sums the same series at a few hundred nodes per
 # integral, a few dozen nodes per call.  One TermRatios table per integral
 # holds the term ratios r_n, so a call does no per-term parameter work.
-# Both kernels form a chunk of _CHUNK rows of terms for every node at once
-# and share one chunk loop (_sum_chunks): the float/complex kernel with a
+# Both kernels form a block of rows of terms for every node at once and
+# share one block loop (_sum_chunks): the float/complex kernel with a
 # cumulative product and a cumulative sum down the rows of r_n * z, the
 # double-double kernel with log-depth scans under dd_mul and dd_add over
-# the same rows.  The loop also measures each node's rounding (its charge),
-# so a caller picks the precision from the rounding it can afford.
+# the same rows.  Every block costs the same fixed numpy overhead, so the
+# float/complex kernel sizes its first block to the stop row predicted
+# from the term magnitudes (_predicted_rows) and forms it at once; the
+# double-double kernel keeps blocks of _CHUNK rows, since its scans round
+# more the deeper a block is.  The loop also measures each node's rounding
+# (its charge), so a caller picks the precision from the rounding it can
+# afford.
 # ---------------------------------------------------------------------------
 
-# rows of terms formed per step of the vector kernels; the ratio table
-# grows in whole multiples of it
+# rows of terms formed per block past the predicted stop, and in every
+# double-double block; the ratio table grows in whole multiples of it
 _CHUNK = 32
+# most entries (rows x nodes) of a block longer than _CHUNK rows, so a
+# large predicted block costs little memory
+_BLOCK_ENTRIES = 1 << 16
 
 
 class TermRatios:
@@ -636,18 +651,58 @@ def _terms(table: TermRatios, z, term, start: int, stop: int) -> np.ndarray:
     return steps.cumprod(axis=0)
 
 
+def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int) -> int:
+    """Rows of the float/complex kernel's first block: the stop row
+    predicted from the term magnitudes alone, at the call's largest |z|.
+
+    A float walk of log|t_n| = sum_(k<n) log|r_k| + n log z_max (the walk
+    that picks a working precision in mpmath's hypsum and in Johansson,
+    ACM TOMS 45, 2019) finds the first n past the running peak with |t_n|
+    below tol times the peak, and adds the three rows the stopping rule
+    needs.  The terms fall like z^n / n!^k, k = q - p + 1, so a first
+    window of 2 z_max^(1/k) + 2 _CHUNK rows holds that n unless the
+    parameters are large; a longer walk doubles the window.  The walk reads
+    the table from row 0, so its answer depends on the parameters, z_max
+    and tol alone.  The prediction falls short where the partial sums lie
+    far below the peak term (cancelling sums); the loop then goes on in
+    blocks of _CHUNK rows."""
+    if not math.isfinite(z_max):
+        return 0  # no walk: the loop refuses the rows that are not finite
+    log_z = math.log(z_max) if z_max > 0.0 else -math.inf
+    k = len(ratios.denominator) - len(ratios.numerator) + 1
+    stop = 2 * _CHUNK + (int(2.0 * z_max ** (1.0 / k)) if k > 0 else 0)
+    while True:
+        stop = min(stop, max_terms)
+        # r_order = 0 ends a terminating series: log -inf, and no later row
+        # is read
+        with np.errstate(divide="ignore"):
+            walk = np.cumsum(np.log(np.abs(ratios.ratios(stop)[:stop])) + log_z)
+        peak = np.maximum.accumulate(np.maximum(walk, 0.0))  # log |t_0| = 0
+        below = np.flatnonzero(walk < peak + math.log(tol))  # |t_(k+1)| vs peak
+        if below.size:
+            return min(int(below[0]) + 4, max_terms)
+        if stop == max_terms:
+            return max_terms
+        stop *= 2
+
+
 def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
-    """The chunk loop of the vector kernels; returns each node's rounding charge.
+    """The block loop of the vector kernels; returns each node's rounding charge.
 
     rows.form(n, m) forms rows n .. n+m-1 at every node and returns the
     terms t_(n+1) .. t_(n+m) and the partial sums through t_n ..
     t_(n+m-1) (the leading parts, for double-double); rows.keep(k) makes
-    the first k rows part of the running sum.  Stops once three
-    consecutive terms are <= tol * |partial sum| at every node, at that
-    row, or after t_order of a terminating series (later rows may divide
-    by a zero denominator factor); raises OverflowError when a summed
-    row's term or partial sum is no longer finite, since the sum of the
-    remaining terms is then unknown.
+    the first k rows part of the running sum.  The blocks run through row
+    rows.predicted(tol, max_terms) (0 for double-double), each capped at
+    _BLOCK_ENTRIES entries but never under _CHUNK rows; past that row
+    every block has _CHUNK rows.  Stops once three consecutive terms are
+    <= tol * |partial sum| at every node, at that row, or after t_order of
+    a terminating series (later rows may divide by a zero denominator
+    factor).  Rows formed past the stop are never read.  Raises
+    OverflowError once the last summed row's term or partial sum is no
+    longer finite (a non-finite term or partial sum stays so), since the
+    sum of the remaining terms is then unknown; it does so where a loop of
+    _CHUNK-row blocks would, with the same row count.
 
     The charge is _recurrence_charge's (p+q+3) unit sum_m |value - S_m|
     over the N summed rows, bounded by the triangle inequality as
@@ -655,13 +710,16 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
     unit (rows.unit); sum_m |S_m| reuses the stopping test's |S_m|."""
     if rows.ratios.order is not None:
         max_terms = min(max_terms, rows.ratios.order + 1)
+    predicted = rows.predicted(tol, max_terms)
+    cap = max(_CHUNK, _BLOCK_ENTRIES // max(rows.z.size, 1))
     consec = 0
     n = 0
     abs_sum = 0.0
+    bad = None  # the first row whose term or partial sum is not finite
     # overflow is detected below, on the rows actually summed
     with np.errstate(over="ignore", invalid="ignore"):
         while n < max_terms:
-            m = min(_CHUNK, max_terms - n)
+            m = min(max(predicted - n, _CHUNK), cap, max_terms - n)
             nxt, partial = rows.form(n, m)
             sums = np.abs(partial)
             small = (np.abs(nxt) <= tol * np.maximum(sums, _ABS_FLOOR)).all(axis=1)
@@ -671,10 +729,19 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
                 if consec >= 3:
                     kept = k + 1
                     break
-            if not (np.isfinite(nxt[:kept]).all() and np.isfinite(partial[:kept]).all()):
-                raise OverflowError(
-                    f"pFq series term overflowed after {n + kept} terms "
-                    f"(|z| up to {float(np.abs(rows.z).max()):.6g})")
+            if bad is None and not (np.isfinite(nxt[kept - 1]).all()
+                                    and np.isfinite(partial[kept - 1]).all()):
+                bad = n + int(np.argmin(np.isfinite(nxt).all(axis=1)
+                                        & np.isfinite(partial).all(axis=1)))
+            if bad is not None:
+                # refused where a loop over chunks of _CHUNK rows refuses,
+                # with its row count, whatever the block sizes: at the stop
+                # row, or at the end of the chunk that holds row bad
+                end = min((bad // _CHUNK + 1) * _CHUNK, max_terms)
+                if consec >= 3 or n + kept >= end:
+                    raise OverflowError(
+                        f"pFq series term overflowed after {min(n + kept, end)} terms "
+                        f"(|z| up to {float(np.abs(rows.z).max()):.6g})")
             rows.keep(kept)
             abs_sum = abs_sum + sums[:kept].sum(axis=0)
             n += kept
@@ -685,9 +752,10 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
 
 
 class _Rows:
-    """Chunks of the float/complex kernel: one cumulative product down the
-    rows of r_n * z forms the terms, one cumulative sum the partial sums;
-    the running sum is compensated across chunks."""
+    """Blocks of the float/complex kernel: one cumulative product down the
+    rows of r_n * z, started from the carried term in row 0, forms the
+    terms, one cumulative sum the partial sums; the running sum is
+    compensated across blocks."""
 
     unit = _EPS
 
@@ -697,19 +765,33 @@ class _Rows:
         dtype = np.result_type(z.dtype, ratios.dtype)
         self.term = np.ones(z.shape, dtype)    # first term not yet summed
         self.total = np.zeros(z.shape, dtype)
-        self.comp = np.zeros(z.shape, dtype)   # compensation across chunks
+        self.comp = np.zeros(z.shape, dtype)   # compensation across blocks
+
+    def predicted(self, tol: float, max_terms: int) -> int:
+        # at Re z < 0 the terms cancel: the partial sums lie far below the
+        # peak term, and their rounding noise, which the block layout
+        # changes, sets the stop row
+        if (self.z.real < 0.0).any():
+            return 0
+        return _predicted_rows(self.ratios, float(np.abs(self.z).max(initial=0.0)),
+                               tol, max_terms)
 
     def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        self.nxt = _terms(self.ratios, self.z, self.term, n, n + m)        # t_(n+1) .. t_(n+m)
-        self.added = np.concatenate([self.term[None, :], self.nxt[:-1]])  # t_n .. t_(n+m-1)
-        return self.nxt, self.total + self.added.cumsum(axis=0)
+        self.terms = np.empty((m + 1, *self.z.shape), self.term.dtype)  # t_n .. t_(n+m)
+        self.terms[0] = self.term
+        steps = self.terms[1:]
+        np.multiply.outer(self.ratios.ratios(n + m)[n:n + m], self.z, out=steps)
+        steps[0] *= self.term  # (r_n z) t_n, the product order of _terms
+        steps.cumprod(axis=0, out=steps)
+        self.sums = self.terms[:-1].cumsum(axis=0)  # t_n + .. + t_(n+k)
+        return steps, self.total + self.sums
 
     def keep(self, k: int) -> None:
-        y = self.added[:k].sum(axis=0) - self.comp
+        y = self.sums[k - 1] - self.comp
         t = self.total + y
         self.comp = (t - self.total) - y
         self.total = t
-        self.term = self.nxt[-1]
+        self.term = self.terms[-1]
 
 
 def _dd_scan(op, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -724,10 +806,12 @@ def _dd_scan(op, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _DDRows:
-    """Chunks of the double-double kernel: the steps r_n * z as (hi, lo)
+    """Blocks of the double-double kernel: the steps r_n * z as (hi, lo)
     pairs with the carried term folded into row 0, scanned under dd_mul
     for the terms; the terms with the running sum folded into row 0,
-    scanned under dd_add for the partial sums."""
+    scanned under dd_add for the partial sums.  Every block has _CHUNK
+    rows: the scans' rounding grows with their depth, and the kernel's
+    64 DD_EPS sum |t_n| bound is for that depth."""
 
     unit = dd.DD_EPS
 
@@ -736,6 +820,9 @@ class _DDRows:
         self.z = z
         self.term = dd.dd_ones(z.shape)    # first term not yet summed
         self.total = dd.dd_zeros(z.shape)
+
+    def predicted(self, tol: float, max_terms: int) -> int:
+        return 0
 
     def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         rhi, rlo = self.ratios.dd_ratios(n + m)

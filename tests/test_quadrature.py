@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperlap import series
+from hyperlap import series, verifier
 from hyperlap.errors import SlowDecayError, ValidityError
 from hyperlap.gammafn import gamma, gamma_ratio, GammaRatioSpec
 from hyperlap.laplace import (LaplaceCase, LaplaceId, closed_form, lhs_integrand,
@@ -368,6 +368,27 @@ def test_power_law_integrand_lies_within_its_estimate(num, den, v, s, tol, want)
 # frozen.  At v = 30 and 45 the body already ends at u = 180 and 270, so
 # the fit nodes must stop short of where pFq(u) overflows a double.
 GAUSS_SUM_LARGE_V = {30.0: 4.317461457862916e+32, 45.0: 2.29529452920706e+56}
+
+
+@pytest.mark.parametrize("complex_im", [0.0, 0.3])
+def test_power_law_tail_call_forms_one_block(complex_im, monkeypatch):
+    # the tail call of a seed-42 lap.whipplex draw sums some 240 rows at
+    # 31 nodes out to u = 6 u_body: one predicted block, not 32-row chunks
+    cfg = verifier.SamplerConfig(seed=42, complex_im=complex_im)
+    binding = verifier.sample_valid("lap.whipplex", cfg, 1)[0]
+    blocks = {}
+    form = series._Rows.form
+
+    def counted(rows, n, m):
+        blocks.setdefault(id(rows), [float(np.abs(rows.z).max()), 0, 0])
+        blocks[id(rows)][1:] = blocks[id(rows)][1] + 1, n + m
+        return form(rows, n, m)
+
+    monkeypatch.setattr(series._Rows, "form", counted)
+    assert verifier.check_quadrature("lap.whipplex", binding, 1e-5).passed
+    z_max, count, rows = max(blocks.values())
+    assert z_max >= 140.0 and rows >= 200
+    assert count == 1
 
 
 @pytest.mark.parametrize("v", list(GAUSS_SUM_LARGE_V))

@@ -711,6 +711,104 @@ def test_double_double_kernel_refuses_overflow():
         series._series_vector_dd(TermRatios([1.0], [2.0]), z, 1e-14, 100_000)
 
 
+def _chunked_reference(ratios, z, tol, max_terms=100_000):
+    """The float/complex kernel in blocks of 32 rows, each formed by
+    series._terms from the carried term and Kahan-compensated across
+    blocks: the reference for the rows that series._series_vector sums.
+    Returns the values and the rows summed; raises OverflowError, with the
+    rows formed through the stop row or the end of the block, when a
+    summed row is not finite."""
+    if ratios.order is not None:
+        max_terms = min(max_terms, ratios.order + 1)
+    dtype = np.result_type(z.dtype, ratios.dtype)
+    term, total, comp = np.ones(z.shape, dtype), np.zeros(z.shape, dtype), np.zeros(z.shape, dtype)
+    n = consec = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < max_terms and consec < 3:
+            m = min(32, max_terms - n)
+            nxt = series._terms(ratios, z, term, n, n + m)
+            added = np.concatenate([term[None, :], nxt[:-1]])
+            partial = total + added.cumsum(axis=0)
+            small = (np.abs(nxt) <= tol * np.maximum(np.abs(partial), 1e-300)).all(axis=1)
+            kept = m
+            for k, ok in enumerate(small):
+                consec = consec + 1 if ok else 0
+                if consec >= 3:
+                    kept = k + 1
+                    break
+            if not (np.isfinite(nxt[:kept]).all() and np.isfinite(partial[:kept]).all()):
+                raise OverflowError(f"pFq series term overflowed after {n + kept} terms "
+                                    f"(|z| up to {float(np.abs(z).max()):.6g})")
+            y = added[:kept].sum(axis=0) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            term = nxt[-1]
+            n += kept
+    return total, n
+
+
+@pytest.mark.parametrize("num, den, z", [
+    # positive: one predicted block of about 250 rows
+    ([1.2, 3.3], [1.7, 2.3], np.linspace(0.0, 144.0, 31)),
+    # 700 nodes: blocks capped at 93 rows
+    ([0.7], [1.9], np.linspace(0.0, 144.0, 700)),
+    ([1.2 + 0.3j, 0.7], [1.7 - 0.3j, 2.3], np.linspace(0.0, 60.0, 25) * (1.0 + 0.2j)),
+    ([2.6 - 0.3j], [1.2 + 0.1j], np.geomspace(48.0, 144.0, 31).astype(complex)),
+    # terminating at order 40
+    ([-40.0, 1.5], [2.5], np.linspace(0.0, 50.0, 9)),
+])
+def test_float_kernel_sums_the_rows_of_the_chunked_reference(num, den, z, monkeypatch):
+    summed = []
+    keep = series._Rows.keep
+    monkeypatch.setattr(series._Rows, "keep", lambda self, k: keep(self, summed.append(k) or k))
+    got, charge = series._series_vector(TermRatios(num, den), z, 1e-13)
+    want, rows = _chunked_reference(TermRatios(num, den), z, 1e-13)
+    assert sum(summed) == rows
+    # the same terms, partial sums rounded in other blocks: each sum lies
+    # within the charge of the exact one
+    assert np.all(np.abs(got - want) <= 2.0 * charge)
+
+
+def test_float_kernel_keeps_chunks_where_terms_cancel():
+    # Re z < 0: no predicted block, so the rows and the values are the
+    # chunked reference's
+    table = TermRatios([1.2, 3.3], [1.7, 2.3])
+    for z in (np.linspace(-24.0, 3.0, 11), np.linspace(-24.0, 3.0, 11) * (1.0 - 0.3j)):
+        got = series._series_vector(table, z, 1e-13)[0]
+        assert np.array_equal(got, _chunked_reference(table, z, 1e-13)[0])
+
+
+def test_float_kernel_reads_no_row_past_its_stop():
+    # b = -20: table row 20 divides by zero, so from row 20 on the terms
+    # are infinite; the first block (never under 32 rows) forms them, but
+    # the sums stop at row 3
+    num, den = [1.5], [-20.0]
+    z = np.array([1e-6, -2e-6, 0.0])
+    got = series._series_vector(TermRatios(num, den), z, 1e-14)[0]
+    for g, zz in zip(got, z):
+        want = explicit_terminating_sum(num, den, zz, 3)  # t_0 .. t_3
+        assert abs(g - want) <= 4 * EPS * abs(want)
+
+
+@pytest.mark.parametrize("num, z", [
+    ([1.0], np.array([1.0, 800.0])),
+    ([1.0 + 0.5j], np.array([1.0, 800.0], dtype=complex)),
+    ([0.5, 1.0], np.linspace(0.0, 900.0, 7)),
+    # blocks capped at 93 rows
+    ([1.0], np.linspace(0.0, 800.0, 700)),
+])
+def test_float_kernel_overflow_message_counts_as_the_chunked_reference(num, z):
+    # the partial sums, then the terms, pass 1e308 a few hundred rows into
+    # the predicted rows
+    den = [2.0] * len(num)
+    with pytest.raises(OverflowError) as want:
+        _chunked_reference(TermRatios(num, den), z, 1e-14)
+    with pytest.raises(OverflowError) as got:
+        series._series_vector(TermRatios(num, den), z, 1e-14)
+    assert str(got.value) == str(want.value)
+
+
 def _per_term_dd_loop(ratios, z, tol, max_terms):
     """The double-double kernel as a loop of one dd_add, one dd_mul and
     one dd_mul_d per term: the reference for the chunk scans of
@@ -856,6 +954,22 @@ def test_alternating_zeta_tail_against_mpmath(s, m, ref):
     tail = weights[0] + series._binomial_powers(np.array([complex(s)]), m)[0] @ weights[1:]
     got = (-1) ** m * m ** -complex(s) * tail
     assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+# 3F2(0.4, 1.3, 0.7; 1.9, 0.8; e^(0.001 i)), mpmath 1.3.0 at 20, 30 and 40
+# digits (agreeing to 1e-20): Euler's integral of 2F1(0.4, 1.3; 1.9; z t)
+# against t^-0.3 (1-t)^-0.9, each end's power taken into the variable
+_NEAR_ONE_REFERENCE = complex(2.18108992682758202990873836006,
+                              0.105775345696003300829140782131)
+
+
+def test_unit_circle_sum_close_to_one_doubles_past_the_cap():
+    # 24576 |1-z| = 24.6 is short of 4 (|s| + 13) = 57.2, s = 1.3: the
+    # expansion needs a longer prefix than the 24576-term cap
+    import cmath
+    r = eval_series(F([0.4, 1.3, 0.7], [1.9, 0.8], cmath.exp(0.001j)))
+    assert r.converged and r.terms_used == 49152
+    assert abs(r.value - _NEAR_ONE_REFERENCE) <= r.tail_estimate
 
 
 def test_unit_circle_sum_against_pfaff():
