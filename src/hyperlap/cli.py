@@ -32,7 +32,6 @@ from .errors import (DegenerateParameterError, DivergentSeriesError, HyperLapErr
 from .gammafn import gamma
 from .laplace import LaplaceCase, closed_form, lhs_integrand
 from .quadrature import laplace_numeric
-from .reporting import CheckReport
 from .series import HyperSeriesSpec, eval_series
 from .summation import DixonVariant
 from . import verifier
@@ -247,16 +246,6 @@ def _inputs_echo(args, skip=("format", "out", "config", "timing", "command", "ki
             continue
         out[key] = _echo_value(val)
     return out
-
-
-def _report_rows(results) -> list[dict]:
-    rows = []
-    for item in results:
-        if isinstance(item, CheckReport):
-            rows.append(verifier._report_to_dict(item))
-        else:
-            rows.append(item)
-    return rows
 
 
 def _emit(doc: dict, args, rows_for_csv=None) -> None:

@@ -5,7 +5,7 @@ Covers three layers:
 * the general series-transform law
       integral_0^inf e^(-st) t^(v-1) pFq(wt) dt
           = Gamma(v) s^(-v) (p+1)Fq(v, a...; b...; w/s),
-  valid for p <= q under the stated half-plane clauses;
+  valid for p <= q under the half-plane clauses of require_integral_exists;
 * six classical closed-form transforms of 1F1 and 2F2 integrands;
 * seven new closed-form transforms of 2F2 and 3F3 integrands carrying the
   extra d+1 / d parameter pair.
@@ -40,6 +40,7 @@ __all__ = [
     "closed_form",
     "closed_form_direct",
     "lhs_integrand",
+    "require_integral_exists",
     "specialization_target",
     "transform_rhs_series",
 ]
@@ -154,14 +155,13 @@ def _principal_power(base: complex, expo: complex) -> complex:
     return cmath.exp(complex(expo) * cmath.log(complex(base)))
 
 
-def transform_rhs_series(v: complex, s: complex, w: complex,
-                         spec: HyperSeriesSpec, tol: float = 1e-12) -> complex:
-    """Gamma(v) s^(-v) (p+1)Fq(v, a...; b...; w/s) -- the series route.
+def require_integral_exists(v: complex, s: complex, w: complex,
+                            spec: HyperSeriesSpec) -> None:
+    """Raise ValidityError unless integral_0^inf e^(-st) t^(v-1) pFq(wt) dt
+    exists: (i) p <= q, Re(v) > 0 and Re(s) > 0; (ii) p = q, w != 0 also
+    needs Re(s) > Re(w), or at s = w, Re(sum(b) - sum(a) - v) > 0.
 
-    Validity clauses: (i) p < q needs Re(v) > 0, Re(s) > 0, any w;
-    (ii) p = q needs Re(s) > max(Re(w), 0); (iii) p = q with s = w needs
-    Re(s) > 0 and Re(sum(b) - sum(a) - v) > 0.
-    """
+    Both oracles, the series route and the quadrature, check these first."""
     v, s, w = complex(v), complex(s), complex(w)
     if spec.p > spec.q:
         raise ValidityError("transform law requires p <= q")
@@ -171,11 +171,18 @@ def transform_rhs_series(v: complex, s: complex, w: complex,
         raise ValidityError("Re(s)<=0")
     if spec.p == spec.q and w != 0.0:
         if abs(s - w) <= 1e-14 * abs(s):
-            excess = spec.excess() - v
-            if excess.real <= 0.0:
+            if (spec.excess() - v).real <= 0.0:
                 raise ValidityError("Re(sum(b)-sum(a)-v)<=0 at s=w")
         elif s.real <= w.real:
             raise ValidityError("Re(s)<=Re(w)")
+
+
+def transform_rhs_series(v: complex, s: complex, w: complex,
+                         spec: HyperSeriesSpec, tol: float = 1e-12) -> complex:
+    """Gamma(v) s^(-v) (p+1)Fq(v, a...; b...; w/s) -- the series route,
+    where the integral exists (require_integral_exists)."""
+    v, s, w = complex(v), complex(s), complex(w)
+    require_integral_exists(v, s, w, spec)
     augmented = HyperSeriesSpec((v,) + spec.numerator, spec.denominator, w / s)
     value = eval_series(augmented, tol=tol)
     return gamma(v) * _principal_power(s, -v) * value.value

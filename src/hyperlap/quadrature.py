@@ -1,5 +1,6 @@
-"""Numerical Laplace integrals: the oracle that shares no code path with
-the series-transform route.
+"""Numerical Laplace integrals: the oracle that shares no numerics with
+the series-transform route.  The two share only their input checks: both
+first ask laplace.require_integral_exists whether the integral exists.
 
 Evaluates integral_0^inf e^(-st) t^(v-1) pFq(wt) dt after the
 substitution u = st:
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import SlowDecayError, ValidityError
+from .errors import SlowDecayError
+from .laplace import require_integral_exists
 from .series import HyperSeriesSpec, TermRatios
 
 __all__ = ["IntegralResult", "TailMethod", "gamma_integral_check", "laplace_numeric"]
@@ -75,6 +77,10 @@ _CC_C25[[0, _CC_N], :] *= 0.5
 _CC_NEXT = np.cos(np.outer(np.arange(_CC_N + 1, 2 * _CC_N + 1), _CC_THETA))
 _CC_M = np.arange(1, _CC_N + 1)
 _EPS = np.finfo(float).eps
+
+# at s = w the tail decays like u^rho, rho = -1 - excess; an excess below
+# this margin is refused, and the sampler keeps its s = w draws above it
+_SLOW_DECAY_MARGIN = 0.05
 
 
 def _power_moments(v: complex, n: int) -> np.ndarray:
@@ -262,32 +268,27 @@ def _integrand_factory(spec: HyperSeriesSpec, ratio: complex, series_tol: float)
 
 def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
                     tol: float = 1e-7) -> IntegralResult:
-    """Adaptive quadrature value of the transform integral.
+    """Adaptive quadrature value of the transform integral, where it exists
+    (laplace.require_integral_exists).
 
-    Raises ValidityError when the stated existence clauses fail and
-    SlowDecayError when the algebraic tail exponent is within 0.05 of the
-    divergence boundary (rho >= -1.05).
+    Raises SlowDecayError where the method does not reach: at s = w when
+    the excess Re(sum(b) - sum(a) - v) of the algebraic tail u^rho,
+    rho = -1 - excess, is below _SLOW_DECAY_MARGIN, and for p = q when
+    Re(w/s) >= 1, where the integrand grows along the ray u = st.
     """
     v, s, w = complex(v), complex(s), complex(w)
-    if v.real <= 0.0:
-        raise ValidityError("Re(v)<=0")
-    if s.real <= 0.0:
-        raise ValidityError("Re(s)<=0")
-    if spec.p > spec.q:
-        raise ValidityError("integrand requires p <= q")
+    require_integral_exists(v, s, w, spec)
     ratio = w / s
     power_law = spec.p == spec.q and w != 0.0 and abs(ratio - 1.0) <= 1e-12
-    rho = float("-inf")
     if power_law:
         rho_c = v - 1.0 + sum(spec.numerator, complex(0.0)) - sum(spec.denominator, complex(0.0))
-        rho = rho_c.real
-        if rho >= -1.0:
-            raise ValidityError("Re(sum(b)-sum(a)-v)<=0: integral diverges at s=w")
-        if rho >= -1.05:
+        excess = (spec.excess() - v).real
+        if excess < _SLOW_DECAY_MARGIN:
             raise SlowDecayError(
-                f"tail exponent rho={rho:.4f} too close to divergence for quadrature")
+                f"tail exponent rho={rho_c.real:.4f} too close to divergence for quadrature")
     elif spec.p == spec.q and w != 0.0 and ratio.real >= 1.0:
-        raise ValidityError("Re(s)<=Re(w)")
+        raise SlowDecayError(
+            f"Re(w/s)={ratio.real:.4g} >= 1: the integrand grows along the ray u = st")
 
     series_tol = min(1e-13, tol * 1e-3)
     phi, precise = _integrand_factory(spec, ratio, series_tol)

@@ -341,12 +341,12 @@ def _abel_polynomials(orders: int) -> np.ndarray:
 
 _ABEL_POLYNOMIALS = _abel_polynomials(_POWER_ORDERS + 2)
 _POWERS = np.arange(_POWER_ORDERS + 3.0)  # exponents of w; l - 1 and l below
-# the weights L_l at z = 1: zeta(-l), and 1 + zeta(0) = 1/2 at l = 0 (the
-# Euler-Maclaurin constants; the integral term is apart); at z = -1 they
-# are Boole's
-_ZETA_WEIGHTS = np.array([1 / 2, -1 / 12, 0.0, 1 / 120, 0.0, -1 / 252, 0.0, 1 / 240, 0.0,
-                          -1 / 132, 0.0, 691 / 32760, 0.0, -1 / 12])
+# the weights L_l at z = -1 are Boole's; at z = 1 they are zeta(-l), and
+# 1 + zeta(0) = 1/2 at l = 0 (the Euler-Maclaurin constants; the integral
+# term is apart): L_l(-1) = (2^(l+1) - 1) zeta(-l) for l >= 1, and
+# L_0(-1) = 1/2 = (1 + zeta(0)) / (2^1 - 1)
 _ALTERNATING_WEIGHTS = _ABEL_POLYNOMIALS @ 0.5 ** _POWERS
+_ZETA_WEIGHTS = _ALTERNATING_WEIGHTS / (2.0 ** _POWERS[1:] - 1.0)
 
 
 def _abel_weights(z: complex) -> np.ndarray:

@@ -200,14 +200,21 @@ def _cpow(base: complex, expo: complex) -> complex:
 
 
 def _exclusion_reason(ident: str, p: dict, degenerate: bool,
-                     tol: float = _DEGENERATE_TOL) -> str | None:
+                      margin: float = _DEGENERATE_TOL) -> str | None:
     """Reason of the first EXCLUSIONS row of the given kind (degeneracy or
-    stated condition) that excludes the binding p of identity ident."""
+    stated condition) that excludes the binding p of identity ident, in one
+    pass over the rows.  A degeneracy is exact within _DEGENERATE_TOL; when
+    none is, the first one within the wider margin gives its reason marked
+    " (margin)"."""
+    widened = None
     for row in EXCLUSIONS:
-        if ident in row.ids and (row.bound is None) == degenerate \
-                and row.excludes(p, tol):
+        if ident not in row.ids or (row.bound is None) != degenerate:
+            continue
+        if row.excludes(p, _DEGENERATE_TOL):
             return row.reason
-    return None
+        if widened is None and degenerate and row.excludes(p, margin):
+            widened = row.reason + " (margin)"
+    return widened
 
 
 def require_no_exclusion(ident: str, p: dict, degenerate: bool) -> None:
@@ -334,34 +341,36 @@ def _pole_proximity_reason(num_args, den_args, margin: float) -> str | None:
     return None
 
 
-def validity(id: SummationId, params: dict, margin: float = 1e-3,
-             dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
-             ) -> tuple[bool, str]:
-    """Stated conditions + degenerate exclusions + pole margins + series
-    convergence, reported as (ok, machine-readable reason)."""
+def _screen(id: SummationId, params: dict, margin: float,
+            dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
+            ) -> tuple[HyperSeriesSpec | None, str]:
+    """validity() as (the series, built once, or None on failure; reason)."""
     try:
         p = _binding(id, params)
     except InvalidBinding as exc:
-        return False, str(exc)
-    reason = _exclusion_reason(id, p, degenerate=True)
+        return None, str(exc)
+    reason = (_exclusion_reason(id, p, degenerate=True, margin=margin)
+              or _exclusion_reason(id, p, degenerate=False))
     if reason is not None:
-        return False, reason
-    # widen the degenerate exclusions to the sampling margin
-    reason = _exclusion_reason(id, p, degenerate=True, tol=margin)
-    if reason is not None:
-        return False, reason + " (margin)"
-    reason = _exclusion_reason(id, p, degenerate=False)
-    if reason is not None:
-        return False, reason
-    spec = lhs_spec(id, params)
-    cls = classify(spec)
-    if not cls.summable:
-        return False, "series divergent"
-    num_args, den_args = rhs_gamma_arguments(id, params, dixon_variant)
+        return None, reason
+    spec = lhs_spec(id, p)
+    if not classify(spec).summable:
+        return None, "series divergent"
+    num_args, den_args = rhs_gamma_arguments(id, p, dixon_variant)
     reason = _pole_proximity_reason(num_args, den_args, margin)
     if reason is not None:
-        return False, reason
-    return True, "ok"
+        return None, reason
+    return spec, "ok"
+
+
+def validity(id: SummationId, params: dict, margin: float = 1e-3,
+             dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
+             ) -> tuple[bool, str]:
+    """Stated conditions + degenerate exclusions (exact, then widened to
+    the margin) + pole margins + series convergence, reported as
+    (ok, machine-readable reason)."""
+    spec, reason = _screen(id, params, margin, dixon_variant)
+    return spec is not None, reason
 
 
 def check(id: SummationId, params: dict, tol: float,

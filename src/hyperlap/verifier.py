@@ -24,16 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laplace, summation
-from .errors import SamplerExhausted, SlowDecayError
+from .errors import SamplerExhausted, ValidityError
 from .laplace import (CLASSICAL_IDS, LaplaceCase, LaplaceId, NEW_IDS,
                       REQUIRED_LAPLACE_SYMBOLS, SUMMATION_OF, W_FACTOR,
                       case_gamma_arguments, closed_form, closed_form_direct,
                       lhs_integrand, specialization_target, transform_rhs_series)
-from .quadrature import laplace_numeric
+from .quadrature import _SLOW_DECAY_MARGIN, laplace_numeric
 from .reporting import CheckReport, IdentityAggregate, failed_report, make_report
-from .series import eval_series
-from .summation import (ARGUMENT, DixonVariant, REQUIRED_SYMBOLS, SummationId,
-                        lhs_spec, rhs_closed_form)
+from .series import HyperSeriesSpec, eval_series
+from .summation import ARGUMENT, DixonVariant, REQUIRED_SYMBOLS, SummationId, rhs_closed_form
 
 __all__ = [
     "ALL_IDENTITY_IDS",
@@ -64,8 +63,9 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 # series excess margins: keep draws clear of the convergence boundary so
-# the oracles stay fast and well conditioned
-_UNIT_EXCESS_MARGIN = 0.05
+# the oracles stay fast and well conditioned; at z = 1 (s = w for a
+# transform) the margin is the quadrature's, so every such draw is one it
+# accepts
 _ALT_EXCESS_MARGIN = -0.95
 _POWER_MARGIN = 0.05  # Re of the t-power exponent
 
@@ -119,65 +119,85 @@ def _draw_symbol(rng: np.random.Generator, cfg: SamplerConfig, sym: str) -> comp
     return val
 
 
-def _pole_margin_ok(num_args, den_args, margin: float) -> bool:
-    return summation._pole_proximity_reason(num_args, den_args, margin) is None
+def _candidate(rng: np.random.Generator, cfg: SamplerConfig, kind: str, ident) -> dict:
+    """One draw of every symbol of the identity in catalog order, then s for
+    a transform.  Whipple's hard linear constraints hold by construction:
+    b and d are drawn, keeping the stream's order, and then overwritten."""
+    symbols = REQUIRED_SYMBOLS[ident] if kind == "sum" else REQUIRED_LAPLACE_SYMBOLS[ident] + ("s",)
+    binding = {sym: _draw_symbol(rng, cfg, sym) for sym in symbols}
+    if ident is LaplaceId.WHIPPLE_L:
+        binding["b"] = 1 - binding["a"]
+        binding["d"] = 1 + 2 * binding["c"] - binding["e"]
+    return binding
+
+
+def _rejection_sample(kind: str, ident, cfg: SamplerConfig, label: str, n: int,
+                      keep) -> list:
+    """The first n non-None keep(candidate) of the candidates drawn in turn
+    from the child stream label; SamplerExhausted past cfg.max_rejects."""
+    rng = _child_rng(cfg, label)
+    out: list = []
+    rejects = 0
+    while len(out) < n:
+        if rejects > cfg.max_rejects:
+            raise SamplerExhausted(f"{label}: {rejects} rejects for {len(out)}/{n} draws")
+        item = keep(_candidate(rng, cfg, kind, ident))
+        if item is None:
+            rejects += 1
+        else:
+            out.append(item)
+    return out
 
 
 def _excess_too_small(z: complex, excess: float) -> bool:
     """True when a series at z = 1 or z = -1 sits inside the excess margin."""
     if abs(z - 1.0) <= 1e-14:
-        return excess < _UNIT_EXCESS_MARGIN
+        return excess < _SLOW_DECAY_MARGIN
     if abs(z + 1.0) <= 1e-14:
         return excess < _ALT_EXCESS_MARGIN
     return False
 
 
-def _summation_candidate(rng, cfg, sid: SummationId) -> dict:
-    return {sym: _draw_symbol(rng, cfg, sym) for sym in REQUIRED_SYMBOLS[sid]}
+def _summation_ok(sid: SummationId, binding: dict, cfg: SamplerConfig,
+                  ) -> HyperSeriesSpec | None:
+    """The sum's series when the binding passes summation.validity and the
+    excess margin, else None."""
+    spec, _why = summation._screen(sid, binding, cfg.pole_margin)
+    if spec is None or _excess_too_small(spec.argument, spec.excess().real):
+        return None
+    return spec
 
 
-def _summation_ok(sid: SummationId, binding: dict, cfg: SamplerConfig) -> bool:
-    ok, _why = summation.validity(sid, binding, margin=cfg.pole_margin)
-    if not ok:
+def _case_clear(case: LaplaceCase, cfg: SamplerConfig) -> bool:
+    """The case's stated conditions and exclusions hold, and every gamma
+    argument of its closed form stays pole_margin clear of the poles."""
+    try:
+        laplace._check_case_validity(case)
+    except ValidityError:
         return False
-    spec = lhs_spec(sid, binding)
-    return not _excess_too_small(spec.argument, spec.excess().real)
-
-
-def _laplace_candidate(rng, cfg, lid: LaplaceId) -> tuple[dict, complex]:
-    params = {}
-    for sym in REQUIRED_LAPLACE_SYMBOLS[lid]:
-        params[sym] = _draw_symbol(rng, cfg, sym)
-    if lid is LaplaceId.WHIPPLE_L:
-        # hard linear constraints hold by construction
-        params["b"] = 1 - params["a"]
-        params["d"] = 1 + 2 * params["c"] - params["e"]
-    s = complex(rng.uniform(*cfg.ranges["s"]))
-    return params, s
+    return summation._pole_proximity_reason(*case_gamma_arguments(case),
+                                            cfg.pole_margin) is None
 
 
 def _laplace_ok(lid: LaplaceId, params: dict, s: complex, cfg: SamplerConfig) -> bool:
-    try:
-        case = LaplaceCase(lid, params, s)
-        laplace._check_case_validity(case)
-    except Exception:
-        return False
+    """A new transform passes its sum's screen, which holds the transform's
+    exclusions and, as the integrand's excess minus v is the sum's excess
+    and W_FACTOR the sum's ARGUMENT, its excess margin; what is left is
+    Re(s) > 0, the power margin and Gamma(v)'s pole margin.  A classical one
+    passes _case_clear, the power margin and the excess margin."""
+    case = LaplaceCase(lid, params, s)
     if case.power.real < _POWER_MARGIN:
         return False
     if lid in SUMMATION_OF:
-        # validity screens the sum's gamma arguments; only Gamma(v) is left
-        ok, _why = summation.validity(SUMMATION_OF[lid], params, margin=cfg.pole_margin)
-        if not ok:
-            return False
-        num_args, den_args = [case.power], []
-    else:
-        num_args, den_args = case_gamma_arguments(case)
-    integ = lhs_integrand(case)
-    # the transform's series route adds the power as a numerator parameter
-    excess = (integ.spec.excess() - case.power).real
-    if _excess_too_small(W_FACTOR[lid], excess):
+        return (case.s.real > 0.0
+                and _summation_ok(SUMMATION_OF[lid], params, cfg) is not None
+                and summation._pole_proximity_reason([case.power], [],
+                                                     cfg.pole_margin) is None)
+    if not _case_clear(case, cfg):
         return False
-    return _pole_margin_ok(num_args, den_args, cfg.pole_margin)
+    # the transform's series route adds the power as a numerator parameter
+    excess = (lhs_integrand(case).spec.excess() - case.power).real
+    return not _excess_too_small(W_FACTOR[lid], excess)
 
 
 def sample_valid(identity_id: str, cfg: SamplerConfig, n: int,
@@ -187,28 +207,14 @@ def sample_valid(identity_id: str, cfg: SamplerConfig, n: int,
 
     Laplace bindings carry the drawn s under the key "s"."""
     kind, ident = parse_identity(identity_id)
-    rng = _child_rng(cfg, identity_id + label_suffix)
-    out: list[dict] = []
-    rejects = 0
-    while len(out) < n:
-        if rejects > cfg.max_rejects:
-            raise SamplerExhausted(
-                f"{identity_id}: {rejects} rejects for {len(out)}/{n} draws")
+
+    def keep(binding):
         if kind == "sum":
-            binding = _summation_candidate(rng, cfg, ident)
-            if _summation_ok(ident, binding, cfg):
-                out.append(binding)
-            else:
-                rejects += 1
+            ok = _summation_ok(ident, binding, cfg) is not None
         else:
-            params, s = _laplace_candidate(rng, cfg, ident)
-            if _laplace_ok(ident, params, s, cfg):
-                params = dict(params)
-                params["s"] = s
-                out.append(params)
-            else:
-                rejects += 1
-    return out
+            ok = _laplace_ok(ident, *_split_laplace_binding(binding), cfg)
+        return binding if ok else None
+    return _rejection_sample(kind, ident, cfg, identity_id + label_suffix, n, keep)
 
 
 def _split_laplace_binding(binding: dict) -> tuple[dict, complex]:
@@ -259,9 +265,6 @@ def check_quadrature(identity_id: str, binding: dict, tol: float,
         lhs = laplace_numeric(integ.power, case.s, integ.w, integ.spec,
                               tol=oracle_tol)
         rhs = closed_form(case, dixon_variant)
-    except SlowDecayError as exc:
-        return failed_report(identity_id, binding, "quadrature",
-                             f"SlowDecayError: {exc}")
     except Exception as exc:  # noqa: BLE001
         return failed_report(identity_id, binding, "quadrature",
                              f"{type(exc).__name__}: {exc}")
@@ -311,45 +314,27 @@ def check_specialization(identity_id: str, binding: dict, tol: float) -> CheckRe
 
 
 def _specialized_ok(lid: LaplaceId, binding: dict, cfg: SamplerConfig) -> bool:
-    """A draw usable for the specialization check: valid for the extended
+    """A draw usable for the specialization check: clear for the extended
     entry at the substituted d AND for the classical target."""
     rule = specialization_target(lid)
     params, s = _split_laplace_binding(binding)
-    params = dict(params)
     params["d"] = rule.d_value(params)
     if params["d"].real < _POWER_MARGIN:
         return False
-    try:
-        ext_case = LaplaceCase(lid, params, s)
-        laplace._check_case_validity(ext_case)
-        cl_case = LaplaceCase(rule.classical_id, rule.classical_params(params), s)
-        laplace._check_case_validity(cl_case)
-    except Exception:
-        return False
-    for case in (ext_case, cl_case):
-        num_args, den_args = case_gamma_arguments(case)
-        if not _pole_margin_ok(num_args, den_args, cfg.pole_margin):
-            return False
-    return True
+    return (_case_clear(LaplaceCase(lid, params, s), cfg)
+            and _case_clear(LaplaceCase(rule.classical_id, rule.classical_params(params), s),
+                            cfg))
 
 
 def sample_for_specialization(identity_id: str, cfg: SamplerConfig,
                               n: int) -> list[dict]:
     kind, ident = parse_identity(identity_id)
-    rng = _child_rng(cfg, identity_id + ":specialization")
-    out: list[dict] = []
-    rejects = 0
-    while len(out) < n:
-        if rejects > cfg.max_rejects:
-            raise SamplerExhausted(f"{identity_id}: specialization sampling exhausted")
-        params, s = _laplace_candidate(rng, cfg, ident)
-        binding = dict(params)
-        binding["s"] = s
-        if _laplace_ok(ident, params, s, cfg) and _specialized_ok(ident, binding, cfg):
-            out.append(binding)
-        else:
-            rejects += 1
-    return out
+
+    def keep(binding):
+        ok = (_laplace_ok(ident, *_split_laplace_binding(binding), cfg)
+              and _specialized_ok(ident, binding, cfg))
+        return binding if ok else None
+    return _rejection_sample(kind, ident, cfg, identity_id + ":specialization", n, keep)
 
 
 def resolve_dixon_variant(cfg: SamplerConfig, n: int = 50,
@@ -366,32 +351,25 @@ def resolve_dixon_variant(cfg: SamplerConfig, n: int = 50,
     if n < 20:
         raise ValueError("variant resolution needs n >= 20 draws")
     sid = SummationId.DIXONX
-    rng = _child_rng(cfg, "sum.dixonx:variant")
-    evidence: list[dict] = []
-    rejects = 0
-    while len(evidence) < n:
-        if rejects > cfg.max_rejects:
-            raise SamplerExhausted("dixon variant sampling exhausted")
-        binding = _summation_candidate(rng, cfg, sid)
-        if not _summation_ok(sid, binding, cfg):
-            rejects += 1
-            continue
+
+    def evidence_row(binding):
+        spec = _summation_ok(sid, binding, cfg)
+        if spec is None:
+            return None
         try:
             rhs_b = rhs_closed_form(sid, binding, DixonVariant.HALF_A_MINUS_B).value
             rhs_c2 = rhs_closed_form(sid, binding, DixonVariant.HALF_A_MINUS_C_TWICE).value
         except Exception:
-            rejects += 1
-            continue
+            return None
         if abs(rhs_b - rhs_c2) < 1e-2 * max(abs(rhs_b), abs(rhs_c2)):
-            rejects += 1
-            continue
-        lhs = eval_series(lhs_spec(sid, binding), tol=1e-11)
-        res_b = float(abs(lhs.value - rhs_b) / max(abs(rhs_b), 1e-300))
-        res_c2 = float(abs(lhs.value - rhs_c2) / max(abs(rhs_c2), 1e-300))
-        row = {k: v for k, v in binding.items()}
-        row["residual_half_a_minus_b"] = res_b
-        row["residual_half_a_minus_c_twice"] = res_c2
-        evidence.append(row)
+            return None
+        lhs = eval_series(spec, tol=1e-11).value
+        res_b = float(abs(lhs - rhs_b) / max(abs(rhs_b), 1e-300))
+        res_c2 = float(abs(lhs - rhs_c2) / max(abs(rhs_c2), 1e-300))
+        return {**binding, "residual_half_a_minus_b": res_b,
+                "residual_half_a_minus_c_twice": res_c2}
+
+    evidence = _rejection_sample("sum", sid, cfg, "sum.dixonx:variant", n, evidence_row)
     max_b = max(r["residual_half_a_minus_b"] for r in evidence)
     min_b = min(r["residual_half_a_minus_b"] for r in evidence)
     max_c2 = max(r["residual_half_a_minus_c_twice"] for r in evidence)

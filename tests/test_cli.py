@@ -210,3 +210,12 @@ def test_main_callable_in_process(capsys):
     assert main(["eval", "gamma", "--z", "5"]) == 0
     captured = capsys.readouterr()
     assert "value_re" in captured.out
+
+
+@pytest.mark.parametrize("w, code", [("1.5", 2), ("0.5+2i", 3)])
+def test_eval_laplace_numeric_refusals_exit_codes(w, code, capsys):
+    # 1F1(1; 2) at s = 1+1i: w = 1.5 diverges (validity), w = 0.5+2i exists
+    # but grows along the quadrature's ray (numerical failure)
+    assert main(["eval", "laplace-numeric", "--v", "1", "--s", "1+1i", "--w", w,
+                 "--num", "1", "--den", "2"]) == code
+    assert capsys.readouterr().out == ""

@@ -10,6 +10,7 @@ from hyperlap.laplace import (CLASSICAL_IDS, LaplaceCase, LaplaceId, NEW_IDS,
                               REQUIRED_LAPLACE_SYMBOLS, SUMMATION_OF, closed_form,
                               closed_form_direct, lhs_integrand,
                               specialization_target, transform_rhs_series)
+from hyperlap.quadrature import laplace_numeric
 from hyperlap.series import HyperSeriesSpec
 from hyperlap.summation import lhs_spec, rhs_closed_form
 from hyperlap.verifier import (SamplerConfig, _split_laplace_binding,
@@ -39,6 +40,30 @@ def test_transform_law_validity_clauses():
         transform_rhs_series(1.5, 1.0, 1.0, spec)
     with pytest.raises(ValidityError):
         transform_rhs_series(1.0, 1.0, 0.5, HyperSeriesSpec([1, 2], [3], 0.5))
+
+
+# each existence clause broken once, for 1F1(1; 2) unless noted; w = 1.5 at
+# s = 1+1i and w = 1.2 at s = 1+2i put w/s inside the disk |w/s| < 1 while
+# Re(s) <= Re(w): 1F1(1; 2; x) = (e^x - 1)/x, so the integral diverges
+CLAUSE_VIOLATIONS = [
+    ([1.0, 2.0], [3.0], 1.0, 1.0, 0.5, "transform law requires p <= q"),
+    ([1.0], [2.0], -0.5, 1.0, 0.5, "Re(v)<=0"),
+    ([1.0], [2.0], 1.0, -1.0, 0.5, "Re(s)<=0"),
+    ([1.0], [2.0], 1.0, 1.0, 2.0, "Re(s)<=Re(w)"),
+    ([1.0], [2.0], 1.0, 1 + 1j, 1.5, "Re(s)<=Re(w)"),
+    ([1.0], [2.0], 1.0, 1 + 2j, 1.2, "Re(s)<=Re(w)"),
+    ([1.0], [2.0], 1.5, 1.0, 1.0, "Re(sum(b)-sum(a)-v)<=0 at s=w"),
+    ([1.0], [2.0], 1.0 + 0.5j, 1 + 1j, 1 + 1j, "Re(sum(b)-sum(a)-v)<=0 at s=w"),
+]
+
+
+@pytest.mark.parametrize("num, den, v, s, w, reason", CLAUSE_VIOLATIONS)
+def test_both_routes_refuse_a_broken_clause_alike(num, den, v, s, w, reason):
+    spec = HyperSeriesSpec(num, den, 1.0)
+    for route in (transform_rhs_series, laplace_numeric):
+        with pytest.raises(ValidityError) as info:
+            route(v, s, w, spec)
+        assert str(info.value) == reason
 
 
 def test_transform_law_against_quadrature_style_anchor():

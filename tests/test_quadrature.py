@@ -97,6 +97,13 @@ def test_validity_and_slow_decay_errors():
         laplace_numeric(0.98, 1.0, 1.0, spec)  # rho = -1.02, too slow
 
 
+def test_growth_along_the_ray_is_refused_as_slow_decay():
+    # Re(s) = 1 > Re(w) = 0.5, so the integral exists, but w/s = 1.25+0.75i:
+    # along u = st the integrand grows like e^(0.25 u)
+    with pytest.raises(SlowDecayError, match=r"Re\(w/s\)=1\.25"):
+        laplace_numeric(1.0, 1 + 1j, 0.5 + 2j, HyperSeriesSpec([1.0], [2.0], 1.0))
+
+
 def test_panel_additivity():
     integ = _PanelIntegrator(lambda u: np.exp(-u) * np.sin(u))
     whole, err_whole = integ.integrate(0.0, 8.0, 1e-12)
@@ -380,8 +387,10 @@ def test_power_law_tail_call_forms_one_block(complex_im, monkeypatch):
     form = series._Rows.form
 
     def counted(rows, n, m):
-        blocks.setdefault(id(rows), [float(np.abs(rows.z).max()), 0, 0])
-        blocks[id(rows)][1:] = blocks[id(rows)][1] + 1, n + m
+        # keyed by the kernel object, which the dict keeps alive: an id()
+        # of a freed one may be reused by the next call's
+        blocks.setdefault(rows, [float(np.abs(rows.z).max()), 0, 0])
+        blocks[rows][1:] = blocks[rows][1] + 1, n + m
         return form(rows, n, m)
 
     monkeypatch.setattr(series._Rows, "form", counted)

@@ -8,7 +8,7 @@ from hyperlap.reporting import make_report
 from hyperlap.summation import SummationId, validity
 from hyperlap.verifier import (ALL_IDENTITY_IDS, SamplerConfig, check_quadrature,
                                check_series, parse_identity, resolve_dixon_variant,
-                               run_suite, sample_valid)
+                               run_suite, sample_for_specialization, sample_valid)
 
 
 def test_identity_namespace():
@@ -53,11 +53,24 @@ def test_sampler_deterministic():
     assert one != other
 
 
+# Re(d) <= 0 fails every sum's stated condition
+NO_DRAW_PASSES = SamplerConfig(seed=56, ranges={**SamplerConfig().ranges, "d": (-2.0, -1.0)},
+                               max_rejects=200)
+
+
 def test_sampler_exhaustion():
-    cfg = SamplerConfig(seed=56, ranges={**SamplerConfig().ranges,
-                                         "d": (-2.0, -1.0)}, max_rejects=200)
     with pytest.raises(SamplerExhausted):
-        sample_valid("sum.gauss2x", cfg, 5)
+        sample_valid("sum.gauss2x", NO_DRAW_PASSES, 5)
+
+
+def test_specialization_sampler_exhaustion():
+    with pytest.raises(SamplerExhausted):
+        sample_for_specialization("lap.gauss2x", NO_DRAW_PASSES, 5)
+
+
+def test_dixon_variant_sampler_exhaustion():
+    with pytest.raises(SamplerExhausted):
+        resolve_dixon_variant(NO_DRAW_PASSES, 20)
 
 
 def test_near_zero_rhs_flagged():
@@ -167,3 +180,30 @@ def test_new_transform_draw_records_gamma_arguments_once(monkeypatch):
     monkeypatch.setattr(laplace, "rhs_gamma_arguments", counted)
     assert verifier._laplace_ok(LaplaceId.GAUSS2X_L, params, s, cfg)
     assert calls == [SummationId.GAUSS2X]
+
+
+def test_new_transform_screen_reads_each_row_kind_once(monkeypatch):
+    # a new transform's screen is its sum's: one pass over each kind of
+    # exclusion row and one build of the sum's series, no integrand
+    from hyperlap import series, summation, verifier
+
+    cfg = SamplerConfig(seed=54)
+    binding = sample_valid("lap.whipplex", cfg, 1)[0]
+    params, s = verifier._split_laplace_binding(binding)
+    passes, builds = [], []
+    reason = summation._exclusion_reason
+    init = series.HyperSeriesSpec.__init__
+
+    def counted_reason(ident, p, degenerate, *args, **kwargs):
+        passes.append(degenerate)
+        return reason(ident, p, degenerate, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(summation, "_exclusion_reason", counted_reason)
+    monkeypatch.setattr(series.HyperSeriesSpec, "__init__", counted_init)
+    assert verifier._laplace_ok(LaplaceId.WHIPPLEX_L, params, s, cfg)
+    assert sorted(passes) == [False, True]
+    assert len(builds) == 1
