@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import IndeterminateError, PoleError
 
 __all__ = [
@@ -53,9 +55,9 @@ _MAX_EXP = 709.0  # exp() overflow threshold for float64, with headroom
 
 
 def nearest_pole_distance(z: complex) -> float:
-    """Distance from z to the nearest nonpositive integer."""
-    z = complex(z)
-    n = min(round(z.real), 0)
+    """Distance from z to the nearest nonpositive integer; an array z gives
+    each element's distance."""
+    n = np.minimum(np.rint(z.real), 0.0)
     return abs(z - n)
 
 

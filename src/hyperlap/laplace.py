@@ -18,7 +18,6 @@ kept alongside as a self-test (closed_form_direct).
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -28,8 +27,8 @@ from .errors import InvalidBinding, NotSpecializable, ValidityError
 from .gammafn import gamma, gamma_ratio, GammaRatioSpec
 from .series import HyperSeriesSpec, eval_series
 from .summation import (ARGUMENT, REQUIRED_SYMBOLS, ClosedFormBreakdown, DixonVariant,
-                        SummationId, _build, _Gammas, lhs_spec, require_no_exclusion,
-                        rhs_gamma_arguments)
+                        SummationId, _build, _cpow, _exclusion_clauses, _gamma_arguments,
+                        _Gammas, _raise_first_failing, _series_parameters)
 
 __all__ = [
     "LaplaceCase",
@@ -131,13 +130,9 @@ class LaplaceCase:
         object.__setattr__(self, "s", complex(self.s))
 
     @property
-    def power_label(self) -> str:
-        return _POWER_LABEL.get(self.id, "c")
-
-    @property
     def power(self) -> complex:
         """Exponent v in the t^(v-1) factor, fixed by the identity."""
-        return _POWERS[self.power_label](self.params)
+        return _power(self.id, self.params)
 
     @property
     def w(self) -> complex:
@@ -151,8 +146,9 @@ class LaplaceIntegrand:
     w: complex
 
 
-def _principal_power(base: complex, expo: complex) -> complex:
-    return cmath.exp(complex(expo) * cmath.log(complex(base)))
+def _power(id: LaplaceId, p: dict) -> complex:
+    """The exponent v of an entry; p holds a binding or columns of them."""
+    return _POWERS[_POWER_LABEL.get(id, "c")](p)
 
 
 def require_integral_exists(v: complex, s: complex, w: complex,
@@ -185,7 +181,7 @@ def transform_rhs_series(v: complex, s: complex, w: complex,
     require_integral_exists(v, s, w, spec)
     augmented = HyperSeriesSpec((v,) + spec.numerator, spec.denominator, w / s)
     value = eval_series(augmented, tol=tol)
-    return gamma(v) * _principal_power(s, -v) * value.value
+    return gamma(v) * _cpow(s, -v) * value.value
 
 
 def lhs_integrand(case: LaplaceCase) -> LaplaceIntegrand:
@@ -194,21 +190,25 @@ def lhs_integrand(case: LaplaceCase) -> LaplaceIntegrand:
     A new transform's inner series is the series of its sum (lhs_spec)
     with the numerator parameter v taken out, the other parameters kept
     in order; the transform law puts v back."""
-    if case.id in SUMMATION_OF:
-        series = lhs_spec(SUMMATION_OF[case.id], case.params)
-        num = list(series.numerator)
+    num, den = _integrand_parameters(case.id, case.params)
+    return LaplaceIntegrand(case.power, HyperSeriesSpec(num, den, 1.0), case.w)
+
+
+def _integrand_parameters(id: LaplaceId, p: dict) -> tuple[list, list]:
+    """Numerator and denominator parameters of the integrand's series; p
+    holds a binding or, for a classical entry, columns of them."""
+    if id in SUMMATION_OF:
+        num, den = _series_parameters(SUMMATION_OF[id], p)
         # the last match: v stands right before d+1, and a parameter equal
         # to v further left must keep its place
-        del num[len(num) - 1 - num[::-1].index(case.power)]
-        return LaplaceIntegrand(case.power, HyperSeriesSpec(num, series.denominator, 1.0),
-                                case.w)
-    p = case.params
+        del num[len(num) - 1 - num[::-1].index(_power(id, p))]
+        return num, den
     a = p.get("a")
     b = p.get("b")
     c = p.get("c")
     d = p.get("d")
     e = p.get("e")
-    table: dict[LaplaceId, Callable[[], tuple]] = {
+    table: dict[LaplaceId, Callable[[], tuple[list, list]]] = {
         LaplaceId.GAUSS2_L: lambda: ([a], [(a + b + 1) / 2]),
         LaplaceId.BAILEY_L: lambda: ([a], [c]),
         LaplaceId.KUMMER_L: lambda: ([a], [1 + a - b]),
@@ -216,52 +216,54 @@ def lhs_integrand(case: LaplaceCase) -> LaplaceIntegrand:
         LaplaceId.DIXON_L: lambda: ([a, b], [1 + a - b, 1 + a - c]),
         LaplaceId.WHIPPLE_L: lambda: ([a, b], [d, e]),
     }
-    num, den = table[case.id]()
-    return LaplaceIntegrand(case.power, HyperSeriesSpec(num, den, 1.0), case.w)
+    return table[id]()
+
+
+def _case_clauses(id: LaplaceId, p: dict, s: complex):
+    """(error type, reason, violated) for each stated condition and inherited
+    exclusion of an entry, in the order they are checked; violated is a bool
+    for a binding and a row mask for columns of them."""
+    yield ValidityError, "Re(s)<=0", s.real <= 0.0
+    yield ValidityError, f"Re({_POWER_LABEL.get(id, 'c')})<=0", _power(id, p).real <= 0.0
+    yield from _exclusion_clauses(id, p, degenerate=False)
+    if id is LaplaceId.WHIPPLE_L:
+        yield (ValidityError, "constraint a+b=1 violated",
+               abs(p["a"] + p["b"] - 1.0) > _CONSTRAINT_TOL)
+        yield (ValidityError, "constraint d+e=1+2c violated",
+               abs(p["d"] + p["e"] - 1.0 - 2 * p["c"]) > _CONSTRAINT_TOL)
+    yield from _exclusion_clauses(id, p, degenerate=True)
 
 
 def _check_case_validity(case: LaplaceCase) -> None:
     """Raise on any violated stated condition or inherited exclusion."""
-    p = case.params
-    if case.s.real <= 0.0:
-        raise ValidityError("Re(s)<=0")
-    if case.power.real <= 0.0:
-        raise ValidityError(f"Re({case.power_label})<=0")
-    require_no_exclusion(case.id, p, degenerate=False)
-    if case.id is LaplaceId.WHIPPLE_L:
-        if abs(p["a"] + p["b"] - 1.0) > _CONSTRAINT_TOL:
-            raise ValidityError("constraint a+b=1 violated")
-        if abs(p["d"] + p["e"] - 1.0 - 2 * p["c"]) > _CONSTRAINT_TOL:
-            raise ValidityError("constraint d+e=1+2c violated")
-    require_no_exclusion(case.id, p, degenerate=True)
+    _raise_first_failing(_case_clauses(case.id, case.params, case.s))
 
 
-def _classical_term(case: LaplaceCase, gr: _Gammas) -> complex:
+def _classical_term(id: LaplaceId, p: dict, gr: _Gammas) -> complex:
     """The printed gamma block of a classical entry, without Gamma(v) s^(-v);
-    every gamma ratio goes through the recording evaluator gr."""
-    p = case.params
+    every gamma ratio and power goes through the recording evaluator gr."""
     a = p.get("a")
     b = p.get("b")
     c = p.get("c")
     d = p.get("d")
     e = p.get("e")
     R = gr.ratio
-    if case.id is LaplaceId.GAUSS2_L:
+    if id is LaplaceId.GAUSS2_L:
         return R([0.5, (a + b + 1) / 2], [(a + 1) / 2, (b + 1) / 2])
-    if case.id is LaplaceId.BAILEY_L:
+    if id is LaplaceId.BAILEY_L:
         return R([c / 2, (c + 1) / 2], [(a + c) / 2, (c - a + 1) / 2])
-    if case.id is LaplaceId.KUMMER_L:
-        return _principal_power(2.0, -a) * R([0.5, 1 + a - b], [(a + 1) / 2, 1 + a / 2 - b])
-    if case.id is LaplaceId.WATSON_L:
+    if id is LaplaceId.KUMMER_L:
+        return gr.power(2.0, -a) * R([0.5, 1 + a - b], [(a + 1) / 2, 1 + a / 2 - b])
+    if id is LaplaceId.WATSON_L:
         return R([0.5, c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2],
                  [(a + 1) / 2, (b + 1) / 2, c - (a - 1) / 2, c - (b - 1) / 2])
-    if case.id is LaplaceId.DIXON_L:
+    if id is LaplaceId.DIXON_L:
         return R([1 + a / 2, 1 + a - b, 1 + a - c, 1 + a / 2 - b - c],
                  [1 + a, 1 + a / 2 - b, 1 + a / 2 - c, 1 + a - b - c])
-    if case.id is LaplaceId.WHIPPLE_L:
-        return math.pi * _principal_power(2.0, 1 - 2 * c) * R(
+    if id is LaplaceId.WHIPPLE_L:
+        return math.pi * gr.power(2.0, 1 - 2 * c) * R(
             [d, e], [(a + d) / 2, (a + e) / 2, (b + d) / 2, (b + e) / 2])
-    raise InvalidBinding(f"{case.id.value} has no classical transcription")
+    raise InvalidBinding(f"{id.value} has no classical transcription")
 
 
 def closed_form(case: LaplaceCase,
@@ -274,13 +276,13 @@ def closed_form(case: LaplaceCase,
     are transcribed directly.
     """
     _check_case_validity(case)
-    front = gamma(case.power) * _principal_power(case.s, -case.power)
+    front = gamma(case.power) * _cpow(case.s, -case.power)
     if case.id in SUMMATION_OF:
         # the sum's closed form, already screened by _check_case_validity
         pre, t1, t2, alpha, beta = _build(SUMMATION_OF[case.id], case.params, _Gammas(),
                                           dixon_variant)
         return ClosedFormBreakdown(front * pre, t1, t2, alpha, beta, front * (pre * (t1 + t2)))
-    term = _classical_term(case, _Gammas())
+    term = _classical_term(case.id, case.params, _Gammas())
     return ClosedFormBreakdown(front, term, complex(0.0), complex(0.0), complex(0.0),
                                front * term)
 
@@ -304,28 +306,28 @@ def closed_form_direct(case: LaplaceCase,
     zero = complex(0.0)
 
     if case.id is LaplaceId.GAUSS2X_L:
-        pre = _principal_power(s, -b) * R(
+        pre = _cpow(s, -b) * R(
             [0.5, b, (a + b + 3) / 2, (a - b - 1) / 2], [(a - b + 3) / 2])
         t1 = ((a + b - 1) / 2 - a * b / d) * R([], [(a + 1) / 2, (b + 1) / 2])
         t2 = ((a + b + 1) / d - 2) * R([], [a / 2, b / 2])
         return ClosedFormBreakdown(pre, t1, t2, zero, zero, pre * (t1 + t2))
 
     if case.id is LaplaceId.BAILEYX_L:
-        pre = _principal_power(s, a - 1) * _principal_power(2.0, -c) * R(
+        pre = _cpow(s, a - 1) * _cpow(2.0, -c) * R(
             [0.5, 1 - a, c + 1], [])
         t1 = (2 / d) * R([], [(a + c) / 2, (c - a + 1) / 2])
         t2 = (1 - c / d) * R([], [(a + c + 1) / 2, (c - a) / 2 + 1])
         return ClosedFormBreakdown(pre, t1, t2, zero, zero, pre * (t1 + t2))
 
     if case.id is LaplaceId.KUMMERX_L:
-        pre = _principal_power(s, -b) * R([0.5, b, 2 + a - b], []) \
-            / (_principal_power(2.0, a) * (1 - b))
+        pre = _cpow(s, -b) * R([0.5, b, 2 + a - b], []) \
+            / (_cpow(2.0, a) * (1 - b))
         t1 = ((1 + a - b) / d - 1) * R([], [a / 2, a / 2 - b + 1.5])
         t2 = (1 - a / d) * R([], [(a + 1) / 2, 1 + a / 2 - b])
         return ClosedFormBreakdown(pre, t1, t2, zero, zero, pre * (t1 + t2))
 
     if case.id is LaplaceId.WATSON1X_L:
-        pre = _principal_power(s, -c) * _principal_power(2.0, a + b - 2) * R(
+        pre = _cpow(s, -c) * _cpow(2.0, a + b - 2) * R(
             [c, c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2], [0.5, a, b])
         t1 = R([a / 2, b / 2], [c - (a - 1) / 2, c - (b - 1) / 2])
         t2 = ((2 * c - d) / d) * R([(a + 1) / 2, (b + 1) / 2],
@@ -336,7 +338,7 @@ def closed_form_direct(case: LaplaceCase,
         alpha = (a * (2 * c - a) + b * (2 * c - b) - 2 * c + 1
                  - (a * b / d) * (4 * c - a - b - 1))
         beta = 8 * ((a + b + 1) / (2 * d) - 1)
-        pre = _principal_power(s, -c) * _principal_power(2.0, a + b - 2) * R(
+        pre = _cpow(s, -c) * _cpow(2.0, a + b - 2) * R(
             [c, c + 0.5, (a + b + 3) / 2, c - (a + b + 1) / 2], [0.5, a, b]) \
             / ((a - b - 1) * (a - b + 1))
         t1 = alpha * R([a / 2, b / 2], [c - (a - 1) / 2, c - (b - 1) / 2])
@@ -347,7 +349,7 @@ def closed_form_direct(case: LaplaceCase,
         alpha = 1 - (1 + a - b) / d
         beta = ((1 + a - b) / (1 + a - b - c)
                 * ((a / d) * (1 + a - b - 2 * c) - 2 * (1 + a / 2 - b - c)))
-        pre = _principal_power(s, -c) * _principal_power(2.0, -a) * R([0.5, c], []) \
+        pre = _cpow(s, -c) * _cpow(2.0, -a) * R([0.5, c], []) \
             / (b - 1)
         t1 = alpha * R([2 + a - b, 1 + a - c, a / 2 - b - c + 1.5],
                        [a / 2, 2 + a - b - c, a / 2 - c + 0.5, a / 2 - b + 1.5])
@@ -358,7 +360,7 @@ def closed_form_direct(case: LaplaceCase,
         return ClosedFormBreakdown(pre, t1, t2, alpha, beta, pre * (t1 + t2))
 
     if case.id is LaplaceId.WHIPPLEX_L:
-        pre = _principal_power(s, -c) * _principal_power(2.0, -2 * a) * R(
+        pre = _cpow(s, -c) * _cpow(2.0, -2 * a) * R(
             [c, e + 1, e - c, 2 * c - e + 1],
             [e - a + 1, e - c + 1, 2 * c - a - e + 1])
         t1 = (1 - (2 * c - e) / d) * R([(e - a) / 2 + 1, c - (a + e) / 2 + 0.5],
@@ -376,14 +378,22 @@ def case_gamma_arguments(case: LaplaceCase,
     """Every gamma argument in the closed form, split numerator/denominator,
     as recorded while building it: Gamma(v) first, then the gamma block.
 
-    Used by the sampler to keep drawn bindings away from gamma poles."""
-    if case.id in SUMMATION_OF:
-        num, den = rhs_gamma_arguments(SUMMATION_OF[case.id], case.params, dixon_variant)
+    The sampler screens them for pole proximity (_case_gamma_arguments)."""
+    num, den = _case_gamma_arguments(case.id, case.params, dixon_variant)
+    return [complex(z) for z in num], [complex(z) for z in den]
+
+
+def _case_gamma_arguments(id: LaplaceId, p: dict,
+                          dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
+                          ) -> tuple[list, list]:
+    """case_gamma_arguments for a binding or for columns of them."""
+    if id in SUMMATION_OF:
+        num, den = _gamma_arguments(SUMMATION_OF[id], p, dixon_variant)
     else:
         gr = _Gammas(collect_only=True)
-        _classical_term(case, gr)
+        _classical_term(id, p, gr)
         num, den = gr.numerator_args, gr.denominator_args
-    return [case.power] + num, den
+    return [_power(id, p)] + num, den
 
 
 @dataclass(frozen=True)
@@ -393,14 +403,9 @@ class SpecializationRule:
 
     classical_id: LaplaceId
     d_formula: str
-    _d_value: Callable[[dict], complex]
-    _classical_params: Callable[[dict], dict]
-
-    def d_value(self, params: dict) -> complex:
-        return self._d_value({k: complex(v) for k, v in params.items()})
-
-    def classical_params(self, params: dict) -> dict:
-        return self._classical_params({k: complex(v) for k, v in params.items()})
+    # each takes parameters as complex values, or as columns of them
+    d_value: Callable[[dict], complex]
+    classical_params: Callable[[dict], dict]
 
 
 _SPECIALIZATIONS: dict[LaplaceId, SpecializationRule] = {

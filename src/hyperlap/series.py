@@ -44,8 +44,10 @@ __all__ = [
     "SeriesResult",
     "TermRatios",
     "classify",
+    "converges",
     "derivative_shift",
     "eval_series",
+    "parametric_excess",
     "series_values_real",
 ]
 
@@ -53,6 +55,30 @@ _ABS_FLOOR = 1e-300
 # predicted cancellation above which eval_series sums in double-double
 _DD_CANCEL_THRESHOLD = 1e6
 _EPS = 2.220446049250313e-16
+
+
+def parametric_excess(numerator, denominator) -> complex:
+    """sum(b_j) - sum(a_i), which decides convergence on the unit circle;
+    parameters given as arrays give the excess of each row."""
+    return sum(denominator, complex(0.0)) - sum(numerator, complex(0.0))
+
+
+def converges(p: int, q: int, argument: complex, delta):
+    """Whether a pFq series that does not terminate converges at argument:
+    every z for p <= q, |z| < 1 for p = q + 1, and on |z| = 1 an excess
+    delta with Re(delta) > 0, or Re(delta) > -1 away from z = 1.  An array
+    delta gives a row mask."""
+    if p <= q:
+        return True
+    if p == q + 1:
+        r = abs(argument)
+        if r < 1.0 - 1e-14:
+            return True
+        if abs(r - 1.0) <= 1e-14:
+            if abs(argument - 1.0) <= 1e-14:
+                return delta.real > 0.0
+            return delta.real > -1.0
+    return False
 
 
 def _termination_order(numerator: Sequence[complex]) -> int | None:
@@ -108,7 +134,7 @@ class HyperSeriesSpec:
 
     def excess(self) -> complex:
         """Parametric excess sum(b_j) - sum(a_i) (unit-circle convergence)."""
-        return sum(self.denominator, complex(0.0)) - sum(self.numerator, complex(0.0))
+        return parametric_excess(self.numerator, self.denominator)
 
 
 class Convergence(enum.Enum):
@@ -152,16 +178,13 @@ def classify(spec: HyperSeriesSpec) -> ConvergenceClass:
     p, q = spec.p, spec.q
     if p <= q:
         return ConvergenceClass(Convergence.ALL_Z, delta)
-    if p == q + 1:
-        r = abs(spec.argument)
-        if r < 1.0 - 1e-14:
-            return ConvergenceClass(Convergence.INSIDE_UNIT_DISK, delta)
-        if abs(r - 1.0) <= 1e-14:
-            if delta.real > 0.0:
-                return ConvergenceClass(Convergence.UNIT_CIRCLE_ABSOLUTE, delta)
-            if -1.0 < delta.real <= 0.0 and abs(spec.argument - 1.0) > 1e-14:
-                return ConvergenceClass(Convergence.UNIT_CIRCLE_CONDITIONAL, delta)
-    return ConvergenceClass(Convergence.DIVERGENT, delta)
+    if not converges(p, q, spec.argument, delta):
+        return ConvergenceClass(Convergence.DIVERGENT, delta)
+    if abs(spec.argument) < 1.0 - 1e-14:
+        return ConvergenceClass(Convergence.INSIDE_UNIT_DISK, delta)
+    if delta.real > 0.0:
+        return ConvergenceClass(Convergence.UNIT_CIRCLE_ABSOLUTE, delta)
+    return ConvergenceClass(Convergence.UNIT_CIRCLE_CONDITIONAL, delta)
 
 
 def derivative_shift(spec: HyperSeriesSpec) -> tuple[complex, HyperSeriesSpec]:

@@ -10,21 +10,25 @@ The closed forms are transcribed term by term; rhs_closed_form evaluates
 them, validity() screens parameter bindings against the stated conditions
 and degenerate exclusions (the EXCLUSIONS table, shared with the Laplace
 catalog), pole proximity and series convergence, and check() compares a
-closed form against the direct series oracle.
+closed form against the direct series oracle.  The screen's rules also run
+on columns of bindings (_screen_rows), for the sampler's candidate blocks.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
+import numpy as np
+
 from .errors import DegenerateParameterError, InvalidBinding, ValidityError
-from .gammafn import (POLE_TOL, gamma_ratio, GammaRatioSpec, is_nonpositive_integer,
-                      nearest_pole_distance)
+from .gammafn import POLE_TOL, gamma_ratio, GammaRatioSpec, nearest_pole_distance
 from .reporting import CheckReport, failed_report, make_report
-from .series import HyperSeriesSpec, classify, eval_series
+from .series import HyperSeriesSpec, classify, converges, eval_series, parametric_excess
 
 __all__ = [
     "ARGUMENT",
@@ -103,7 +107,7 @@ class Exclusion:
     """
 
     ids: tuple[str, ...]
-    expression: Callable[[dict], complex]
+    expression: Callable[[dict], complex]  # on a binding, or on columns of them
     reason: str
     bound: float | None = None
 
@@ -155,7 +159,13 @@ def _binding(id: SummationId, params: dict) -> dict[str, complex]:
 
 def lhs_spec(id: SummationId, params: dict) -> HyperSeriesSpec:
     """The exact series whose sum the closed form claims."""
-    p = _binding(id, params)
+    num, den = _series_parameters(id, _binding(id, params))
+    return HyperSeriesSpec(num, den, ARGUMENT[id])
+
+
+def _series_parameters(id: SummationId, p: dict) -> tuple[list, list]:
+    """Numerator and denominator parameters of the sum's series; p holds a
+    binding or columns of bindings."""
     a = p.get("a")
     b = p.get("b")
     c = p.get("c")
@@ -170,59 +180,91 @@ def lhs_spec(id: SummationId, params: dict) -> HyperSeriesSpec:
         SummationId.DIXONX: lambda: ([a, b, c, d + 1], [2 + a - b, 1 + a - c, d]),
         SummationId.WHIPPLEX: lambda: ([a, 1 - a, c, d + 1], [e + 1, 2 * c - e + 1, d]),
     }
-    num, den = parameters[id]()
-    return HyperSeriesSpec(num, den, ARGUMENT[id])
+    return parameters[id]()
 
 
 class _Gammas:
     """Gamma-ratio evaluator that records every argument it is handed.
 
-    ``collect_only`` skips evaluation so validity() can screen arguments
-    for pole proximity without tripping PoleError first.
+    ``collect_only`` evaluates nothing, neither the gamma ratios nor the
+    2^x prefactors: validity() screens the arguments for pole proximity
+    without tripping PoleError first, and the sampler collects them from
+    columns of bindings.
     """
 
     def __init__(self, collect_only: bool = False):
         self.collect_only = collect_only
-        self.numerator_args: list[complex] = []
-        self.denominator_args: list[complex] = []
+        self.numerator_args: list = []
+        self.denominator_args: list = []
 
     def ratio(self, num, den) -> complex:
-        self.numerator_args.extend(complex(x) for x in num)
-        self.denominator_args.extend(complex(x) for x in den)
+        self.numerator_args.extend(num)
+        self.denominator_args.extend(den)
         if self.collect_only:
             return complex(1.0)
         return gamma_ratio(GammaRatioSpec(num, den))
 
+    def power(self, base, expo) -> complex:
+        """The principal-branch power of a prefactor."""
+        if self.collect_only:
+            return complex(1.0)
+        return _cpow(base, expo)
+
 
 def _cpow(base: complex, expo: complex) -> complex:
-    """Principal-branch power for the 2^x prefactors."""
+    """Principal-branch power base**expo."""
     return cmath.exp(complex(expo) * cmath.log(complex(base)))
 
 
-def _exclusion_reason(ident: str, p: dict, degenerate: bool,
-                      margin: float = _DEGENERATE_TOL) -> str | None:
-    """Reason of the first EXCLUSIONS row of the given kind (degeneracy or
-    stated condition) that excludes the binding p of identity ident, in one
-    pass over the rows.  A degeneracy is exact within _DEGENERATE_TOL; when
-    none is, the first one within the wider margin gives its reason marked
-    " (margin)"."""
-    widened = None
-    for row in EXCLUSIONS:
-        if ident not in row.ids or (row.bound is None) != degenerate:
-            continue
-        if row.excludes(p, _DEGENERATE_TOL):
-            return row.reason
-        if widened is None and degenerate and row.excludes(p, margin):
-            widened = row.reason + " (margin)"
-    return widened
+@functools.lru_cache(maxsize=None)
+def _exclusion_rows(ident: str, degenerate: bool) -> tuple[Exclusion, ...]:
+    """The EXCLUSIONS rows of one kind that name ident, in table order."""
+    return tuple(row for row in EXCLUSIONS
+                 if ident in row.ids and (row.bound is None) == degenerate)
+
+
+def _exclusion_clauses(ident: str, p: dict, degenerate: bool, margin: float | None = None):
+    """(error type, reason, excluded) for each EXCLUSIONS row of the given
+    kind (degeneracy or stated condition) that names ident, in table order;
+    excluded is a bool for a binding p and a row mask for columns of them.
+    A degeneracy is exact within _DEGENERATE_TOL; with a margin the
+    degeneracies follow once more, widened to it and marked " (margin)"."""
+    error = DegenerateParameterError if degenerate else ValidityError
+    rows = _exclusion_rows(ident, degenerate)
+    for row in rows:
+        yield error, row.reason, row.excludes(p, _DEGENERATE_TOL)
+    if degenerate and margin is not None:
+        for row in rows:
+            yield error, row.reason + " (margin)", row.excludes(p, margin)
+
+
+def _first_failing(clauses) -> tuple[type, str] | None:
+    """(error type, reason) of the first clause that excludes a binding."""
+    for error, reason, excluded in clauses:
+        if excluded:
+            return error, reason
+    return None
+
+
+def _raise_first_failing(clauses) -> None:
+    """Raise the error of the first clause that excludes a binding."""
+    failing = _first_failing(clauses)
+    if failing is not None:
+        raise failing[0](failing[1])
+
+
+def _clauses_hold(clauses):
+    """Row mask of the columns of bindings that no clause excludes."""
+    ok = True
+    for _error, _reason, excluded in clauses:
+        ok = ok & np.logical_not(excluded)
+    return ok
 
 
 def require_no_exclusion(ident: str, p: dict, degenerate: bool) -> None:
     """Raise DegenerateParameterError or ValidityError for the first row of
     the given kind that excludes p."""
-    reason = _exclusion_reason(ident, p, degenerate)
-    if reason is not None:
-        raise (DegenerateParameterError if degenerate else ValidityError)(reason)
+    _raise_first_failing(_exclusion_clauses(ident, p, degenerate))
 
 
 def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
@@ -242,19 +284,19 @@ def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
         return pre, t1, t2, zero, zero
 
     if id is SummationId.BAILEYX:
-        pre = _cpow(2.0, -c) * gr.ratio([0.5, c + 1], [])
+        pre = gr.power(2.0, -c) * gr.ratio([0.5, c + 1], [])
         t1 = (2 / d) * gr.ratio([], [(a + c) / 2, (c - a + 1) / 2])
         t2 = (1 - c / d) * gr.ratio([], [(a + c + 1) / 2, (c - a) / 2 + 1])
         return pre, t1, t2, zero, zero
 
     if id is SummationId.KUMMERX:
-        pre = gr.ratio([0.5, 2 + a - b], []) / (_cpow(2.0, a) * (1 - b))
+        pre = gr.ratio([0.5, 2 + a - b], []) / (gr.power(2.0, a) * (1 - b))
         t1 = ((1 + a - b) / d - 1) * gr.ratio([], [a / 2, a / 2 - b + 1.5])
         t2 = (1 - a / d) * gr.ratio([], [(a + 1) / 2, 1 + a / 2 - b])
         return pre, t1, t2, zero, zero
 
     if id is SummationId.WATSON1X:
-        pre = _cpow(2.0, a + b - 2) * gr.ratio(
+        pre = gr.power(2.0, a + b - 2) * gr.ratio(
             [c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2], [0.5, a, b])
         t1 = gr.ratio([a / 2, b / 2], [c - (a - 1) / 2, c - (b - 1) / 2])
         t2 = ((2 * c - d) / d) * gr.ratio(
@@ -265,7 +307,7 @@ def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
         alpha = (a * (2 * c - a) + b * (2 * c - b) - 2 * c + 1
                  - (a * b / d) * (4 * c - a - b - 1))
         beta = 8 * ((a + b + 1) / (2 * d) - 1)
-        pre = _cpow(2.0, a + b - 2) * gr.ratio(
+        pre = gr.power(2.0, a + b - 2) * gr.ratio(
             [c + 0.5, (a + b + 3) / 2, c - (a + b + 1) / 2], [0.5, a, b]) \
             / ((a - b - 1) * (a - b + 1))
         t1 = alpha * gr.ratio([a / 2, b / 2], [c - (a - 1) / 2, c - (b - 1) / 2])
@@ -276,7 +318,7 @@ def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
         alpha = 1 - (1 + a - b) / d
         beta = ((1 + a - b) / (1 + a - b - c)
                 * ((a / d) * (1 + a - b - 2 * c) - 2 * (1 + a / 2 - b - c)))
-        pre = _cpow(2.0, -a) * gr.ratio([0.5], []) / (b - 1)
+        pre = gr.power(2.0, -a) * gr.ratio([0.5], []) / (b - 1)
         t1 = alpha * gr.ratio(
             [2 + a - b, 1 + a - c, a / 2 - b - c + 1.5],
             [a / 2, 2 + a - b - c, a / 2 - c + 0.5, a / 2 - b + 1.5])
@@ -288,7 +330,7 @@ def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
         return pre, t1, t2, alpha, beta
 
     if id is SummationId.WHIPPLEX:
-        pre = _cpow(2.0, -2 * a) * gr.ratio(
+        pre = gr.power(2.0, -2 * a) * gr.ratio(
             [e + 1, e - c, 2 * c - e + 1], [e - a + 1, e - c + 1, 2 * c - a - e + 1])
         t1 = (1 - (2 * c - e) / d) * gr.ratio(
             [(e - a) / 2 + 1, c - (a + e) / 2 + 0.5],
@@ -323,22 +365,54 @@ def rhs_gamma_arguments(id: SummationId, params: dict,
                         dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
                         ) -> tuple[list[complex], list[complex]]:
     """All gamma arguments of the closed form (numerator, denominator)."""
-    p = _binding(id, params)
+    num, den = _gamma_arguments(id, _binding(id, params), dixon_variant)
+    return [complex(z) for z in num], [complex(z) for z in den]
+
+
+def _gamma_arguments(id: SummationId, p: dict, dixon_variant: DixonVariant,
+                    ) -> tuple[list, list]:
+    """The arguments _build hands a collecting _Gammas; p holds a binding or
+    columns of them.  The coefficients it also forms on excluded rows may
+    divide by zero; they are thrown away."""
     gr = _Gammas(collect_only=True)
-    _build(id, p, gr, dixon_variant)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _build(id, p, gr, dixon_variant)
     return gr.numerator_args, gr.denominator_args
+
+
+def _near_pole(z, margin: float, denominator: bool):
+    """The pole screen on one gamma argument: within margin of a pole, where
+    an exact denominator pole (an exact zero of the closed form) is well
+    defined.  An array z gives a row mask."""
+    dist = nearest_pole_distance(z)
+    if denominator:
+        return (dist > POLE_TOL) & (dist <= margin)
+    return dist <= margin
+
+
+def _poles_clear(num_args, den_args, margin: float):
+    """Row mask of _near_pole over columns of gamma arguments."""
+    near = False
+    for z in num_args:
+        near = near | _near_pole(z, margin, denominator=False)
+    for z in den_args:
+        near = near | _near_pole(z, margin, denominator=True)
+    return np.logical_not(near)
 
 
 def _pole_proximity_reason(num_args, den_args, margin: float) -> str | None:
     for z in num_args:
-        if nearest_pole_distance(z) <= margin:
+        if _near_pole(z, margin, denominator=False):
             return f"numerator gamma argument {z:.6g} within {margin:g} of pole"
     for z in den_args:
-        if is_nonpositive_integer(z, POLE_TOL):
-            continue  # exact denominator pole means an exact zero: well defined
-        if nearest_pole_distance(z) <= margin:
+        if _near_pole(z, margin, denominator=True):
             return f"denominator gamma argument {z:.6g} within {margin:g} of pole"
     return None
+
+
+def _screen_clauses(id: SummationId, p: dict, margin: float):
+    return chain(_exclusion_clauses(id, p, degenerate=True, margin=margin),
+                 _exclusion_clauses(id, p, degenerate=False))
 
 
 def _screen(id: SummationId, params: dict, margin: float,
@@ -349,11 +423,13 @@ def _screen(id: SummationId, params: dict, margin: float,
         p = _binding(id, params)
     except InvalidBinding as exc:
         return None, str(exc)
-    reason = (_exclusion_reason(id, p, degenerate=True, margin=margin)
-              or _exclusion_reason(id, p, degenerate=False))
-    if reason is not None:
-        return None, reason
-    spec = lhs_spec(id, p)
+    failing = _first_failing(_screen_clauses(id, p, margin))
+    if failing is not None:
+        return None, failing[1]
+    try:
+        spec = lhs_spec(id, p)
+    except ValueError as exc:  # a denominator parameter on a nonpositive integer
+        return None, str(exc)
     if not classify(spec).summable:
         return None, "series divergent"
     num_args, den_args = rhs_gamma_arguments(id, p, dixon_variant)
@@ -361,6 +437,25 @@ def _screen(id: SummationId, params: dict, margin: float,
     if reason is not None:
         return None, reason
     return spec, "ok"
+
+
+def _screen_rows(id: SummationId, p: dict, margin: float,
+                dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B):
+    """_screen over columns of bindings (symbol -> complex array): the row
+    mask of the bindings validity() accepts, and each row's series excess.
+    A row with a series parameter on a nonpositive integer, where the
+    series terminates or is undefined, takes _screen itself."""
+    num, den = _series_parameters(id, p)
+    excess = parametric_excess(num, den)
+    ok = (_clauses_hold(_screen_clauses(id, p, margin))
+          & converges(len(num), len(den), ARGUMENT[id], excess)
+          & _poles_clear(*_gamma_arguments(id, p, dixon_variant), margin))
+    on_integer = np.logical_or.reduce([nearest_pole_distance(x) <= POLE_TOL
+                                       for x in num + den])
+    for i in np.flatnonzero(on_integer):
+        row = {sym: col[i] for sym, col in p.items()}
+        ok[i] = _screen(id, row, margin, dixon_variant)[0] is not None
+    return ok, excess
 
 
 def validity(id: SummationId, params: dict, margin: float = 1e-3,

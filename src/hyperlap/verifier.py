@@ -11,9 +11,11 @@ transforms (lap.*).  Each is hit with up to four independent oracles:
 * specialization -- extended transform at the distinguished d against the
                   classical entry it must collapse to.
 
-Samples are drawn sequentially from per-(identity, oracle) child seeds, so
-results are reproducible bit for bit regardless of how checks might be
-scheduled.
+Samples are drawn in blocks, in the same stream order, from
+per-(identity, oracle) child seeds, so results are reproducible bit for bit
+regardless of how checks might be scheduled.  Each block is screened as
+columns of bindings by the catalog's own rules, and its rows are accepted
+in stream order.
 """
 
 from __future__ import annotations
@@ -24,15 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laplace, summation
-from .errors import SamplerExhausted, ValidityError
+from .errors import SamplerExhausted
 from .laplace import (CLASSICAL_IDS, LaplaceCase, LaplaceId, NEW_IDS,
-                      REQUIRED_LAPLACE_SYMBOLS, SUMMATION_OF, W_FACTOR,
-                      case_gamma_arguments, closed_form, closed_form_direct,
-                      lhs_integrand, specialization_target, transform_rhs_series)
+                      REQUIRED_LAPLACE_SYMBOLS, SUMMATION_OF, W_FACTOR, closed_form,
+                      closed_form_direct, lhs_integrand, specialization_target,
+                      transform_rhs_series)
 from .quadrature import _SLOW_DECAY_MARGIN, laplace_numeric
 from .reporting import CheckReport, IdentityAggregate, failed_report, make_report
-from .series import HyperSeriesSpec, eval_series
-from .summation import ARGUMENT, DixonVariant, REQUIRED_SYMBOLS, SummationId, rhs_closed_form
+from .series import eval_series, parametric_excess
+from .summation import (ARGUMENT, DixonVariant, REQUIRED_SYMBOLS, SummationId, lhs_spec,
+                        rhs_closed_form)
 
 __all__ = [
     "ALL_IDENTITY_IDS",
@@ -84,6 +87,11 @@ class SamplerConfig:
     # imaginary perturbation amplitude for the complex robustness mode
     complex_im: float = 0.0
 
+    def __post_init__(self):
+        for name in ("pole_margin", "complex_im"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 def parse_identity(identity_id: str) -> tuple[str, object]:
     """'sum.kummerx' -> ('sum', SummationId.KUMMERX); same for 'lap.*'.
@@ -111,45 +119,78 @@ def _child_rng(cfg: SamplerConfig, label: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def _draw_symbol(rng: np.random.Generator, cfg: SamplerConfig, sym: str) -> complex:
-    lo, hi = cfg.ranges[sym]
-    val = complex(rng.uniform(lo, hi))
-    if cfg.complex_im > 0.0 and sym != "s":
-        val += 1j * rng.uniform(-cfg.complex_im, cfg.complex_im)
-    return val
+def _first_block(n: int) -> int:
+    """Rows in a sampler's first candidate block; each later block holds
+    twice as many.  Rows past the n-th acceptance are thrown away and each
+    child stream is private to its call, so the size changes no result."""
+    return max(64, 2 * n)
 
 
-def _candidate(rng: np.random.Generator, cfg: SamplerConfig, kind: str, ident) -> dict:
-    """One draw of every symbol of the identity in catalog order, then s for
-    a transform.  Whipple's hard linear constraints hold by construction:
-    b and d are drawn, keeping the stream's order, and then overwritten."""
-    symbols = REQUIRED_SYMBOLS[ident] if kind == "sum" else REQUIRED_LAPLACE_SYMBOLS[ident] + ("s",)
-    binding = {sym: _draw_symbol(rng, cfg, sym) for sym in symbols}
+def _symbols(kind: str, ident) -> tuple[str, ...]:
+    """The drawn symbols in catalog order, then s for a transform."""
+    return REQUIRED_SYMBOLS[ident] if kind == "sum" else REQUIRED_LAPLACE_SYMBOLS[ident] + ("s",)
+
+
+def _impose_whipple(p: dict) -> None:
+    """Whipple's hard linear constraints hold by construction: b and d are
+    drawn, keeping the stream's order, and then overwritten."""
+    p["b"] = 1 - p["a"]
+    p["d"] = 1 + 2 * p["c"] - p["e"]
+
+
+def _draw_block(rng: np.random.Generator, cfg: SamplerConfig, kind: str, ident,
+                size: int) -> dict:
+    """size candidates as columns (symbol -> complex array) from one
+    rng.random call, read in the order of one-at-a-time rng.uniform draws:
+    each symbol's real part, then its imaginary part in complex mode."""
+    spans = []
+    for sym in _symbols(kind, ident):
+        spans.append((sym, *cfg.ranges[sym], False))
+        if cfg.complex_im > 0.0 and sym != "s":
+            spans.append((sym, -cfg.complex_im, cfg.complex_im, True))
+    u = rng.random((size, len(spans)))
+    cols: dict = {}
+    for j, (sym, lo, hi, imag) in enumerate(spans):
+        x = lo + (hi - lo) * u[:, j]  # rng.uniform(lo, hi), row by row
+        if imag:
+            cols[sym].imag = x
+        else:
+            cols[sym] = x.astype(complex)
     if ident is LaplaceId.WHIPPLE_L:
-        binding["b"] = 1 - binding["a"]
-        binding["d"] = 1 + 2 * binding["c"] - binding["e"]
-    return binding
+        _impose_whipple(cols)
+    return cols
 
 
 def _rejection_sample(kind: str, ident, cfg: SamplerConfig, label: str, n: int,
-                      keep) -> list:
-    """The first n non-None keep(candidate) of the candidates drawn in turn
-    from the child stream label; SamplerExhausted past cfg.max_rejects."""
+                      screen, keep=lambda binding: binding) -> list:
+    """The first n non-None keep(binding) over the candidates that pass
+    screen, in the order drawn from the child stream label; SamplerExhausted
+    past cfg.max_rejects.  screen maps a block of candidates as columns to
+    its row mask."""
     rng = _child_rng(cfg, label)
     out: list = []
     rejects = 0
+    size = _first_block(n)
     while len(out) < n:
-        if rejects > cfg.max_rejects:
-            raise SamplerExhausted(f"{label}: {rejects} rejects for {len(out)}/{n} draws")
-        item = keep(_candidate(rng, cfg, kind, ident))
-        if item is None:
-            rejects += 1
-        else:
+        cols = _draw_block(rng, cfg, kind, ident, size)
+        for i, passed in enumerate(screen(cols).tolist()):
+            if rejects > cfg.max_rejects:
+                raise SamplerExhausted(f"{label}: {rejects} rejects for {len(out)}/{n} draws")
+            item = keep({sym: complex(col[i]) for sym, col in cols.items()}) if passed else None
+            if item is None:
+                rejects += 1
+                continue
             out.append(item)
+            if len(out) == n:
+                break
+        size *= 2
     return out
 
 
-def _excess_too_small(z: complex, excess: float) -> bool:
+# The screens below map columns of bindings (symbol -> complex array) to a
+# row mask, through the catalog's own statement of each rule.
+
+def _excess_too_small(z: complex, excess):
     """True when a series at z = 1 or z = -1 sits inside the excess margin."""
     if abs(z - 1.0) <= 1e-14:
         return excess < _SLOW_DECAY_MARGIN
@@ -158,46 +199,36 @@ def _excess_too_small(z: complex, excess: float) -> bool:
     return False
 
 
-def _summation_ok(sid: SummationId, binding: dict, cfg: SamplerConfig,
-                  ) -> HyperSeriesSpec | None:
-    """The sum's series when the binding passes summation.validity and the
-    excess margin, else None."""
-    spec, _why = summation._screen(sid, binding, cfg.pole_margin)
-    if spec is None or _excess_too_small(spec.argument, spec.excess().real):
-        return None
-    return spec
+def _summation_ok(sid: SummationId, p: dict, cfg: SamplerConfig):
+    """summation.validity and the excess margin."""
+    ok, excess = summation._screen_rows(sid, p, cfg.pole_margin)
+    return ok & np.logical_not(_excess_too_small(ARGUMENT[sid], excess.real))
 
 
-def _case_clear(case: LaplaceCase, cfg: SamplerConfig) -> bool:
-    """The case's stated conditions and exclusions hold, and every gamma
+def _case_clear(lid: LaplaceId, p: dict, s, cfg: SamplerConfig):
+    """The entry's stated conditions and exclusions hold, and every gamma
     argument of its closed form stays pole_margin clear of the poles."""
-    try:
-        laplace._check_case_validity(case)
-    except ValidityError:
-        return False
-    return summation._pole_proximity_reason(*case_gamma_arguments(case),
-                                            cfg.pole_margin) is None
+    return (summation._clauses_hold(laplace._case_clauses(lid, p, s))
+            & summation._poles_clear(*laplace._case_gamma_arguments(lid, p),
+                                     cfg.pole_margin))
 
 
-def _laplace_ok(lid: LaplaceId, params: dict, s: complex, cfg: SamplerConfig) -> bool:
+def _laplace_ok(lid: LaplaceId, p: dict, s, cfg: SamplerConfig):
     """A new transform passes its sum's screen, which holds the transform's
     exclusions and, as the integrand's excess minus v is the sum's excess
     and W_FACTOR the sum's ARGUMENT, its excess margin; what is left is
     Re(s) > 0, the power margin and Gamma(v)'s pole margin.  A classical one
     passes _case_clear, the power margin and the excess margin."""
-    case = LaplaceCase(lid, params, s)
-    if case.power.real < _POWER_MARGIN:
-        return False
+    power = laplace._power(lid, p)
+    ok = np.logical_not(power.real < _POWER_MARGIN)
     if lid in SUMMATION_OF:
-        return (case.s.real > 0.0
-                and _summation_ok(SUMMATION_OF[lid], params, cfg) is not None
-                and summation._pole_proximity_reason([case.power], [],
-                                                     cfg.pole_margin) is None)
-    if not _case_clear(case, cfg):
-        return False
+        return (ok & (s.real > 0.0) & _summation_ok(SUMMATION_OF[lid], p, cfg)
+                & np.logical_not(summation._near_pole(power, cfg.pole_margin,
+                                                      denominator=False)))
     # the transform's series route adds the power as a numerator parameter
-    excess = (lhs_integrand(case).spec.excess() - case.power).real
-    return not _excess_too_small(W_FACTOR[lid], excess)
+    excess = parametric_excess(*laplace._integrand_parameters(lid, p)) - power
+    return (ok & _case_clear(lid, p, s, cfg)
+            & np.logical_not(_excess_too_small(W_FACTOR[lid], excess.real)))
 
 
 def sample_valid(identity_id: str, cfg: SamplerConfig, n: int,
@@ -208,16 +239,15 @@ def sample_valid(identity_id: str, cfg: SamplerConfig, n: int,
     Laplace bindings carry the drawn s under the key "s"."""
     kind, ident = parse_identity(identity_id)
 
-    def keep(binding):
+    def screen(cols):
         if kind == "sum":
-            ok = _summation_ok(ident, binding, cfg) is not None
-        else:
-            ok = _laplace_ok(ident, *_split_laplace_binding(binding), cfg)
-        return binding if ok else None
-    return _rejection_sample(kind, ident, cfg, identity_id + label_suffix, n, keep)
+            return _summation_ok(ident, cols, cfg)
+        return _laplace_ok(ident, *_split_laplace_binding(cols), cfg)
+    return _rejection_sample(kind, ident, cfg, identity_id + label_suffix, n, screen)
 
 
 def _split_laplace_binding(binding: dict) -> tuple[dict, complex]:
+    """(params, s) of a binding, or of columns of them."""
     params = {k: v for k, v in binding.items() if k != "s"}
     return params, binding["s"]
 
@@ -313,28 +343,23 @@ def check_specialization(identity_id: str, binding: dict, tol: float) -> CheckRe
                        classical.value, "specialization", tol)
 
 
-def _specialized_ok(lid: LaplaceId, binding: dict, cfg: SamplerConfig) -> bool:
+def _specialized_ok(lid: LaplaceId, p: dict, s, cfg: SamplerConfig):
     """A draw usable for the specialization check: clear for the extended
     entry at the substituted d AND for the classical target."""
     rule = specialization_target(lid)
-    params, s = _split_laplace_binding(binding)
-    params["d"] = rule.d_value(params)
-    if params["d"].real < _POWER_MARGIN:
-        return False
-    return (_case_clear(LaplaceCase(lid, params, s), cfg)
-            and _case_clear(LaplaceCase(rule.classical_id, rule.classical_params(params), s),
-                            cfg))
+    p = {**p, "d": rule.d_value(p)}
+    return (np.logical_not(p["d"].real < _POWER_MARGIN) & _case_clear(lid, p, s, cfg)
+            & _case_clear(rule.classical_id, rule.classical_params(p), s, cfg))
 
 
 def sample_for_specialization(identity_id: str, cfg: SamplerConfig,
                               n: int) -> list[dict]:
     kind, ident = parse_identity(identity_id)
 
-    def keep(binding):
-        ok = (_laplace_ok(ident, *_split_laplace_binding(binding), cfg)
-              and _specialized_ok(ident, binding, cfg))
-        return binding if ok else None
-    return _rejection_sample(kind, ident, cfg, identity_id + ":specialization", n, keep)
+    def screen(cols):
+        params, s = _split_laplace_binding(cols)
+        return _laplace_ok(ident, params, s, cfg) & _specialized_ok(ident, params, s, cfg)
+    return _rejection_sample(kind, ident, cfg, identity_id + ":specialization", n, screen)
 
 
 def resolve_dixon_variant(cfg: SamplerConfig, n: int = 50,
@@ -353,9 +378,6 @@ def resolve_dixon_variant(cfg: SamplerConfig, n: int = 50,
     sid = SummationId.DIXONX
 
     def evidence_row(binding):
-        spec = _summation_ok(sid, binding, cfg)
-        if spec is None:
-            return None
         try:
             rhs_b = rhs_closed_form(sid, binding, DixonVariant.HALF_A_MINUS_B).value
             rhs_c2 = rhs_closed_form(sid, binding, DixonVariant.HALF_A_MINUS_C_TWICE).value
@@ -363,13 +385,14 @@ def resolve_dixon_variant(cfg: SamplerConfig, n: int = 50,
             return None
         if abs(rhs_b - rhs_c2) < 1e-2 * max(abs(rhs_b), abs(rhs_c2)):
             return None
-        lhs = eval_series(spec, tol=1e-11).value
+        lhs = eval_series(lhs_spec(sid, binding), tol=1e-11).value
         res_b = float(abs(lhs - rhs_b) / max(abs(rhs_b), 1e-300))
         res_c2 = float(abs(lhs - rhs_c2) / max(abs(rhs_c2), 1e-300))
         return {**binding, "residual_half_a_minus_b": res_b,
                 "residual_half_a_minus_c_twice": res_c2}
 
-    evidence = _rejection_sample("sum", sid, cfg, "sum.dixonx:variant", n, evidence_row)
+    evidence = _rejection_sample("sum", sid, cfg, "sum.dixonx:variant", n,
+                                 lambda cols: _summation_ok(sid, cols, cfg), evidence_row)
     max_b = max(r["residual_half_a_minus_b"] for r in evidence)
     min_b = min(r["residual_half_a_minus_b"] for r in evidence)
     max_c2 = max(r["residual_half_a_minus_c_twice"] for r in evidence)
@@ -456,6 +479,8 @@ def run_suite(ids: list[str] | None = None,
     child streams per identity and oracle, so the subsets consumed by the
     capped oracles never shift the others.
     """
+    if n_per_id < 0:
+        raise ValueError(f"n_per_id must be >= 0, got {n_per_id}")
     ids = list(ids) if ids is not None else list(ALL_IDENTITY_IDS)
     cfg = cfg or SamplerConfig()
     tols = dict(DEFAULT_TOLERANCES)

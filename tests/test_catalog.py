@@ -3,6 +3,7 @@ gamma arguments -- held against what the closed forms and screens do."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hyperlap import laplace, summation, verifier
@@ -72,7 +73,9 @@ def _check_degeneracy(row, ident):
     off = {**on, "b": on["b"] + OFF_LINE}
     assert not row.excludes(off, 1e-12) and row.excludes(off, 1e-3)
     assert validity(SummationId(ident), off) == (False, row.reason + " (margin)")
-    assert not verifier._laplace_ok(LaplaceId(ident), off, S, SamplerConfig())
+    columns = {k: np.array([complex(v)]) for k, v in off.items()}
+    assert not verifier._laplace_ok(LaplaceId(ident), columns, np.array([complex(S)]),
+                                    SamplerConfig())[0]
 
 
 def _check_condition(row, ident):
@@ -126,13 +129,14 @@ def test_closed_form_screens_a_new_transform_once(monkeypatch):
     # _check_case_validity reads the table once per kind of row; the sum's
     # closed form is then evaluated without a second screen
     calls = []
-    original = summation._exclusion_reason
+    original = summation._exclusion_clauses
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(summation, "_exclusion_reason", counted)
+    monkeypatch.setattr(summation, "_exclusion_clauses", counted)
+    monkeypatch.setattr(laplace, "_exclusion_clauses", counted)
     case = LaplaceCase(LaplaceId.GAUSS2X_L, {"a": 1.3, "b": 0.7, "d": 1.9}, S)
     closed_form(case)
     assert len(calls) == 2

@@ -219,3 +219,10 @@ def test_eval_laplace_numeric_refusals_exit_codes(w, code, capsys):
     assert main(["eval", "laplace-numeric", "--v", "1", "--s", "1+1i", "--w", w,
                  "--num", "1", "--den", "2"]) == code
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [["--n", "-3"], ["--complex-im", "-0.5"],
+                                   ["--pole-margin", "-1"]])
+def test_suite_refuses_negative_sampler_inputs(flags, capsys):
+    assert main(["suite", "--ids", "sum.gauss2x", *flags]) == 1
+    assert "usage error" in capsys.readouterr().err
