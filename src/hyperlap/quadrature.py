@@ -85,58 +85,63 @@ _SLOW_DECAY_MARGIN = 0.05
 
 def _power_moments(v: complex, n: int) -> np.ndarray:
     """M_k = integral_-1^1 (1+x)^(v-1) T_k(x) dx for k < n, by the
-    Piessens-Branders recurrence (QUADPACK's QAWS moments)."""
+    Piessens-Branders recurrence (QUADPACK's QAWS moments), on Python
+    scalars."""
     two_v = 2.0 ** v
-    m = np.empty(n, dtype=complex)
-    m[0] = two_v / v
-    m[1] = m[0] * (v - 1.0) / (v + 1.0)
+    m = [two_v / v]
+    m.append(m[0] * (v - 1.0) / (v + 1.0))
     for k in range(2, n):
-        m[k] = -(two_v + k * (k - v - 1.0) * m[k - 1]) / ((k - 1.0) * (k + v))
-    return m
+        m.append(-(two_v + k * (k - v - 1.0) * m[k - 1]) / ((k - 1.0) * (k + v)))
+    return np.array(m[:n], dtype=complex)
 
 
-def _cc_rule(v: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The weights W = M(v) C25, which integrate (1+x)^(v-1) times the
-    Chebyshev interpolant of the 25 values exactly, and the rule's error
+def _cc_rule(v: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule for (1+x)^(v-1) times the Chebyshev interpolant of the 25
+    values: the moments M_0 .. M_24, whose dot product with the values'
+    Chebyshev coefficients is the integral (real for real v); the absolute
+    weights |W|, W = M C25, which bound its rounding; and the rule's error
     |W @ T_k - M_k| on T_25 .. T_48."""
     m = _power_moments(v, 2 * _CC_N + 1)
     w = m[:_CC_N + 1] @ _CC_C25
-    return w, np.abs(_CC_NEXT @ w - m[_CC_N + 1:])
+    moments = m[:_CC_N + 1].real if complex(v).imag == 0.0 else m[:_CC_N + 1]
+    return moments, np.abs(w), np.abs(_CC_NEXT @ w - m[_CC_N + 1:])
 
 
-_CC_PLAIN = _cc_rule(1.0 + 0.0j)
+_CC_PLAIN = _cc_rule(1.0)
 
 
-def _cc_error(g: np.ndarray, miss: np.ndarray) -> np.ndarray:
-    """Truncation error of the rule on each row of values g: their Chebyshev
-    coefficients decay like r^k (c_14..16 to c_22..24), so those past the
-    rule are about tail r^m, each costing miss[m-1], the rule's error on
-    T_(24+m); 4 times that sum.  A tail below 24 eps max|g| is rounding."""
-    a = np.abs(g @ _CC_C25.T)
+def _cc_error(a: np.ndarray, g_max: np.ndarray, miss: np.ndarray) -> np.ndarray:
+    """Truncation error of the rule on each row of Chebyshev coefficient
+    magnitudes a (values at most g_max): the coefficients decay like r^k
+    (c_14..16 to c_22..24), so those past the rule are about tail r^m, each
+    costing miss[m-1], the rule's error on T_(24+m); 4 times that sum, a
+    column per column of miss.  A tail below 24 eps g_max is rounding."""
     tail = a[:, 22:].max(axis=1)
-    prior = a[:, 14:17].max(axis=1)
-    tail[tail <= _CC_N * _EPS * np.abs(g).max(axis=1)] = 0.0
-    r = np.where(prior > tail, tail / np.maximum(prior, 1e-300), 1.0) ** 0.125
-    return 4.0 * tail * np.sum(miss * r[:, None] ** _CC_M, axis=1)
+    tail = np.where(tail > _CC_N * _EPS * g_max, tail, 0.0)
+    r = np.minimum(tail / np.maximum(a[:, 14:17].max(axis=1), 1e-300), 1.0) ** 0.125
+    return (4.0 * tail)[:, None] * ((r[:, None] ** _CC_M) @ miss)
 
 
 class _PanelIntegrator:
     """Adaptive bisection refined in deterministic sweeps.
 
     The integrand is u^(v-1) f(u); every panel is the 25-point
-    Clenshaw-Curtis rule on u = mid + half x_j, value = scale (W @ g), with
-    g = f, scale = (b/2)^v, W = M(v) C25 on [0, b] and g = u^(v-1) f,
-    scale = half, W = M(1) C25 elsewhere; its error is _cc_error of g plus
-    the sum's rounding.  A sweep orders the panels by error (larger first,
-    lower index on ties), bisects the shortest prefix whose removal leaves
-    the unsplit error at most half the budget, and evaluates every child in
+    Clenshaw-Curtis rule on u = mid + half x_j, value = scale c @ M, with c
+    the Chebyshev coefficients of g and M the rule's moments: g = f,
+    scale = (b/2)^v, M = M(v) on [0, b] and g = u^(v-1) f, scale = half,
+    M = M(1) elsewhere; its error is _cc_error of c plus the sum's
+    rounding.  A sweep orders the panels by error (larger first, lower
+    index on ties), bisects the shortest prefix whose removal leaves the
+    unsplit error at most half the budget, and evaluates every child in
     one call of f; the panel count never exceeds max_panels.
 
     An f that rounds measurably returns (values, charge), a bound on each
-    value's rounding.  Every call adds the charge, weighted by
-    |scale| |W| |u^(v-1)|, to the running total rounding.  When a call
-    would take that total past budget and a more precise integrand is at
-    hand, the call is made again with it, and it replaces f from then on."""
+    value's rounding.  Each panel's charge, weighted by
+    |scale| |W| |u^(v-1)|, is added to the running total rounding when the
+    panel is taken: all of a call's panels at once (_panels), or one at a
+    time (take).  When a charge would take that total past budget and a
+    more precise integrand is at hand, the panels are evaluated again with
+    it, and it replaces f from then on."""
 
     def __init__(self, f, v: complex = 1.0, precise=None):
         self.f = f
@@ -145,12 +150,16 @@ class _PanelIntegrator:
         self.nodes_used = 0
         self.rounding = 0.0
         self.budget = math.inf
-        self._rule0 = _cc_rule(self.v)
+        # the plain rule and the rule of a panel at 0, as the two columns
+        # of its moments, absolute weights and errors past the rule
+        rule0 = _CC_PLAIN if self.v == 1.0 else _cc_rule(self.v)
+        self._rules = [np.stack([plain, at0], axis=1) for plain, at0 in zip(_CC_PLAIN, rule0)]
+        self._v0 = self.v if self.v.imag else self.v.real
 
-    def _power(self, u: np.ndarray) -> np.ndarray:
-        if self.v == 1.0:
-            return np.ones(u.shape)
-        return np.exp((self.v - 1.0) * np.log(u.astype(complex)))
+    def _power(self, u: np.ndarray):
+        if self.v.imag == 0.0:
+            return u ** (self.v.real - 1.0)
+        return np.exp((self.v - 1.0) * np.log(u))
 
     def sharpen(self) -> bool:
         """Make the precise integrand f from now on; False if there is none."""
@@ -159,53 +168,102 @@ class _PanelIntegrator:
         self.f, self.precise = self.precise, None
         return True
 
-    def _evaluate(self, u: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-        """f at the nodes u and its charge (zero for an f without one); a
-        charged f adds weights() @ charge to the rounding, with the precise
-        integrand when the budget needs it."""
-        fv = self.f(u)
-        self.nodes_used += len(u)
-        if not isinstance(fv, tuple):
-            return fv, np.zeros(len(u))
-        fv, charge = fv
-        w = weights()
-        # an infinite charge (partial sums near the overflow threshold) is
-        # refused below
-        with np.errstate(invalid="ignore"):
-            added = float(w @ charge)
-            if self.rounding + added > self.budget and self.sharpen():
-                fv, charge = self.f(u)
-                self.nodes_used += len(u)
-                added = float(w @ charge)
-        if not math.isfinite(added):
-            raise OverflowError("rounding bound of the integrand overflowed "
-                                f"(u up to {float(u.max()):.6g})")
-        self.rounding += added
-        return fv, charge
-
-    def _panels(self, spans, points=()):
-        """Value and error of each (a, b) span, the integrand at its nodes
-        (a row per span, from u = b down to u = a; f itself on a panel
-        [0, b]), and the integrand at the extra points with a bound on its
-        rounding, all from one call of f."""
+    def _call(self, spans, points=()):
+        """One call of f at the nodes of the (a, b) spans and at the extra
+        points: each span's (value, error), |integrand| at its nodes (a row
+        per span, from u = b down to u = a; f itself on a panel [0, b]),
+        its weighted rounding charge (None for an f without one; not yet
+        added to the total), and the integrand at the points with a bound
+        on its rounding.  A panel at 0 comes first: spans are in position
+        order."""
         ends = np.asarray(spans, dtype=float).reshape(-1, 2)
-        points = np.asarray(points, dtype=float)
         half = 0.5 * (ends[:, 1] - ends[:, 0])
         nodes = (ends[:, 0] + half)[:, None] + half[:, None] * _CC_NODES
-        at0 = ends[:, 0] == 0.0
-        # the panel at 0 carries u^(v-1) in its weights, not at its nodes
-        power = self._power(np.where(at0[:, None], 1.0, nodes))
-        w = np.where(at0[:, None], self._rule0[0], _CC_PLAIN[0])
-        scale = np.where(at0, half ** self.v, half)
-        fv, charge = self._evaluate(np.concatenate([nodes.ravel(), points]), lambda: np.concatenate(
-            [(np.abs(scale)[:, None] * np.abs(w) * np.abs(power)).ravel(), np.zeros(len(points))]))
-        g = fv[:nodes.size].reshape(nodes.shape) * power
-        value = scale * np.sum(w * g, axis=1)
-        miss = np.where(at0[:, None], self._rule0[1], _CC_PLAIN[1])
-        err = np.abs(scale) * (_cc_error(g, miss) + _EPS * np.sum(np.abs(w * g), axis=1))
-        panels = [(complex(val), float(e)) for val, e in zip(value, err)]
+        at0 = len(ends) > 0 and ends[0, 0] == 0.0
+        points = np.asarray(points, dtype=float)
+        fv = self.f(np.concatenate([nodes.ravel(), points]) if points.size else nodes.ravel())
+        self.nodes_used += nodes.size + points.size
+        fv, charge = fv if isinstance(fv, tuple) else (fv, None)
+        g = fv[:nodes.size].reshape(nodes.shape)
+        power = 1.0
+        if self.v != 1.0:
+            if at0:
+                nodes[0] = 1.0  # the panel at 0 carries u^(v-1) in its weights
+            power = self._power(nodes)
+            g = g * power
+        coef = g @ _CC_C25.T
+        absg = np.abs(g)
+        moments, absw, miss = self._rules
+        # both rules on every row; the panel at 0 reads the second column
+        value = coef @ moments
+        err = _cc_error(np.abs(coef), absg.max(axis=1), miss) + _EPS * (absg @ absw)
+        scale = half
+        col = np.zeros(len(ends), dtype=int)
+        if at0:
+            col[0] = 1
+            scale = half.astype(np.result_type(half, self._v0))
+            scale[0] = half[0] ** self._v0
+        rows = np.arange(len(ends))
+        abs_scale = np.abs(scale)
+        value = scale * value[rows, col]
+        err = abs_scale * err[rows, col]
+        panels = list(zip(map(complex, value.tolist()), err.tolist()))
+        added = None
+        if charge is not None:
+            # an infinite charge (partial sums near the overflow threshold)
+            # is refused when it is taken
+            with np.errstate(invalid="ignore"):
+                added = abs_scale * (((charge[:nodes.size].reshape(nodes.shape) * np.abs(power))
+                                      @ absw)[rows, col])
+        if not points.size:
+            return panels, absg, added, points, points
         power = self._power(points)
-        return panels, g, fv[nodes.size:] * power, charge[nodes.size:] * np.abs(power)
+        noise = (charge[nodes.size:] * np.abs(power) if charge is not None
+                 else np.zeros(points.size))
+        return panels, absg, added, fv[nodes.size:] * power, noise
+
+    def _charge(self, added: float, spans, points=()) -> None:
+        """Add the charge of the spans' panels to the total rounding."""
+        if not math.isfinite(added):
+            u_max = max(np.max(spans, initial=0.0), np.max(points, initial=0.0))
+            raise OverflowError("rounding bound of the integrand overflowed "
+                                f"(u up to {u_max:.6g})")
+        self.rounding += added
+
+    def _panels(self, spans, points=()):
+        """Value and error of each (a, b) span, |integrand| at its nodes
+        (a row per span, from u = b down to u = a; f itself on a panel
+        [0, b]), and the integrand at the extra points with a bound on its
+        rounding, all from one call of f, whose charge is added at once."""
+        panels, absg, added, hv, noise = self._call(spans, points)
+        if added is not None:
+            total = float(added.sum())
+            if self.rounding + total > self.budget and self.sharpen():
+                panels, absg, added, hv, noise = self._call(spans, points)
+                total = float(added.sum())
+            self._charge(total, spans, points)
+        return panels, absg, hv, noise
+
+    def batch(self, spans) -> list:
+        """The spans evaluated in one call of f, as panels still to be
+        taken: [(span, (value, error), |integrand| row, charge)]."""
+        panels, absg, added, _, _ = self._call(spans)
+        charges = [None] * len(spans) if added is None else added.tolist()
+        return list(zip(spans, panels, absg, charges))
+
+    def take(self, pending: list):
+        """The first panel of a batch, removed from it, with its charge
+        added now; when that charge would pass the budget and a precise
+        integrand is at hand, it and every panel still pending are
+        evaluated again with that integrand."""
+        span, panel, absg, added = pending[0]
+        if added is not None and self.rounding + added > self.budget and self.sharpen():
+            pending[:] = self.batch([item[0] for item in pending])
+            span, panel, absg, added = pending[0]
+        del pending[0]
+        if added is not None:
+            self._charge(added, [span])
+        return panel, absg
 
     def seed(self, spans) -> list[tuple[float, float, complex, float]]:
         """(lo, hi, value, err) of each span, from one call of f."""
@@ -266,6 +324,45 @@ def _integrand_factory(spec: HyperSeriesSpec, ratio: complex, series_tol: float)
             charged(series._series_vector_dd) if real and ratio.real < 0.0 else None)
 
 
+# |w/s| u past which the series' terms overflow a double (e^709.8): no
+# batch of tail panels reaches past it
+_Z_OVERFLOW = 700.0
+
+
+@dataclass(frozen=True)
+class _TailModel:
+    """|h(u)| ~ h_body (u / u_body)^kappa e^(-decay (u - u_body)) past u_body."""
+
+    h_body: float
+    u_body: float
+    decay: float
+    kappa: float
+
+    def __call__(self, u: float) -> float:
+        return (self.h_body * (u / self.u_body) ** self.kappa
+                * math.exp(-self.decay * (u - self.u_body)))
+
+    def panels(self, width: float, rate: float, target: float) -> int:
+        """The panels of the given width from u_body that the exponential
+        tail takes on this model: the first count whose last panel [a, b]
+        has the bound max(|h(a)| e^(-rate width), |h(b)|) / rate and the
+        integral (|h(a)| - |h(b)|) / secant rate both within target; 64
+        at most, and 1 when |h(u_body)| gives no scale."""
+        if not 0.0 < self.h_body < math.inf:
+            return 1
+        for count in range(1, 65):
+            a = self.u_body + (count - 1) * width
+            ha, hb = self(a), self(a + width)
+            if ha == 0.0:
+                return count
+            drop = math.log(ha / hb) if hb > 0.0 else math.inf
+            integral = ha * width if drop == 0.0 else (ha - hb) * width / drop
+            bound = max(ha * math.exp(-rate * width), hb) / rate
+            if bound <= target and integral <= target:
+                return count
+        return 64
+
+
 def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
                     tol: float = 1e-7) -> IntegralResult:
     """Adaptive quadrature value of the transform integral, where it exists
@@ -299,12 +396,14 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
     # of the budget, else the seed is made again with the precise integrand
     u_body = max(24.0, 6.0 * abs(v))
     spans = [(0.0, 1.0), (1.0, 0.25 * u_body), (0.25 * u_body, u_body)]
-    work = integ.seed(spans)
-    scale = max(sum(abs(item[2]) for item in work), 1e-12)
+    panels, absh, _, _ = integ._panels(spans)
+    scale = max(sum(abs(val) for val, _ in panels), 1e-12)
     if integ.rounding > 0.1 * tol * scale and integ.sharpen():
         integ.rounding = 0.0
-        work = integ.seed(spans)
-        scale = max(sum(abs(item[2]) for item in work), 1e-12)
+        panels, absh, _, _ = integ._panels(spans)
+        scale = max(sum(abs(val) for val, _ in panels), 1e-12)
+    work = [(*span, *panel) for span, panel in zip(spans, panels)]
+    h_body = float(absh[-1, 0])  # |h(u_body)|: the last panel's first node
     if integ.rounding > tol * scale:
         raise OverflowError("rounding of the integrand exceeds the tolerance "
                             f"({integ.rounding:.3g} > {tol * scale:.3g})")
@@ -327,16 +426,48 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         # (h ~ u^kappa e^(-lam u) decays slower than lam for kappa > 0).
         # For Re(w/s) < 0, h ~ u^kappa e^(-u) with kappa < U / 2, and the
         # rounding noise of cancelling sums rules out a measured rate: 1/2
-        lam = 1.0 if spec.p < spec.q or w == 0.0 else max(1.0 - max(ratio.real, 0.0), 0.05)
-        u_lo = u_body
+        decay = 1.0 if spec.p < spec.q or w == 0.0 else 1.0 - max(ratio.real, 0.0)
+        lam = max(decay, 0.05)
         width = max(8.0, 4.0 / lam)
         to_end = 0.5 * width * (1.0 - _CC_NODES)
-        for _ in range(64):
-            ((val, perr),), h, _, _ = integ._panels([(u_lo, u_lo + width)])
+        # the panels the loop will take, predicted from h ~ u^kappa
+        # e^(-decay u) through |h(u_body)|; kappa is known for p = q
+        growth = spec.p == spec.q and w != 0.0 and ratio.real > 0.0  # F ~ e^(ratio u)
+        kappa = 0.0
+        if growth:
+            kappa = (v - 1.0 + sum(spec.numerator, complex(0.0))
+                     - sum(spec.denominator, complex(0.0))).real
+        model = _TailModel(h_body, u_body, decay, kappa)
+        target = max(0.125 * abs_tol, integ.rounding)
+        u_stop = _Z_OVERFLOW / abs(ratio) if ratio != 0.0 else math.inf
+        k_stop = int(min(64.0 * width, u_stop - u_body) // width)
+        if growth and k_stop < 64 and model(u_body + max(k_stop, 0) * width) / lam > target:
+            raise SlowDecayError(
+                f"Re(w/s)={ratio.real:.4g}: the tail decays like u^{kappa:.3g} e^(-{decay:.3g} u) "
+                f"and stays above its target up to |w/s| u = {_Z_OVERFLOW:g}, "
+                "where the series overflows")
+        ahead = model.panels(width, 0.5 if ratio.real < 0.0 else lam, target)
+        u_lo = u_body
+        pending = []
+        for taken in range(64):
+            if not pending:
+                # one call for the predicted panels that start within
+                # twice the call's start (a narrow range of |w/s| u: a call
+                # costs what its largest node costs) and end below the
+                # overflow range; past the prediction, one panel a call
+                fit = int(min(u_lo + width, u_stop - u_lo) // width)
+                count = max(1, min(ahead - taken, fit, 64 - taken))
+                spans = [(u_lo + j * width, u_lo + (j + 1) * width) for j in range(count)]
+                try:
+                    pending = integ.batch(spans)
+                except OverflowError:
+                    if count == 1:
+                        raise
+                    pending = integ.batch(spans[:1])
+            (val, perr), absh = integ.take(pending)
             total += val
             err += perr
             u_lo += width
-            absh = np.abs(h[0])
             if ratio.real < 0.0:
                 rate = 0.5
             elif absh[-1] > absh[0] > 0.0:
@@ -367,6 +498,24 @@ _FIT_K = 6
 _FIT_SPAN = 3.0
 
 
+def _fit_systems(span: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fit's node ratios x = geomspace(1, span, K), nodes U x, and its
+    three systems, which depend on those ratios alone: A^T, A without its
+    first node and last coefficient, and A without its last node and last
+    coefficient, A_jk = (U / (U x_j))^k; the two smaller ones are padded
+    with a unit diagonal, so one batched solve serves all three."""
+    x = np.geomspace(1.0, span, _FIT_K)
+    a = np.vander(1.0 / x, _FIT_K, increasing=True)
+    systems = np.tile(np.eye(_FIT_K, dtype=complex), (3, 1, 1))
+    systems[0] = a.T
+    systems[1, :-1, :-1] = a[1:, :-1]
+    systems[2, :-1, :-1] = a[:-1, :-1]
+    return x, systems
+
+
+_FIT = _fit_systems(_FIT_SPAN)
+
+
 def _power_law_tail(rho_c: complex, u_body: float, integ: _PanelIntegrator,
                     abs_tol: float) -> tuple[complex, float]:
     """Integral of h over [u_body, inf) and its error.
@@ -380,43 +529,46 @@ def _power_law_tail(rho_c: complex, u_body: float, integ: _PanelIntegrator,
     U = u_body, with no panel, on nodes spanning [U, min(3U, u_max)]."""
     u_max = max(600.0, 2.4 * u_body)
     if 2.0 * _FIT_SPAN * u_body > u_max:
-        xs = np.geomspace(u_body, min(_FIT_SPAN * u_body, u_max), _FIT_K)
-        _, _, hv, noise = integ._panels([], xs)
-        return _fit_power_law(rho_c, xs, hv, noise)
+        fit = _fit_systems(min(_FIT_SPAN, u_max / u_body))
+        _, _, hv, noise = integ._panels([], u_body * fit[0])
+        return _fit_power_law(rho_c, u_body, hv, noise, fit)
     extra, extra_err = complex(0.0), 0.0
     lo = u_body
     while True:
         upper = 2.0 * lo
-        xs = np.geomspace(upper, _FIT_SPAN * upper, _FIT_K)
-        (panel,), _, hv, noise = integ._panels([(lo, upper)], xs)
+        (panel,), _, hv, noise = integ._panels([(lo, upper)], upper * _FIT[0])
         val, perr = integ.refine([(lo, upper, *panel)], 0.25 * abs_tol)
         extra += val
         extra_err += perr
-        tail, model_err = _fit_power_law(rho_c, xs, hv, noise)
+        tail, model_err = _fit_power_law(rho_c, upper, hv, noise)
         if model_err <= 0.25 * abs_tol or 2.0 * _FIT_SPAN * upper > u_max:
             return extra + tail, extra_err + model_err
         lo = upper
 
 
-def _fit_power_law(rho_c: complex, xs: np.ndarray, hv: np.ndarray,
-                   noise: np.ndarray) -> tuple[complex, float]:
-    """Integral t over [U, inf), U = xs[0], of the model
-    u^rho sum_{k<K} D_k (U/u)^k that interpolates h = hv at the K nodes xs,
-    and its error: the larger difference from the (K-1)-coefficient fits
-    without the first and without the last node (the outer fit alone
-    shares most of t's error; the inner one extrapolates further), plus
-    the rounding bound noise of hv carried through the fit's weights."""
-    upper = xs[0]
-    power = np.exp(-rho_c * np.log(xs))
+def _fit_power_law(rho_c: complex, upper: float, hv: np.ndarray, noise: np.ndarray,
+                   fit: tuple[np.ndarray, np.ndarray] = _FIT) -> tuple[complex, float]:
+    """Integral t over [U, inf), U = upper, of the model
+    u^rho sum_{k<K} D_k (U/u)^k that interpolates h = hv at the K nodes
+    U x (fit = (x, systems), from _fit_systems), and its error: the larger
+    difference from the (K-1)-coefficient fits without the first and
+    without the last node (the outer fit alone shares most of t's error;
+    the inner one extrapolates further), plus the rounding bound noise of
+    hv carried through the fit's weights."""
+    x, systems = fit
+    power = np.exp(-rho_c * np.log(upper * x))
     g = hv * power
-    A = np.vander(upper / xs, len(xs), increasing=True)
     # the model term D_k U^k u^(rho-k) integrates over [U, inf) to
     # D_k U^(rho+1) / (k-1-rho)
-    mom = cmath.exp((rho_c + 1.0) * math.log(upper)) / (np.arange(len(xs)) - 1.0 - rho_c)
-    weights = np.linalg.solve(A.T, mom) * power
+    mom = cmath.exp((rho_c + 1.0) * math.log(upper)) / (np.arange(_FIT_K) - 1.0 - rho_c)
+    rhs = np.zeros((3, _FIT_K, 1), dtype=complex)
+    rhs[0, :, 0] = mom
+    rhs[1, :-1, 0] = g[1:]
+    rhs[2, :-1, 0] = g[:-1]
+    sol = np.linalg.solve(systems, rhs)[:, :, 0]
+    weights = sol[0] * power
     t_all = complex(weights @ hv)
-    t_outer = complex(np.linalg.solve(A[1:, :-1], g[1:]) @ mom[:-1])
-    t_inner = complex(np.linalg.solve(A[:-1, :-1], g[:-1]) @ mom[:-1])
+    t_outer, t_inner = (sol[1:, :-1] @ mom[:-1]).tolist()
     return t_all, float(max(abs(t_all - t_outer), abs(t_all - t_inner)) + np.abs(weights) @ noise)
 
 

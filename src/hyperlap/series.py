@@ -612,6 +612,7 @@ class TermRatios:
         self.numerator = tuple(conv(a) for a in numerator)
         self.denominator = tuple(conv(b) for b in denominator)
         self._r = np.empty(0, dtype=float if self.real else complex)
+        self._log_walk = np.empty(0)
         self._hi = np.empty(0)
         self._lo = np.empty(0)
 
@@ -642,6 +643,22 @@ class TermRatios:
                     r = r / (b + n)
             self._r = np.concatenate([self._r, r])
         return self._r
+
+    def log_walk(self, stop: int) -> np.ndarray:
+        """sum_(k<=n) log|r_k| for n = 0, 1, ..., at least up to stop, kept
+        beside the table and extended as one running sum, so an entry
+        depends on n and the parameters alone.  Past a terminating order
+        (log|r_order| = -inf) the entries are -inf or NaN."""
+        r = self.ratios(stop)
+        done = len(self._log_walk)
+        if done < len(r):
+            # r_order = 0, and past it the rows may divide by 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = np.log(np.abs(r[done:]))
+                if done:
+                    logs[0] += self._log_walk[-1]
+                self._log_walk = np.concatenate([self._log_walk, np.cumsum(logs)])
+        return self._log_walk
 
     def dd_ratios(self, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """The table as double-double (hi, lo) pairs, at least up to stop
@@ -682,9 +699,11 @@ def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int
     that picks a working precision in mpmath's hypsum and in Johansson,
     ACM TOMS 45, 2019) finds the first n past the running peak with |t_n|
     below tol times the peak, and adds the three rows the stopping rule
-    needs.  The terms fall like z^n / n!^k, k = q - p + 1, so a first
-    window of 2 z_max^(1/k) + 2 _CHUNK rows holds that n unless the
-    parameters are large; a longer walk doubles the window.  The walk reads
+    needs.  The sums of log|r_k| are the table's own (TermRatios.log_walk),
+    so a call adds only n log z_max.  The terms fall like z^n / n!^k,
+    k = q - p + 1, so a first window of 2 z_max^(1/k) + 2 _CHUNK rows holds
+    that n unless the parameters are large; a longer walk doubles the
+    window.  The walk reads
     the table from row 0, so its answer depends on the parameters, z_max
     and tol alone.  The prediction falls short where the partial sums lie
     far below the peak term (cancelling sums); the loop then goes on in
@@ -698,8 +717,7 @@ def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int
         stop = min(stop, max_terms)
         # r_order = 0 ends a terminating series: log -inf, and no later row
         # is read
-        with np.errstate(divide="ignore"):
-            walk = np.cumsum(np.log(np.abs(ratios.ratios(stop)[:stop])) + log_z)
+        walk = ratios.log_walk(stop)[:stop] + np.arange(1.0, stop + 1.0) * log_z
         peak = np.maximum.accumulate(np.maximum(walk, 0.0))  # log |t_0| = 0
         below = np.flatnonzero(walk < peak + math.log(tol))  # |t_(k+1)| vs peak
         if below.size:

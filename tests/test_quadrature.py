@@ -144,9 +144,10 @@ def test_result_fields_are_plain_python():
 
 @pytest.mark.parametrize("a", [1.2, 1.2 + 0.3j])
 def test_integrand_overflow_is_refused(a):
-    # w/s = 0.99: the exponential tail runs out to u where pFq(0.99 u)
-    # no longer fits a double; the oracle must refuse, not return a value
-    with pytest.raises(OverflowError):
+    # w/s = 0.99: the exponential tail would run out to u where pFq(0.99 u)
+    # no longer fits a double; the oracle must refuse, not return a value,
+    # and it does so before the first tail panel
+    with pytest.raises(SlowDecayError, match="overflows"):
         laplace_numeric(1.5, 1.0, 0.99, HyperSeriesSpec([a], [2.5], 1.0), tol=1e-7)
 
 
@@ -521,3 +522,176 @@ def test_exponential_tail_bound_with_a_rising_power():
     assert res.tail_method is TailMethod.EXP_DECAY
     assert abs(res.value - want) <= res.abs_err_est
     assert abs(res.value - want) <= 1e-7 * abs(want)
+
+
+# The exponential tail takes its predicted panels from one integrand call.
+# Against a reference that takes one panel per call (the prediction
+# patched to 1), it must take the same panels, stop at the same one and
+# spend the same nodes; the values may differ in the last bits (a node's
+# sum runs to the call's stop row), and the estimate is no smaller, up to
+# the rounding of the sums that form it.
+PREDICTED_TAILS = [
+    # v, s, w, numerator, denominator, tol
+    (1.5, 1.0, 0.5, [1.5, 0.7], [2.1, 1.3], 1e-7),     # Re(w/s) > 0, one call
+    (3.0, 1.0, 0.6, [2.5], [1.5], 1e-9),               # seven panels, two calls
+    (1.5, 1.0, 2.0, [1.2], [0.8, 1.9], 1e-9),          # p < q
+    (1.5, 1.0, 0.5, [1.5 + 0.3j, 0.7 - 0.2j], [2.1 + 0.1j, 1.3 - 0.4j], 1e-9),
+    (2.0, 1.0, 0.5 + 0.1j, [1.5 + 0.3j], [2.1 - 0.2j], 1e-9),  # runs past the prediction
+    (3.0, 1.0, -1.0, [1.5, 0.7], [2.1, 1.3], 1e-9),    # alternating, in float
+    (2.5, 1.0, -0.6, [0.9], [1.1, 2.0], 1e-9),         # alternating, p < q
+    (3.0, 2.0, -3.0, [0.9, 0.4], [1.5, 2.8], 1e-9),    # double-double from its 2nd panel
+]
+
+
+def _tail_run(monkeypatch, case, one_panel_calls):
+    """The result and the (lo, hi) of every tail panel taken, in order."""
+    from hyperlap import quadrature
+    v, s, w, num, den, tol = case
+    taken = []
+    take = quadrature._PanelIntegrator.take
+
+    def recorded(integ, pending):
+        taken.append(pending[0][0])
+        return take(integ, pending)
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature._PanelIntegrator, "take", recorded)
+        if one_panel_calls:
+            m.setattr(quadrature._TailModel, "panels", lambda model, *args: 1)
+        res = laplace_numeric(v, s, w, HyperSeriesSpec(num, den, 1.0), tol=tol)
+    return res, taken
+
+
+@pytest.mark.parametrize("case", PREDICTED_TAILS)
+def test_predicted_tail_matches_one_panel_per_call(case, monkeypatch):
+    want, want_taken = _tail_run(monkeypatch, case, True)
+    got, got_taken = _tail_run(monkeypatch, case, False)
+    assert want.tail_method is TailMethod.EXP_DECAY
+    assert len(want_taken) >= 2
+    assert got_taken == want_taken
+    assert got.nodes_used == want.nodes_used
+    assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+    assert got.abs_err_est >= want.abs_err_est * (1.0 - 1e-14)
+
+
+def test_predicted_tail_switches_to_double_double_within_a_call(monkeypatch):
+    # the second panel of the tail's one call takes the rounding past the
+    # budget: that panel alone is evaluated again, in double-double
+    calls = []
+    kernel = series._series_vector_dd
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "_series_vector_dd", counted)
+    res, taken = _tail_run(monkeypatch, PREDICTED_TAILS[-1], False)
+    assert len(taken) == 2 and calls == [25]
+    assert res.nodes_used == 75 + 2 * 25 + 25
+
+
+def test_predicted_tail_call_that_would_overflow_falls_back(monkeypatch):
+    # 1F1(0.3; 2.9) at w/s = 0.99, v = 0.5: eight width-80 panels, the
+    # last ending at u = 664, where 0.99 u is still summable.  With the
+    # overflow range lifted and every panel predicted, the call from
+    # u = 584 would reach u = 1224 and overflow; it is made again with
+    # one panel, and the result is the reference's
+    from hyperlap import quadrature
+    case = (0.5, 1.0, 0.99, [0.3], [2.9], 1e-9)
+    want, want_taken = _tail_run(monkeypatch, case, True)
+    monkeypatch.setattr(quadrature, "_Z_OVERFLOW", 1e4)
+    monkeypatch.setattr(quadrature._TailModel, "panels", lambda model, *args: 64)
+    spans = []
+    batch = quadrature._PanelIntegrator.batch
+
+    def recorded(integ, panels):
+        spans.append(panels)
+        return batch(integ, panels)
+
+    monkeypatch.setattr(quadrature._PanelIntegrator, "batch", recorded)
+    got, got_taken = _tail_run(monkeypatch, case, False)
+    assert len(want_taken) == 8 and got_taken == want_taken
+    assert spans[-2][-1][1] > 1000.0 and spans[-1] == spans[-2][:1]
+    assert got.nodes_used == want.nodes_used
+    assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+
+
+def test_exp_decay_draw_without_refinement_makes_two_integrand_calls(monkeypatch):
+    # a seed-42 lap.gauss2x draw: the seed call (3 panels) and one call for
+    # its 4 tail panels, where one call per tail panel made 5
+    calls = []
+    kernel = series._series_vector
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    binding = verifier.sample_valid("lap.gauss2x", verifier.SamplerConfig(seed=42), 1)[0]
+    monkeypatch.setattr(series, "_series_vector", counted)
+    report = verifier.check_quadrature("lap.gauss2x", binding, 1e-5)
+    assert report.passed and report.diagnostics == "nodes=175"
+    assert calls == [75, 100]
+
+
+@pytest.mark.parametrize("ratio", [0.99, 0.999])
+@pytest.mark.parametrize("a", [1.2, 1.2 + 0.3j])
+def test_hopeless_exponential_tail_is_refused_up_front(ratio, a, monkeypatch):
+    # the eval-regimes edge probe: h ~ u^-0.8 e^(-(1 - w/s) u) stays above
+    # its target out to where the series overflows; refused after the
+    # seed call alone, well under a millisecond (was ~4.5 ms and eight
+    # tail panels before an OverflowError)
+    import time
+    calls = []
+    kernel = series._series_vector
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "_series_vector", counted)
+    spec = HyperSeriesSpec([a], [2.5], 1.0)
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(SlowDecayError, match="overflows"):
+            laplace_numeric(1.5, 1.0, ratio, spec, tol=1e-7)
+        best = min(best, time.perf_counter() - start)
+    assert calls == [75] * 5
+    assert best < 1e-3
+
+
+def _fit_by_three_solves(rho_c, upper, hv, noise, fit):
+    """The fit of _fit_power_law with its systems built and solved per call."""
+    xs = upper * fit[0]
+    power = np.exp(-rho_c * np.log(xs))
+    g = hv * power
+    a = np.vander(upper / xs, len(xs), increasing=True)
+    mom = np.exp((rho_c + 1.0) * math.log(upper)) / (np.arange(len(xs)) - 1.0 - rho_c)
+    weights = np.linalg.solve(a.T, mom) * power
+    t_all = complex(weights @ hv)
+    t_outer = complex(np.linalg.solve(a[1:, :-1], g[1:]) @ mom[:-1])
+    t_inner = complex(np.linalg.solve(a[:-1, :-1], g[:-1]) @ mom[:-1])
+    return t_all, float(max(abs(t_all - t_outer), abs(t_all - t_inner)) + np.abs(weights) @ noise)
+
+
+@pytest.mark.parametrize("complex_im", [0.0, 0.3])
+def test_import_time_fit_matches_per_call_solves(complex_im, monkeypatch):
+    from hyperlap import quadrature
+    fits = []
+    fit = quadrature._fit_power_law
+
+    def recorded(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(quadrature, "_fit_power_law", recorded)
+    cfg = verifier.SamplerConfig(seed=42, complex_im=complex_im)
+    for ident in ("lap.watson", "lap.dixon", "lap.whipple", "lap.dixonx", "lap.whipplex"):
+        for binding in verifier.sample_valid(ident, cfg, 5):
+            verifier.check_quadrature(ident, binding, 1e-5)
+    assert len(fits) >= 25
+    for args in fits:
+        t, err = fit(*args)
+        want_t, want_err = _fit_by_three_solves(*args, quadrature._FIT)
+        assert abs(t - want_t) <= 1e-12 * abs(want_t)
+        assert abs(err - want_err) <= 1e-12 * abs(want_t)
