@@ -16,17 +16,30 @@ power at its nodes.  The coarse panels [0, 1], [1, u_body/4] and
 [u_body/4, u_body] give the scale of the integral and then seed one
 worklist, refined in sweeps: each sweep bisects the fewest worst panels
 that bring the unsplit error under half the budget and evaluates all their
-children in one integrand call.  Tails come in two flavors: exponential
-decay (w/s < 1), bounded by the envelope of |h| at the end over its decay
-rate, and algebraic decay u^rho for the s = w family, rho = v - 1 + sum(a)
-- sum(b), where u^rho sum_{k<6} D_k (U/u)^k is fitted at six nodes on
-[U, 3U] and integrated analytically (_power_law_tail).
+children in one integrand call.  Tails come in two flavors.
+
+Exponential decay (w/s < 1): panels are added until one is negligible,
+and the remainder is bounded by the envelope of |h| at the end over its
+decay rate.  How many panels that takes is predicted before the first of
+them, from |h(u_body)| and h ~ u^kappa e^(-decay u) (_TailModel), and the
+predicted panels are evaluated in one integrand call while they start
+within twice the call's start and end below the series' overflow range;
+the loop then takes them one at a time, charging each one's rounding as it
+takes it, so panels past the stop change nothing.  Past the prediction it
+goes on one panel a call.  Where even on that model the bound stays above
+its target up to the overflow range, the integral is refused with
+SlowDecayError before the first tail panel.
+
+Algebraic decay u^rho for the s = w family, rho = v - 1 + sum(a) - sum(b):
+u^rho sum_{k<6} D_k (U/u)^k is fitted at six nodes on [U, 3U] and
+integrated analytically (_power_law_tail); the fit's systems depend only on
+the node ratios and are built at import.
 
 The integrand sums pFq((w/s) u) directly at every node from one table of
 term ratios built per integral (series.TermRatios), so the values do not
 depend on earlier integrals.  Each sum comes with a bound on its rounding
-(its charge), and every call adds the charges, weighted like the values,
-to a running total that goes into the error estimate.  For Re(w/s) < 0 the
+(its charge), and the charges, weighted like the values, go into a
+running total that goes into the error estimate.  For Re(w/s) < 0 the
 terms alternate and cancel: a real integrand starts in float, and once the
 total passes a tenth of the absolute tolerance the rest of the integral
 (the seed included, if it is the seed that passes) is summed in
@@ -38,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -153,7 +167,7 @@ class _PanelIntegrator:
         # the plain rule and the rule of a panel at 0, as the two columns
         # of its moments, absolute weights and errors past the rule
         rule0 = _CC_PLAIN if self.v == 1.0 else _cc_rule(self.v)
-        self._rules = [np.stack([plain, at0], axis=1) for plain, at0 in zip(_CC_PLAIN, rule0)]
+        self._rules = [np.array([plain, at0]).T for plain, at0 in zip(_CC_PLAIN, rule0)]
         self._v0 = self.v if self.v.imag else self.v.real
 
     def _power(self, u: np.ndarray):
@@ -194,27 +208,27 @@ class _PanelIntegrator:
         coef = g @ _CC_C25.T
         absg = np.abs(g)
         moments, absw, miss = self._rules
-        # both rules on every row; the panel at 0 reads the second column
-        value = coef @ moments
-        err = _cc_error(np.abs(coef), absg.max(axis=1), miss) + _EPS * (absg @ absw)
-        scale = half
-        col = np.zeros(len(ends), dtype=int)
+        # both rules on every row: the plain one in the first column, the
+        # one of a panel at 0 in the second
+        both = coef @ moments
+        errs = _cc_error(np.abs(coef), absg.max(axis=1), miss) + _EPS * (absg @ absw)
+        value, err, scale = both[:, 0], errs[:, 0], half
         if at0:
-            col[0] = 1
+            value[0], err[0] = both[0, 1], errs[0, 1]
             scale = half.astype(np.result_type(half, self._v0))
             scale[0] = half[0] ** self._v0
-        rows = np.arange(len(ends))
         abs_scale = np.abs(scale)
-        value = scale * value[rows, col]
-        err = abs_scale * err[rows, col]
-        panels = list(zip(map(complex, value.tolist()), err.tolist()))
+        panels = list(zip(map(complex, (scale * value).tolist()), (abs_scale * err).tolist()))
         added = None
         if charge is not None:
             # an infinite charge (partial sums near the overflow threshold)
             # is refused when it is taken
             with np.errstate(invalid="ignore"):
-                added = abs_scale * (((charge[:nodes.size].reshape(nodes.shape) * np.abs(power))
-                                      @ absw)[rows, col])
+                weighted = (charge[:nodes.size].reshape(nodes.shape) * np.abs(power)) @ absw
+                added = weighted[:, 0]
+                if at0:
+                    added[0] = weighted[0, 1]
+                added = abs_scale * added
         if not points.size:
             return panels, absg, added, points, points
         power = self._power(points)
@@ -370,8 +384,10 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
 
     Raises SlowDecayError where the method does not reach: at s = w when
     the excess Re(sum(b) - sum(a) - v) of the algebraic tail u^rho,
-    rho = -1 - excess, is below _SLOW_DECAY_MARGIN, and for p = q when
-    Re(w/s) >= 1, where the integrand grows along the ray u = st.
+    rho = -1 - excess, is below _SLOW_DECAY_MARGIN; for p = q when
+    Re(w/s) >= 1, where the integrand grows along the ray u = st; and for
+    p = q when the exponential tail, decaying like u^kappa e^(-(1 - Re(w/s)) u),
+    would still be above its target where |w/s| u reaches _Z_OVERFLOW.
     """
     v, s, w = complex(v), complex(s), complex(w)
     require_integral_exists(v, s, w, spec)
@@ -457,7 +473,8 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
                 # overflow range; past the prediction, one panel a call
                 fit = int(min(u_lo + width, u_stop - u_lo) // width)
                 count = max(1, min(ahead - taken, fit, 64 - taken))
-                spans = [(u_lo + j * width, u_lo + (j + 1) * width) for j in range(count)]
+                ends = list(itertools.accumulate([width] * count, initial=u_lo))
+                spans = list(zip(ends, ends[1:]))
                 try:
                     pending = integ.batch(spans)
                 except OverflowError:

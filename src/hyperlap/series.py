@@ -645,9 +645,9 @@ class TermRatios:
         return self._r
 
     def log_walk(self, stop: int) -> np.ndarray:
-        """sum_(k<=n) log|r_k| for n = 0, 1, ..., at least up to stop, kept
-        beside the table and extended as one running sum, so an entry
-        depends on n and the parameters alone.  Past a terminating order
+        """sum_(k<=n) log|r_k|, at least for every n < stop, kept beside the
+        table and extended as one running sum, so an entry depends on n and
+        the parameters alone.  Past a terminating order
         (log|r_order| = -inf) the entries are -inf or NaN."""
         r = self.ratios(stop)
         done = len(self._log_walk)
@@ -703,9 +703,8 @@ def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int
     so a call adds only n log z_max.  The terms fall like z^n / n!^k,
     k = q - p + 1, so a first window of 2 z_max^(1/k) + 2 _CHUNK rows holds
     that n unless the parameters are large; a longer walk doubles the
-    window.  The walk reads
-    the table from row 0, so its answer depends on the parameters, z_max
-    and tol alone.  The prediction falls short where the partial sums lie
+    window.  The walk reads the table from row 0, so its answer depends on
+    the parameters, z_max and tol alone.  The prediction falls short where the partial sums lie
     far below the peak term (cancelling sums); the loop then goes on in
     blocks of _CHUNK rows."""
     if not math.isfinite(z_max):
