@@ -353,8 +353,9 @@ class _TailModel:
     kappa: float
 
     def __call__(self, u: float) -> float:
-        return (self.h_body * (u / self.u_body) ** self.kappa
-                * math.exp(-self.decay * (u - self.u_body)))
+        # capped in the log: a large kappa must not raise OverflowError
+        growth = self.kappa * math.log(u / self.u_body) - self.decay * (u - self.u_body)
+        return self.h_body * math.exp(min(growth, 700.0))
 
     def panels(self, width: float, rate: float, target: float) -> int:
         """The panels of the given width from u_body that the exponential
@@ -369,6 +370,8 @@ class _TailModel:
             ha, hb = self(a), self(a + width)
             if ha == 0.0:
                 return count
+            if hb == math.inf:
+                continue
             drop = math.log(ha / hb) if hb > 0.0 else math.inf
             integral = ha * width if drop == 0.0 else (ha - hb) * width / drop
             bound = max(ha * math.exp(-rate * width), hb) / rate

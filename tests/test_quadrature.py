@@ -574,6 +574,39 @@ def test_predicted_tail_matches_one_panel_per_call(case, monkeypatch):
     assert got.abs_err_est >= want.abs_err_est * (1.0 - 1e-14)
 
 
+def test_panels_past_the_stop_add_nothing(monkeypatch):
+    # the first case stops after its third panel; predicted at 4, its call
+    # holds a fourth panel, which is evaluated but never taken
+    from hyperlap import quadrature
+    want, want_taken = _tail_run(monkeypatch, PREDICTED_TAILS[0], True)
+    monkeypatch.setattr(quadrature._TailModel, "panels", lambda model, *args: 4)
+    got, got_taken = _tail_run(monkeypatch, PREDICTED_TAILS[0], False)
+    assert len(want_taken) == 3 and got_taken == want_taken
+    assert got.nodes_used == want.nodes_used + 25
+    assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+
+
+def test_a_batch_charges_each_panel_when_it_is_taken():
+    def charged(u):
+        return np.exp(-u), np.full(u.shape, 1e-9)
+
+    def precise(u):
+        return np.exp(-u), np.zeros(u.shape)
+
+    integ = _PanelIntegrator(charged, precise=precise)
+    pending = integ.batch([(24.0, 32.0), (32.0, 40.0), (40.0, 48.0)])
+    assert integ.rounding == 0.0 and integ.nodes_used == 75
+    integ.take(pending)
+    one = integ.rounding
+    assert one > 0.0 and len(pending) == 2
+    # the next charge would pass the budget: the two panels still pending
+    # are evaluated again with the precise integrand, which charges nothing
+    integ.budget = 1.5 * one
+    integ.take(pending)
+    assert integ.rounding == one and integ.nodes_used == 75 + 50
+    assert integ.precise is None and len(pending) == 1
+
+
 def test_predicted_tail_switches_to_double_double_within_a_call(monkeypatch):
     # the second panel of the tail's one call takes the rounding past the
     # budget: that panel alone is evaluated again, in double-double
