@@ -452,10 +452,8 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         # the panels the loop will take, predicted from h ~ u^kappa
         # e^(-decay u) through |h(u_body)|; kappa is known for p = q
         growth = spec.p == spec.q and w != 0.0 and ratio.real > 0.0  # F ~ e^(ratio u)
-        kappa = 0.0
-        if growth:
-            kappa = (v - 1.0 + sum(spec.numerator, complex(0.0))
-                     - sum(spec.denominator, complex(0.0))).real
+        kappa = (v - 1.0 + sum(spec.numerator, complex(0.0))
+                 - sum(spec.denominator, complex(0.0))).real if growth else 0.0
         model = _TailModel(h_body, u_body, decay, kappa)
         target = max(0.125 * abs_tol, integ.rounding)
         u_stop = _Z_OVERFLOW / abs(ratio) if ratio != 0.0 else math.inf
