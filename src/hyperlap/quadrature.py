@@ -458,6 +458,9 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         target = max(0.125 * abs_tol, integ.rounding)
         u_stop = _Z_OVERFLOW / abs(ratio) if ratio != 0.0 else math.inf
         k_stop = int(min(64.0 * width, u_stop - u_body) // width)
+        # the loop's bound is at least |h(U)| / lam; where the model keeps
+        # that above the target at the end of the last panel below the
+        # overflow range, the loop could only run into an overflow
         if growth and k_stop < 64 and model(u_body + max(k_stop, 0) * width) / lam > target:
             raise SlowDecayError(
                 f"Re(w/s)={ratio.real:.4g}: the tail decays like u^{kappa:.3g} e^(-{decay:.3g} u) "
