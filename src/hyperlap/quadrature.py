@@ -150,12 +150,19 @@ class _PanelIntegrator:
     one call of f; the panel count never exceeds max_panels.
 
     An f that rounds measurably returns (values, charge), a bound on each
-    value's rounding.  Each panel's charge, weighted by
+    value's rounding; on a 2-D u it charges each row as if it were a call
+    of its own.  Each panel's charge, weighted by
     |scale| |W| |u^(v-1)|, is added to the running total rounding when the
-    panel is taken: all of a call's panels at once (_panels), or one at a
-    time (take).  When a charge would take that total past budget and a
-    more precise integrand is at hand, the panels are evaluated again with
-    it, and it replaces f from then on."""
+    panel is taken.  The seed and the refinement sweeps (_panels) charge
+    all of a call's panels at once, and a charge that takes the total past
+    budget makes the whole call again: a sweep is one call, and its
+    charges depend on all its nodes.  The exponential tail used to make
+    one call a panel; a batch of its panels (batch) charges each as that
+    call would, and take adds them one at a time, so the tail charges and
+    switches as it did, and panels past its stop charge nothing.  When a
+    charge would take the total past budget and a more precise integrand
+    is at hand, the panels are evaluated again with it, and it replaces f
+    from then on."""
 
     def __init__(self, f, v: complex = 1.0, precise=None):
         self.f = f
@@ -182,20 +189,23 @@ class _PanelIntegrator:
         self.f, self.precise = self.precise, None
         return True
 
-    def _call(self, spans, points=()):
+    def _call(self, spans, points=(), alone=False):
         """One call of f at the nodes of the (a, b) spans and at the extra
         points: each span's (value, error), |integrand| at its nodes (a row
         per span, from u = b down to u = a; f itself on a panel [0, b]),
         its weighted rounding charge (None for an f without one; not yet
-        added to the total), and the integrand at the points with a bound
-        on its rounding.  A panel at 0 comes first: spans are in position
-        order."""
+        added to the total; alone: each span charged as a call of its own),
+        and the integrand at the points with a bound on its rounding.  A
+        panel at 0 comes first: spans are in position order."""
         ends = np.asarray(spans, dtype=float).reshape(-1, 2)
         half = 0.5 * (ends[:, 1] - ends[:, 0])
         nodes = (ends[:, 0] + half)[:, None] + half[:, None] * _CC_NODES
         at0 = len(ends) > 0 and ends[0, 0] == 0.0
         points = np.asarray(points, dtype=float)
-        fv = self.f(np.concatenate([nodes.ravel(), points]) if points.size else nodes.ravel())
+        if alone:
+            fv = self.f(nodes)
+        else:
+            fv = self.f(np.concatenate([nodes.ravel(), points]) if points.size else nodes.ravel())
         self.nodes_used += nodes.size + points.size
         fv, charge = fv if isinstance(fv, tuple) else (fv, None)
         g = fv[:nodes.size].reshape(nodes.shape)
@@ -260,8 +270,9 @@ class _PanelIntegrator:
 
     def batch(self, spans) -> list:
         """The spans evaluated in one call of f, as panels still to be
-        taken: [(span, (value, error), |integrand| row, charge)]."""
-        panels, absg, added, _, _ = self._call(spans)
+        taken: [(span, (value, error), |integrand| row, charge)], each
+        charged as a call of its own."""
+        panels, absg, added, _, _ = self._call(spans, alone=True)
         charges = [None] * len(spans) if added is None else added.tolist()
         return list(zip(spans, panels, absg, charges))
 
@@ -314,8 +325,9 @@ class _PanelIntegrator:
 
 
 def _integrand_factory(spec: HyperSeriesSpec, ratio: complex, series_tol: float):
-    """phi(u) = e^(-u) F(ratio*u) on vectors of u >= 0, with e^(-u) times
-    each sum's rounding charge, and a more precise phi or None; the
+    """phi(u) = e^(-u) F(ratio*u) on arrays of u >= 0, with e^(-u) times
+    each sum's rounding charge (each row of a 2-D u charged as a call of
+    its own), and a more precise phi or None; the
     integrand is u^(v-1) phi(u), the power applied by _PanelIntegrator.
     F is summed directly at every node from one term-ratio table shared by
     every call.  For a real alternating integrand (real parameters,
@@ -378,6 +390,81 @@ class _TailModel:
             if bound <= target and integral <= target:
                 return count
         return 64
+
+
+def _tail_overflows(spec: HyperSeriesSpec, v: complex, ratio: complex, u_body: float,
+                    width: float, lam: float, target: float, rounding: float,
+                    series_tol: float) -> bool:
+    """Whether the exponential tail's loop, one panel a call from u_body
+    with the rounding total so far, must run into the series' overflow.
+    Decided for p = q, w/s = z > 0 and positive parameters only, where
+    every term t_n (z u)^n of F(z u) is positive; else False.
+
+    On a panel [a, b] the loop stops only if |h(b)| / lam, at most the
+    bound it reads there, is within its target: target (0.125 of the
+    absolute tolerance) or the rounding total, whichever is larger.  At
+    each panel end the terms, in logs from a term-ratio table
+    (TermRatios.log_walk) over the first N = 2 z b + 64, bound F(z b)
+    below by the largest of them and above by N + 1 times it plus a
+    geometric bound on the rest.  Inside a panel F'/F <= R =
+    prod max(1, a_i / b_i), so |h| grows from its bound at a at most like
+    u^(Re v - 1) e^((z R - 1) u).  A call of the panel sums at most N + 4
+    rows (the window's last term is below series_tol times its largest),
+    so it charges at most 2 (p+q+3) eps (N + 4) |h| at a node, and at most
+    that times width sup|h| in all.  True where, on each of the loop's 64
+    panels up to the first whose largest term passes the largest double,
+    |h(b)| / lam stays above both the target and the rounding so bounded,
+    and the kernel sums through that term: no term before it is below
+    series_tol times (n + 1) times the largest before it, a bound of the
+    sum, so the kernel raises OverflowError there."""
+    params = [complex(x) for x in (*spec.numerator, *spec.denominator)]
+    if (spec.p != spec.q or ratio.imag != 0.0 or ratio.real <= 0.0
+            or any(x.imag != 0.0 or x.real <= 0.0 for x in params)):
+        return False
+    ratios = TermRatios(spec.numerator, spec.denominator)
+    pairs = list(zip(ratios.numerator, ratios.denominator))
+    z, power = ratio.real, v.real - 1.0
+    rise = max(0.0, z * math.prod(max(1.0, a / b) for a, b in pairs) - 1.0) * width
+    unit = 2.0 * (spec.p + spec.q + 3) * _EPS * width
+    log_tol = math.log(series_tol)
+    log_max = math.log(np.finfo(float).max)
+    margin = 1e-6  # far above the rounding of the logs
+    ratios.log_walk(int(2.0 * _Z_OVERFLOW) + 4 * series._CHUNK)  # grown once in practice
+
+    def terms(u: float):
+        """log t_1 .. log t_N at z u, and log |h(u)| from below and from
+        above; None where the window bounds neither the rows nor the rest."""
+        stop = int(2.0 * z * u) + 2 * series._CHUNK
+        walk = ratios.log_walk(stop)[:stop] + np.arange(1.0, stop + 1.0) * math.log(z * u)
+        top = max(float(walk.max()), 0.0)  # log t_0 = 0
+        # the terms past the window fall at least like rho^m
+        rho = z * u / (stop + 1.0) * math.prod(max(1.0, (a + stop) / (b + stop)) for a, b in pairs)
+        if walk[-1] > top + log_tol or rho >= 1.0:
+            return None
+        low = power * math.log(u) - u + top
+        return walk, low, low + math.log(stop + 1.0 + rho / (1.0 - rho))
+
+    ends = terms(u_body)
+    a = u_body
+    for _ in range(64):
+        if ends is None:
+            return False
+        b = a + width
+        log_sup = ends[2] + max(0.0, power * math.log(b / a)) + rise  # of |h| on [a, b]
+        ends = terms(b)
+        if ends is None or log_sup > log_max:
+            return False
+        walk, low, _ = ends
+        peak = int(walk.argmax())
+        if walk[peak] > log_max + margin:
+            logs = np.concatenate([[0.0], walk[:peak + 1]])  # log t_0 .. the largest
+            floor = np.maximum.accumulate(logs[:-1]) + np.log(np.arange(1.0, peak + 2.0)) + log_tol
+            return bool((logs[1:] > floor + margin).all())
+        rounding += unit * (len(walk) + 4) * math.exp(log_sup)
+        if low <= math.log(lam * max(target, rounding)) + margin:
+            return False
+        a = b
+    return False
 
 
 def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
@@ -457,16 +544,17 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         model = _TailModel(h_body, u_body, decay, kappa)
         target = max(0.125 * abs_tol, integ.rounding)
         u_stop = _Z_OVERFLOW / abs(ratio) if ratio != 0.0 else math.inf
-        k_stop = int(min(64.0 * width, u_stop - u_body) // width)
-        # the loop's bound is at least |h(U)| / lam; where the model keeps
-        # that above the target at the end of the last panel below the
-        # overflow range, the loop could only run into an overflow
-        if growth and k_stop < 64 and model(u_body + max(k_stop, 0) * width) / lam > target:
-            raise SlowDecayError(
-                f"Re(w/s)={ratio.real:.4g}: the tail decays like u^{kappa:.3g} e^(-{decay:.3g} u) "
-                f"and stays above its target up to |w/s| u = {_Z_OVERFLOW:g}, "
-                "where the series overflows")
         ahead = model.panels(width, 0.5 if ratio.real < 0.0 else lam, target)
+        # a tail the model runs past the overflow range may be hopeless; the
+        # model only picks it out (it can overstate |h|: a large numerator
+        # parameter keeps F far from its asymptotic form at u_body), and the
+        # refusal rests on _tail_overflows' bounds of |h|
+        if (growth and ahead > (u_stop - u_body) // width
+                and _tail_overflows(spec, v, ratio, u_body, width, lam, 0.125 * abs_tol,
+                                    integ.rounding, series_tol)):
+            raise SlowDecayError(
+                f"w/s={ratio.real:.4g}: the exponential tail stays above its target "
+                "out to where the series overflows")
         u_lo = u_body
         pending = []
         for taken in range(64):

@@ -726,7 +726,7 @@ def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int
         stop *= 2
 
 
-def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
+def _sum_chunks(rows, tol: float, max_terms: int, group: int = 0) -> np.ndarray:
     """The block loop of the vector kernels; returns each node's rounding charge.
 
     rows.form(n, m) forms rows n .. n+m-1 at every node and returns the
@@ -747,7 +747,10 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
     The charge is _recurrence_charge's (p+q+3) unit sum_m |value - S_m|
     over the N summed rows, bounded by the triangle inequality as
     (p+q+3) unit (sum_m |S_m| + N |value|), unit the kernel's rounding
-    unit (rows.unit); sum_m |S_m| reuses the stopping test's |S_m|."""
+    unit (rows.unit); sum_m |S_m| reuses the stopping test's |S_m|.  With
+    group > 0 the nodes come in runs of group, and each run is charged for
+    the rows a call of its nodes alone would sum: through the first row
+    at which the stopping rule holds on its own nodes."""
     if rows.ratios.order is not None:
         max_terms = min(max_terms, rows.ratios.order + 1)
     predicted = rows.predicted(tol, max_terms)
@@ -756,13 +759,19 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
     n = 0
     abs_sum = 0.0
     bad = None  # the first row whose term or partial sum is not finite
+    if group:
+        runs = rows.z.size // group
+        recent = np.zeros((2, runs), dtype=bool)  # the last two rows' tests, by run
+        run_rows = np.zeros(runs, dtype=int)       # each run's rows, 0 while it goes on
+        run_last = np.zeros(rows.z.shape)          # |S| at a run's last row
     # overflow is detected below, on the rows actually summed
     with np.errstate(over="ignore", invalid="ignore"):
         while n < max_terms:
             m = min(max(predicted - n, _CHUNK), cap, max_terms - n)
             nxt, partial = rows.form(n, m)
             sums = np.abs(partial)
-            small = (np.abs(nxt) <= tol * np.maximum(sums, _ABS_FLOOR)).all(axis=1)
+            passed = np.abs(nxt) <= tol * np.maximum(sums, _ABS_FLOOR)
+            small = passed.all(axis=1)
             kept = m
             for k, ok in enumerate(small.tolist()):
                 consec = consec + 1 if ok else 0
@@ -783,12 +792,29 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
                         f"pFq series term overflowed after {min(n + kept, end)} terms "
                         f"(|z| up to {float(np.abs(rows.z).max()):.6g})")
             rows.keep(kept)
-            abs_sum = abs_sum + sums[:kept].sum(axis=0)
+            block = sums[:kept].sum(axis=0)
+            if group:
+                done = run_rows > 0  # runs that ended in earlier blocks
+                tests = np.concatenate([recent, passed[:kept].reshape(kept, runs, group).all(axis=2)])
+                third = tests[2:] & tests[1:-1] & tests[:-2]  # three in a row, by run
+                for r in np.flatnonzero(third.any(axis=0) & ~done).tolist():
+                    k = int(third[:, r].argmax())
+                    nodes = slice(r * group, (r + 1) * group)
+                    block[nodes] = sums[:k + 1, nodes].sum(axis=0)
+                    run_rows[r] = n + k + 1
+                    run_last[nodes] = sums[k, nodes]
+                block[np.repeat(done, group)] = 0.0
+                recent = tests[-2:]
+            abs_sum = abs_sum + block
             n += kept
             if consec >= 3:
                 break
-    factors = len(rows.ratios.numerator) + len(rows.ratios.denominator) + 3
-    return factors * rows.unit * (abs_sum + n * sums[kept - 1])
+        factors = len(rows.ratios.numerator) + len(rows.ratios.denominator) + 3
+        if not group:
+            return factors * rows.unit * (abs_sum + n * sums[kept - 1])
+        ended = np.repeat(run_rows, group)
+        last = np.where(ended > 0, run_last, sums[kept - 1])
+        return factors * rows.unit * (abs_sum + np.where(ended > 0, ended, n) * last)
 
 
 class _Rows:
@@ -881,17 +907,24 @@ class _DDRows:
         self.term = (self.nxt[0][-1], self.nxt[1][-1])
 
 
+def _run(z: np.ndarray) -> int:
+    """The nodes in a run of a 2-D argument array (its rows); 0 otherwise."""
+    return z.shape[1] if z.ndim == 2 else 0
+
+
 def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
                    max_terms: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
     """pFq at each entry of the argument vector z (float or complex) by
-    direct summation, and each node's rounding charge (_sum_chunks).
+    direct summation, and each node's rounding charge (_sum_chunks).  The
+    rows of a 2-D z are runs of nodes summed in one loop, each charged as
+    a call of its own.
 
     Stops once three consecutive terms are <= tol * |partial sum| at every
     node; raises OverflowError when a term or a partial sum is no longer
     finite, since the sum of the remaining terms is then unknown."""
-    rows = _Rows(ratios, z)
-    charge = _sum_chunks(rows, tol, max_terms)
-    return rows.total, charge
+    rows = _Rows(ratios, z.reshape(-1))
+    charge = _sum_chunks(rows, tol, max_terms, _run(z))
+    return rows.total.reshape(z.shape), charge.reshape(z.shape)
 
 
 def _series_vector_dd(ratios: TermRatios, z: np.ndarray, tol: float,
@@ -899,9 +932,9 @@ def _series_vector_dd(ratios: TermRatios, z: np.ndarray, tol: float,
     """_series_vector for real z in double-double.  The stopping rule is
     that of a term-by-term loop; only the order in which the terms and
     partial sums are rounded differs."""
-    rows = _DDRows(ratios, z)
-    charge = _sum_chunks(rows, tol, max_terms)
-    return rows.total[0] + rows.total[1], charge
+    rows = _DDRows(ratios, z.reshape(-1))
+    charge = _sum_chunks(rows, tol, max_terms, _run(z))
+    return (rows.total[0] + rows.total[1]).reshape(z.shape), charge.reshape(z.shape)
 
 
 def series_values_real(spec: HyperSeriesSpec, z: np.ndarray, tol: float = 1e-14,

@@ -144,10 +144,11 @@ def test_result_fields_are_plain_python():
 
 @pytest.mark.parametrize("a", [1.2, 1.2 + 0.3j])
 def test_integrand_overflow_is_refused(a):
-    # w/s = 0.99: the exponential tail would run out to u where pFq(0.99 u)
-    # no longer fits a double; the oracle must refuse, not return a value,
-    # and it does so before the first tail panel
-    with pytest.raises(SlowDecayError, match="overflows"):
+    # w/s = 0.99: the exponential tail runs out to u where pFq(0.99 u) no
+    # longer fits a double; the oracle must refuse, not return a value.  With
+    # positive terms that is known before the first tail panel; complex
+    # terms give no lower bound of |F|, and the tail runs into the overflow
+    with pytest.raises(OverflowError if isinstance(a, complex) else SlowDecayError):
         laplace_numeric(1.5, 1.0, 0.99, HyperSeriesSpec([a], [2.5], 1.0), tol=1e-7)
 
 
@@ -543,11 +544,12 @@ PREDICTED_TAILS = [
 ]
 
 
-def _tail_run(monkeypatch, case, one_panel_calls):
-    """The result and the (lo, hi) of every tail panel taken, in order."""
+def _tail_run(monkeypatch, case, one_panel_calls, taken=None):
+    """The result and the (lo, hi) of every tail panel taken, in order
+    (into taken, if given)."""
     from hyperlap import quadrature
     v, s, w, num, den, tol = case
-    taken = []
+    taken = [] if taken is None else taken
     take = quadrature._PanelIntegrator.take
 
     def recorded(integ, pending):
@@ -614,7 +616,7 @@ def test_predicted_tail_switches_to_double_double_within_a_call(monkeypatch):
     kernel = series._series_vector_dd
 
     def counted(*args):
-        calls.append(len(args[1]))
+        calls.append(args[1].size)
         return kernel(*args)
 
     monkeypatch.setattr(series, "_series_vector_dd", counted)
@@ -656,7 +658,7 @@ def test_exp_decay_draw_without_refinement_makes_two_integrand_calls(monkeypatch
     kernel = series._series_vector
 
     def counted(*args):
-        calls.append(len(args[1]))
+        calls.append(args[1].size)
         return kernel(*args)
 
     binding = verifier.sample_valid("lap.gauss2x", verifier.SamplerConfig(seed=42), 1)[0]
@@ -667,22 +669,21 @@ def test_exp_decay_draw_without_refinement_makes_two_integrand_calls(monkeypatch
 
 
 @pytest.mark.parametrize("ratio", [0.99, 0.999])
-@pytest.mark.parametrize("a", [1.2, 1.2 + 0.3j])
-def test_hopeless_exponential_tail_is_refused_up_front(ratio, a, monkeypatch):
+def test_hopeless_exponential_tail_is_refused_up_front(ratio, monkeypatch):
     # the eval-regimes edge probe: h ~ u^-0.8 e^(-(1 - w/s) u) stays above
-    # its target out to where the series overflows; refused after the
-    # seed call alone, well under a millisecond (was ~4.5 ms and eight
-    # tail panels before an OverflowError)
+    # its target out to where the series overflows; refused after the seed
+    # call alone (it used to take eight tail panels, about 4.5 ms, before
+    # an OverflowError).  The time bound is loose: the call count is the check
     import time
     calls = []
     kernel = series._series_vector
 
     def counted(*args):
-        calls.append(len(args[1]))
+        calls.append(args[1].size)
         return kernel(*args)
 
     monkeypatch.setattr(series, "_series_vector", counted)
-    spec = HyperSeriesSpec([a], [2.5], 1.0)
+    spec = HyperSeriesSpec([1.2], [2.5], 1.0)
     best = math.inf
     for _ in range(5):
         start = time.perf_counter()
@@ -690,7 +691,56 @@ def test_hopeless_exponential_tail_is_refused_up_front(ratio, a, monkeypatch):
             laplace_numeric(1.5, 1.0, ratio, spec, tol=1e-7)
         best = min(best, time.perf_counter() - start)
     assert calls == [75] * 5
-    assert best < 1e-3
+    assert best < 1e-2
+
+
+# tails the model runs past the overflow range that the loop evaluates:
+# a large numerator parameter keeps F far from its asymptotic form at
+# u_body, so the model overstates |h| there
+EVALUATED_LONG_TAILS = [
+    # v, w (s = 1), numerator, denominator, tol
+    (1.5, 0.8, [42.0, 3.0], [1.5, 2.0], 1e-7),
+    (1.25, 0.75, [20.5, 52.5], [3.0, 4.5], 1e-5),
+]
+
+
+@pytest.mark.parametrize("case", EVALUATED_LONG_TAILS)
+def test_long_tail_that_ends_is_not_refused(case, monkeypatch):
+    from hyperlap import quadrature
+    v, w, num, den, tol = case
+    spec = HyperSeriesSpec(num, den, 1.0)
+    asked = []
+    check = quadrature._tail_overflows
+
+    def recorded(*args):
+        asked.append(check(*args))
+        return asked[-1]
+
+    monkeypatch.setattr(quadrature, "_tail_overflows", recorded)
+    got = laplace_numeric(v, 1.0, w, spec, tol=tol)
+    assert asked == [False]
+    monkeypatch.setattr(quadrature, "_tail_overflows", lambda *args: False)
+    want = laplace_numeric(v, 1.0, w, spec, tol=tol)
+    assert got == want
+
+
+def test_tail_whose_rounding_sets_the_target_is_not_refused(monkeypatch):
+    # 2F2(60, 3; 1.5, 2) at w/s = 0.8: the tail outweighs the body by
+    # about 1e21, so its rounding, not the tolerance, sets the target.  |h|
+    # stays above the tolerance out to the overflow, but the check bounds
+    # the rounding by no less than |h|, so it does not refuse.  The loop
+    # takes the reference's panels (it would stop early if a panel of a
+    # call were charged for the call's rows) and, like it, meets an
+    # overflowing rounding bound on the 31st
+    from hyperlap import quadrature
+    case = (1.5, 1.0, 0.8, [60.0, 3.0], [1.5, 2.0], 1e-7)
+    assert not quadrature._tail_overflows(HyperSeriesSpec(case[3], case[4], 1.0), 1.5 + 0j,
+                                          0.8 + 0j, 24.0, 20.0, 0.2, 1e-9, 0.0, 1e-13)
+    taken = {}
+    for one_panel_calls in (True, False):
+        with pytest.raises(OverflowError, match="rounding bound"):
+            _tail_run(monkeypatch, case, one_panel_calls, taken.setdefault(one_panel_calls, []))
+    assert len(taken[True]) == 31 and taken[False] == taken[True]
 
 
 def _fit_by_three_solves(rho_c, upper, hv, noise, fit):
