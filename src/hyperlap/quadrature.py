@@ -23,12 +23,16 @@ and the remainder is bounded by the envelope of |h| at the end over its
 decay rate.  How many panels that takes is predicted before the first of
 them, from |h(u_body)| and h ~ u^kappa e^(-decay u) (_TailModel), and the
 predicted panels are evaluated in one integrand call while they start
-within twice the call's start and end below the series' overflow range;
-the loop then takes them one at a time, charging each one's rounding as it
+within twice the call's start and end below the series' overflow range.
+Each panel of the call is charged for the rounding of a call of its own,
+and the loop takes them one at a time, adding each one's charge as it
 takes it, so panels past the stop change nothing.  Past the prediction it
-goes on one panel a call.  Where even on that model the bound stays above
-its target up to the overflow range, the integral is refused with
-SlowDecayError before the first tail panel.
+goes on one panel a call.  Where the model runs past the overflow range,
+the tail may be hopeless: for positive terms, the largest term of F bounds
+|h| below and, with a bound on F'/F, the tail's rounding above, and where
+those keep the loop's bound above its target on every panel up to the one
+whose terms overflow, the integral is refused with SlowDecayError before
+the first tail panel (_tail_overflows).
 
 Algebraic decay u^rho for the s = w family, rho = v - 1 + sum(a) - sum(b):
 u^rho sum_{k<6} D_k (U/u)^k is fitted at six nodes on [U, 3U] and
@@ -155,14 +159,15 @@ class _PanelIntegrator:
     |scale| |W| |u^(v-1)|, is added to the running total rounding when the
     panel is taken.  The seed and the refinement sweeps (_panels) charge
     all of a call's panels at once, and a charge that takes the total past
-    budget makes the whole call again: a sweep is one call, and its
-    charges depend on all its nodes.  The exponential tail used to make
-    one call a panel; a batch of its panels (batch) charges each as that
-    call would, and take adds them one at a time, so the tail charges and
-    switches as it did, and panels past its stop charge nothing.  When a
-    charge would take the total past budget and a more precise integrand
-    is at hand, the panels are evaluated again with it, and it replaces f
-    from then on."""
+    budget makes the whole call again: a sweep is one call, and each of its
+    charges depends on the rows its largest node needs.  The exponential
+    tail takes its panels one at a time: a batch of them (batch) charges
+    each as a call of that panel alone would, and take adds the charges in
+    turn, so the tail charges and switches as a loop of one-panel calls
+    does, and panels past its stop charge nothing.  When a charge would
+    take the total past budget and a more precise integrand is at hand,
+    the panels are evaluated again with it, and it replaces f from then
+    on."""
 
     def __init__(self, f, v: complex = 1.0, precise=None):
         self.f = f
@@ -476,8 +481,10 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
     the excess Re(sum(b) - sum(a) - v) of the algebraic tail u^rho,
     rho = -1 - excess, is below _SLOW_DECAY_MARGIN; for p = q when
     Re(w/s) >= 1, where the integrand grows along the ray u = st; and for
-    p = q when the exponential tail, decaying like u^kappa e^(-(1 - Re(w/s)) u),
-    would still be above its target where |w/s| u reaches _Z_OVERFLOW.
+    p = q, 0 < w/s < 1 and positive parameters when the exponential tail is
+    bound to stay above its target out to where the series' terms overflow
+    (_tail_overflows).  Elsewhere such a tail runs into the overflow and
+    raises OverflowError.
     """
     v, s, w = complex(v), complex(s), complex(w)
     require_integral_exists(v, s, w, spec)

@@ -672,8 +672,9 @@ def test_exp_decay_draw_without_refinement_makes_two_integrand_calls(monkeypatch
 def test_hopeless_exponential_tail_is_refused_up_front(ratio, monkeypatch):
     # the eval-regimes edge probe: h ~ u^-0.8 e^(-(1 - w/s) u) stays above
     # its target out to where the series overflows; refused after the seed
-    # call alone (it used to take eight tail panels, about 4.5 ms, before
-    # an OverflowError).  The time bound is loose: the call count is the check
+    # call alone, with no tail panel.  The time bound is loose (a loop of
+    # eight panels into the overflow takes about 4.5 ms on a 2 GHz core):
+    # the call count is the check
     import time
     calls = []
     kernel = series._series_vector
