@@ -24,15 +24,16 @@ decay rate.  How many panels that takes is predicted before the first of
 them, from |h(u_body)| and h ~ u^kappa e^(-decay u) (_TailModel), and the
 predicted panels are evaluated in one integrand call while they start
 within twice the call's start and end below the series' overflow range.
-Each panel of the call is charged for the rounding of a call of its own,
-and the loop takes them one at a time, adding each one's charge as it
-takes it, so panels past the stop change nothing.  Past the prediction it
-goes on one panel a call.  Where the model runs past the overflow range,
-the tail may be hopeless: for positive terms, the largest term of F bounds
-|h| below and, with a bound on F'/F, the tail's rounding above, and where
-those keep the loop's bound above its target on every panel up to the one
-whose terms overflow, the integral is refused with SlowDecayError before
-the first tail panel (_tail_overflows).
+Each panel of the call is charged for the rows the call summed, and the
+loop takes them one at a time, adding each one's charge as it takes it
+(the rule of every integrand call), so panels past the stop change
+nothing.  Past the prediction it goes on one panel a call.  Where the
+model runs past the overflow range, the tail may be hopeless: for
+positive terms, the largest term of F bounds |h| below and, with a bound
+on F'/F, the tail's rounding above, and where those keep the loop's bound
+above its target on every panel up to the one whose terms overflow, the
+integral is refused with SlowDecayError before the first tail panel
+(_tail_overflows, from the integral's term-ratio table).
 
 Algebraic decay u^rho for the s = w family, rho = v - 1 + sum(a) - sum(b):
 u^rho sum_{k<6} D_k (U/u)^k is fitted at six nodes on [U, 3U] and
@@ -44,11 +45,12 @@ term ratios built per integral (series.TermRatios), so the values do not
 depend on earlier integrals.  Each sum comes with a bound on its rounding
 (its charge), and the charges, weighted like the values, go into a
 running total that goes into the error estimate.  For Re(w/s) < 0 the
-terms alternate and cancel: a real integrand starts in float, and once the
-total passes a tenth of the absolute tolerance the rest of the integral
-(the seed included, if it is the seed that passes) is summed in
-double-double; a seed that still rounds by more than the whole tolerance
-is refused.  A complex alternating integrand only carries the charge.
+terms alternate and cancel: a real integrand starts in float, and from the
+panel whose charge would take the total past a tenth of the absolute
+tolerance on, the integral (the whole seed, if it is the seed that passes)
+is summed in double-double; a seed that still rounds by more than the
+whole tolerance is refused.  A complex alternating integrand only carries
+the charge.
 """
 
 from __future__ import annotations
@@ -154,20 +156,17 @@ class _PanelIntegrator:
     one call of f; the panel count never exceeds max_panels.
 
     An f that rounds measurably returns (values, charge), a bound on each
-    value's rounding; on a 2-D u it charges each row as if it were a call
-    of its own.  Each panel's charge, weighted by
-    |scale| |W| |u^(v-1)|, is added to the running total rounding when the
-    panel is taken.  The seed and the refinement sweeps (_panels) charge
-    all of a call's panels at once, and a charge that takes the total past
-    budget makes the whole call again: a sweep is one call, and each of its
-    charges depends on the rows its largest node needs.  The exponential
-    tail takes its panels one at a time: a batch of them (batch) charges
-    each as a call of that panel alone would, and take adds the charges in
-    turn, so the tail charges and switches as a loop of one-panel calls
-    does, and panels past its stop charge nothing.  When a charge would
-    take the total past budget and a more precise integrand is at hand,
-    the panels are evaluated again with it, and it replaces f from then
-    on."""
+    value's rounding for the rows its call summed.  Every call of f goes
+    through one rule: batch evaluates its panels, and take hands them out
+    in order, adding each panel's charge, weighted by |scale| |W|
+    |u^(v-1)|, to the running total rounding as it is taken.  When a
+    charge would take the total past budget and a more precise integrand
+    is at hand, that panel and every one still pending are evaluated again
+    with it, and it replaces f from then on; panels a caller never takes
+    charge nothing.  The one other re-evaluation is laplace_numeric's seed
+    block: the budget comes from the seed's own values, which may be noise
+    before the switch, so the seed is charged with no budget and made again
+    whole when its rounding passes a tenth of the tolerance."""
 
     def __init__(self, f, v: complex = 1.0, precise=None):
         self.f = f
@@ -194,25 +193,22 @@ class _PanelIntegrator:
         self.f, self.precise = self.precise, None
         return True
 
-    def _call(self, spans, points=(), alone=False):
+    def batch(self, spans, points=()):
         """One call of f at the nodes of the (a, b) spans and at the extra
-        points: each span's (value, error), |integrand| at its nodes (a row
-        per span, from u = b down to u = a; f itself on a panel [0, b]),
-        its weighted rounding charge (None for an f without one; not yet
-        added to the total; alone: each span charged as a call of its own),
-        and the integrand at the points with a bound on its rounding.  A
-        panel at 0 comes first: spans are in position order."""
+        points: the spans as panels still to be taken, [(span, (value,
+        error), |integrand| row, weighted charge)] (the row from u = b down
+        to u = a; f itself on a panel [0, b]), and the integrand at the
+        points with a bound on its rounding.  An f that returns no charge
+        charges nothing.  A panel at 0 comes first: spans are in position
+        order."""
         ends = np.asarray(spans, dtype=float).reshape(-1, 2)
         half = 0.5 * (ends[:, 1] - ends[:, 0])
         nodes = (ends[:, 0] + half)[:, None] + half[:, None] * _CC_NODES
         at0 = len(ends) > 0 and ends[0, 0] == 0.0
         points = np.asarray(points, dtype=float)
-        if alone:
-            fv = self.f(nodes)
-        else:
-            fv = self.f(np.concatenate([nodes.ravel(), points]) if points.size else nodes.ravel())
+        fv = self.f(np.concatenate([nodes.ravel(), points]) if points.size else nodes.ravel())
         self.nodes_used += nodes.size + points.size
-        fv, charge = fv if isinstance(fv, tuple) else (fv, None)
+        fv, charge = fv if isinstance(fv, tuple) else (fv, np.zeros(fv.shape))
         g = fv[:nodes.size].reshape(nodes.shape)
         power = 1.0
         if self.v != 1.0:
@@ -234,52 +230,18 @@ class _PanelIntegrator:
             scale[0] = half[0] ** self._v0
         abs_scale = np.abs(scale)
         panels = list(zip(map(complex, (scale * value).tolist()), (abs_scale * err).tolist()))
-        added = None
-        if charge is not None:
-            # an infinite charge (partial sums near the overflow threshold)
-            # is refused when it is taken
-            with np.errstate(invalid="ignore"):
-                weighted = (charge[:nodes.size].reshape(nodes.shape) * np.abs(power)) @ absw
-                added = weighted[:, 0]
-                if at0:
-                    added[0] = weighted[0, 1]
-                added = abs_scale * added
+        # an infinite charge (partial sums near the overflow threshold) is
+        # refused when it is taken
+        with np.errstate(invalid="ignore"):
+            weighted = (charge[:nodes.size].reshape(nodes.shape) * np.abs(power)) @ absw
+            if at0:
+                weighted[0, 0] = weighted[0, 1]
+            charges = (abs_scale * weighted[:, 0]).tolist()
+        pending = list(zip(spans, panels, absg, charges))
         if not points.size:
-            return panels, absg, added, points, points
+            return pending, points, points
         power = self._power(points)
-        noise = (charge[nodes.size:] * np.abs(power) if charge is not None
-                 else np.zeros(points.size))
-        return panels, absg, added, fv[nodes.size:] * power, noise
-
-    def _charge(self, added: float, spans, points=()) -> None:
-        """Add the charge of the spans' panels to the total rounding."""
-        if not math.isfinite(added):
-            u_max = max(np.max(spans, initial=0.0), np.max(points, initial=0.0))
-            raise OverflowError("rounding bound of the integrand overflowed "
-                                f"(u up to {u_max:.6g})")
-        self.rounding += added
-
-    def _panels(self, spans, points=()):
-        """Value and error of each (a, b) span, |integrand| at its nodes
-        (a row per span, from u = b down to u = a; f itself on a panel
-        [0, b]), and the integrand at the extra points with a bound on its
-        rounding, all from one call of f, whose charge is added at once."""
-        panels, absg, added, hv, noise = self._call(spans, points)
-        if added is not None:
-            total = float(added.sum())
-            if self.rounding + total > self.budget and self.sharpen():
-                panels, absg, added, hv, noise = self._call(spans, points)
-                total = float(added.sum())
-            self._charge(total, spans, points)
-        return panels, absg, hv, noise
-
-    def batch(self, spans) -> list:
-        """The spans evaluated in one call of f, as panels still to be
-        taken: [(span, (value, error), |integrand| row, charge)], each
-        charged as a call of its own."""
-        panels, absg, added, _, _ = self._call(spans, alone=True)
-        charges = [None] * len(spans) if added is None else added.tolist()
-        return list(zip(spans, panels, absg, charges))
+        return pending, fv[nodes.size:] * power, charge[nodes.size:] * np.abs(power)
 
     def take(self, pending: list):
         """The first panel of a batch, removed from it, with its charge
@@ -287,13 +249,23 @@ class _PanelIntegrator:
         integrand is at hand, it and every panel still pending are
         evaluated again with that integrand."""
         span, panel, absg, added = pending[0]
-        if added is not None and self.rounding + added > self.budget and self.sharpen():
-            pending[:] = self.batch([item[0] for item in pending])
+        if self.rounding + added > self.budget and self.sharpen():
+            pending[:] = self.batch([item[0] for item in pending])[0]
             span, panel, absg, added = pending[0]
         del pending[0]
-        if added is not None:
-            self._charge(added, [span])
+        if not math.isfinite(added):
+            raise OverflowError("rounding bound of the integrand overflowed "
+                                f"(u up to {span[1]:.6g})")
+        self.rounding += added
         return panel, absg
+
+    def _panels(self, spans, points=()):
+        """Value and error of each (a, b) span, |integrand| at its nodes
+        and the integrand at the extra points with a bound on its rounding,
+        all from one call of f (batch), the panels taken in order (take)."""
+        pending, hv, noise = self.batch(spans, points)
+        taken = [self.take(pending) for _ in spans]
+        return [panel for panel, _ in taken], [absg for _, absg in taken], hv, noise
 
     def seed(self, spans) -> list[tuple[float, float, complex, float]]:
         """(lo, hi, value, err) of each span, from one call of f."""
@@ -329,19 +301,18 @@ class _PanelIntegrator:
         return sum((item[2] for item in work), complex(0.0)), total_err
 
 
-def _integrand_factory(spec: HyperSeriesSpec, ratio: complex, series_tol: float):
-    """phi(u) = e^(-u) F(ratio*u) on arrays of u >= 0, with e^(-u) times
-    each sum's rounding charge (each row of a 2-D u charged as a call of
-    its own), and a more precise phi or None; the
-    integrand is u^(v-1) phi(u), the power applied by _PanelIntegrator.
-    F is summed directly at every node from one term-ratio table shared by
-    every call.  For a real alternating integrand (real parameters,
-    Re(ratio) < 0) the precise phi sums in double-double."""
-    ratios = TermRatios(spec.numerator, spec.denominator)
+def _integrand_factory(ratios: TermRatios, ratio: complex, series_tol: float):
+    """phi(u) = e^(-u) F(ratio*u) on vectors of u >= 0, with e^(-u) times
+    each sum's rounding charge (the rows its call summed), and a more
+    precise phi or None; the integrand is u^(v-1) phi(u), the power
+    applied by _PanelIntegrator.  F is summed directly at every node from
+    the integral's term-ratio table, shared by every call.  For a real
+    alternating integrand (real parameters, Re(ratio) < 0) the precise phi
+    sums in double-double."""
     real = ratio.imag == 0.0 and ratios.real
     z = ratio.real if real else ratio
 
-    if spec.p == 0 and spec.q == 0 and ratio == 0.0:
+    if not ratios.numerator and not ratios.denominator and ratio == 0.0:
         return (lambda u: np.exp(-u)), None
 
     def charged(kernel):
@@ -397,13 +368,13 @@ class _TailModel:
         return 64
 
 
-def _tail_overflows(spec: HyperSeriesSpec, v: complex, ratio: complex, u_body: float,
+def _tail_overflows(ratios: TermRatios, v: complex, ratio: complex, u_body: float,
                     width: float, lam: float, target: float, rounding: float,
                     series_tol: float) -> bool:
-    """Whether the exponential tail's loop, one panel a call from u_body
-    with the rounding total so far, must run into the series' overflow.
-    Decided for p = q, w/s = z > 0 and positive parameters only, where
-    every term t_n (z u)^n of F(z u) is positive; else False.
+    """Whether the exponential tail's loop from u_body, with the rounding
+    total so far, must run into the series' overflow.  Decided for p = q,
+    w/s = z > 0 and positive parameters only, where every term t_n (z u)^n
+    of F(z u) is positive; else False.
 
     On a panel [a, b] the loop stops only if |h(b)| / lam, at most the
     bound it reads there, is within its target: target (0.125 of the
@@ -413,24 +384,26 @@ def _tail_overflows(spec: HyperSeriesSpec, v: complex, ratio: complex, u_body: f
     below by the largest of them and above by N + 1 times it plus a
     geometric bound on the rest.  Inside a panel F'/F <= R =
     prod max(1, a_i / b_i), so |h| grows from its bound at a at most like
-    u^(Re v - 1) e^((z R - 1) u).  A call of the panel sums at most N + 4
-    rows (the window's last term is below series_tol times its largest),
-    so it charges at most 2 (p+q+3) eps (N + 4) |h| at a node, and at most
-    that times width sup|h| in all.  True where, on each of the loop's 64
+    u^(Re v - 1) e^((z R - 1) u).  The panel is charged for the rows its
+    call summed, and that call ends at b or, holding panels that start
+    within twice its start, by min(a + b, u_stop), u_stop = 700 / z; with
+    N the window at that end, it sums at most N + 4 rows (the window's
+    last term is below series_tol times its largest), so the panel charges
+    at most 2 (p+q+3) eps (N + 4) |h| at a node, and at most that times
+    width sup|h| in all.  True where, on each of the loop's 64
     panels up to the first whose largest term passes the largest double,
     |h(b)| / lam stays above both the target and the rounding so bounded,
     and the kernel sums through that term: no term before it is below
     series_tol times (n + 1) times the largest before it, a bound of the
     sum, so the kernel raises OverflowError there."""
-    params = [complex(x) for x in (*spec.numerator, *spec.denominator)]
-    if (spec.p != spec.q or ratio.imag != 0.0 or ratio.real <= 0.0
-            or any(x.imag != 0.0 or x.real <= 0.0 for x in params)):
+    if (len(ratios.numerator) != len(ratios.denominator) or ratio.imag != 0.0
+            or ratio.real <= 0.0 or not ratios.real
+            or min((*ratios.numerator, *ratios.denominator), default=1.0) <= 0.0):
         return False
-    ratios = TermRatios(spec.numerator, spec.denominator)
     pairs = list(zip(ratios.numerator, ratios.denominator))
     z, power = ratio.real, v.real - 1.0
     rise = max(0.0, z * math.prod(max(1.0, a / b) for a, b in pairs) - 1.0) * width
-    unit = 2.0 * (spec.p + spec.q + 3) * _EPS * width
+    unit = 2.0 * (2 * len(pairs) + 3) * _EPS * width
     log_tol = math.log(series_tol)
     log_max = math.log(np.finfo(float).max)
     margin = 1e-6  # far above the rounding of the logs
@@ -465,7 +438,11 @@ def _tail_overflows(spec: HyperSeriesSpec, v: complex, ratio: complex, u_body: f
             logs = np.concatenate([[0.0], walk[:peak + 1]])  # log t_0 .. the largest
             floor = np.maximum.accumulate(logs[:-1]) + np.log(np.arange(1.0, peak + 2.0)) + log_tol
             return bool((logs[1:] > floor + margin).all())
-        rounding += unit * (len(walk) + 4) * math.exp(log_sup)
+        reach = max(b, min(a + b, _Z_OVERFLOW / z))  # the call's last node
+        rows = ends if reach == b else terms(reach)
+        if rows is None:
+            return False
+        rounding += unit * (len(rows[0]) + 4) * math.exp(log_sup)
         if low <= math.log(lam * max(target, rounding)) + margin:
             return False
         a = b
@@ -501,7 +478,8 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
             f"Re(w/s)={ratio.real:.4g} >= 1: the integrand grows along the ray u = st")
 
     series_tol = min(1e-13, tol * 1e-3)
-    phi, precise = _integrand_factory(spec, ratio, series_tol)
+    ratios = TermRatios(spec.numerator, spec.denominator)
+    phi, precise = _integrand_factory(ratios, ratio, series_tol)
     integ = _PanelIntegrator(phi, v, precise)
 
     # the coarse panels give the scale of the integral, then seed the
@@ -516,7 +494,7 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         panels, absh, _, _ = integ._panels(spans)
         scale = max(sum(abs(val) for val, _ in panels), 1e-12)
     work = [(*span, *panel) for span, panel in zip(spans, panels)]
-    h_body = float(absh[-1, 0])  # |h(u_body)|: the last panel's first node
+    h_body = float(absh[-1][0])  # |h(u_body)|: the last panel's first node
     if integ.rounding > tol * scale:
         raise OverflowError("rounding of the integrand exceeds the tolerance "
                             f"({integ.rounding:.3g} > {tol * scale:.3g})")
@@ -557,7 +535,7 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
         # parameter keeps F far from its asymptotic form at u_body), and the
         # refusal rests on _tail_overflows' bounds of |h|
         if (growth and ahead > (u_stop - u_body) // width
-                and _tail_overflows(spec, v, ratio, u_body, width, lam, 0.125 * abs_tol,
+                and _tail_overflows(ratios, v, ratio, u_body, width, lam, 0.125 * abs_tol,
                                     integ.rounding, series_tol)):
             raise SlowDecayError(
                 f"w/s={ratio.real:.4g}: the exponential tail stays above its target "
@@ -575,11 +553,11 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
                 ends = list(itertools.accumulate([width] * count, initial=u_lo))
                 spans = list(zip(ends, ends[1:]))
                 try:
-                    pending = integ.batch(spans)
+                    pending = integ.batch(spans)[0]
                 except OverflowError:
                     if count == 1:
                         raise
-                    pending = integ.batch(spans[:1])
+                    pending = integ.batch(spans[:1])[0]
             (val, perr), absh = integ.take(pending)
             total += val
             err += perr

@@ -527,10 +527,11 @@ def test_exponential_tail_bound_with_a_rising_power():
 
 # The exponential tail takes its predicted panels from one integrand call.
 # Against a reference that takes one panel per call (the prediction
-# patched to 1), it must take the same panels, stop at the same one and
+# patched to 1), it must evaluate the same panels, stop at the same one and
 # spend the same nodes; the values may differ in the last bits (a node's
 # sum runs to the call's stop row), and the estimate is no smaller, up to
-# the rounding of the sums that form it.
+# the rounding of the sums that form it: each panel is charged for the
+# rows its call summed.
 PREDICTED_TAILS = [
     # v, s, w, numerator, denominator, tol
     (1.5, 1.0, 0.5, [1.5, 0.7], [2.1, 1.3], 1e-7),     # Re(w/s) > 0, one call
@@ -544,48 +545,75 @@ PREDICTED_TAILS = [
 ]
 
 
-def _tail_run(monkeypatch, case, one_panel_calls, taken=None):
-    """The result and the (lo, hi) of every tail panel taken, in order
-    (into taken, if given)."""
+def _tail_run(monkeypatch, case, one_panel_calls):
+    """The result and the spans of every batch (integrand call) it made, in
+    order."""
     from hyperlap import quadrature
     v, s, w, num, den, tol = case
-    taken = [] if taken is None else taken
-    take = quadrature._PanelIntegrator.take
+    calls = []
+    batch = quadrature._PanelIntegrator.batch
 
-    def recorded(integ, pending):
-        taken.append(pending[0][0])
-        return take(integ, pending)
+    def recorded(integ, spans, points=()):
+        calls.append(list(spans))
+        return batch(integ, spans, points)
 
     with monkeypatch.context() as m:
-        m.setattr(quadrature._PanelIntegrator, "take", recorded)
+        m.setattr(quadrature._PanelIntegrator, "batch", recorded)
         if one_panel_calls:
             m.setattr(quadrature._TailModel, "panels", lambda model, *args: 1)
         res = laplace_numeric(v, s, w, HyperSeriesSpec(num, den, 1.0), tol=tol)
-    return res, taken
+    return res, calls
+
+
+def _tail_panels(case, calls):
+    """The tail panels the calls evaluated, in order, each once: the spans
+    from u_body on."""
+    u_body = max(24.0, 6.0 * abs(case[0]))
+    panels = []
+    for span in (span for spans in calls for span in spans):
+        if span[0] >= u_body and span not in panels:
+            panels.append(span)
+    return panels
 
 
 @pytest.mark.parametrize("case", PREDICTED_TAILS)
 def test_predicted_tail_matches_one_panel_per_call(case, monkeypatch):
-    want, want_taken = _tail_run(monkeypatch, case, True)
-    got, got_taken = _tail_run(monkeypatch, case, False)
+    # a one-panel call is taken as soon as it is made, so the reference's
+    # panels are the ones it takes
+    want, want_calls = _tail_run(monkeypatch, case, True)
+    got, got_calls = _tail_run(monkeypatch, case, False)
     assert want.tail_method is TailMethod.EXP_DECAY
-    assert len(want_taken) >= 2
-    assert got_taken == want_taken
+    assert len(_tail_panels(case, want_calls)) >= 2
+    assert _tail_panels(case, got_calls) == _tail_panels(case, want_calls)
+    assert len(got_calls) <= len(want_calls)
     assert got.nodes_used == want.nodes_used
     assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
     assert got.abs_err_est >= want.abs_err_est * (1.0 - 1e-14)
 
 
 def test_panels_past_the_stop_add_nothing(monkeypatch):
-    # the first case stops after its third panel; predicted at 4, its call
-    # holds a fourth panel, which is evaluated but never taken
+    # the first case stops after its third panel, [40, 48]; predicted at 4,
+    # its call holds a fourth panel, which is evaluated but never taken:
+    # with the integrand and its charge made NaN inside that panel
+    # (w/s = 0.5, so arguments past 24), the result is the same
     from hyperlap import quadrature
-    want, want_taken = _tail_run(monkeypatch, PREDICTED_TAILS[0], True)
+    case = PREDICTED_TAILS[0]
+    want, want_calls = _tail_run(monkeypatch, case, True)
     monkeypatch.setattr(quadrature._TailModel, "panels", lambda model, *args: 4)
-    got, got_taken = _tail_run(monkeypatch, PREDICTED_TAILS[0], False)
-    assert len(want_taken) == 3 and got_taken == want_taken
+    got, got_calls = _tail_run(monkeypatch, case, False)
+    tail = _tail_panels(case, want_calls)
+    assert tail[-1] == (40.0, 48.0) and got_calls[-1] == tail + [(48.0, 56.0)]
     assert got.nodes_used == want.nodes_used + 25
     assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+    kernel = series._series_vector
+
+    def poisoned(ratios, z, *args):
+        values, charge = kernel(ratios, z, *args)
+        return np.where(z > 24.0, np.nan, values), np.where(z > 24.0, np.nan, charge)
+
+    monkeypatch.setattr(series, "_series_vector", poisoned)
+    again, _ = _tail_run(monkeypatch, case, False)
+    assert again == got
 
 
 def test_a_batch_charges_each_panel_when_it_is_taken():
@@ -596,7 +624,7 @@ def test_a_batch_charges_each_panel_when_it_is_taken():
         return np.exp(-u), np.zeros(u.shape)
 
     integ = _PanelIntegrator(charged, precise=precise)
-    pending = integ.batch([(24.0, 32.0), (32.0, 40.0), (40.0, 48.0)])
+    pending = integ.batch([(24.0, 32.0), (32.0, 40.0), (40.0, 48.0)])[0]
     assert integ.rounding == 0.0 and integ.nodes_used == 75
     integ.take(pending)
     one = integ.rounding
@@ -607,6 +635,34 @@ def test_a_batch_charges_each_panel_when_it_is_taken():
     integ.take(pending)
     assert integ.rounding == one and integ.nodes_used == 75 + 50
     assert integ.precise is None and len(pending) == 1
+
+
+def test_sweep_passing_its_budget_switches_to_double_double_from_that_panel(monkeypatch):
+    # a sweep of four panels of a real alternating integrand, whose third
+    # charge takes the rounding past the budget: the first two stay float,
+    # the third and fourth are evaluated again in one double-double call
+    from hyperlap import quadrature
+    calls = []
+    kernel = series._series_vector_dd
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "_series_vector_dd", counted)
+    phi, dd_phi = quadrature._integrand_factory(series.TermRatios([1.5], [2.5]), -3.0 + 0j, 1e-13)
+    spans = [(2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0)]
+    floats = _PanelIntegrator(phi).batch(spans)[0]
+    doubles = _PanelIntegrator(dd_phi).batch(spans[2:])[0]
+    calls.clear()
+    integ = _PanelIntegrator(phi, precise=dd_phi)
+    integ.budget = floats[0][3] + floats[1][3] + 0.5 * floats[2][3]
+    work = integ.seed(spans)
+    assert calls == [50] and integ.precise is None
+    assert integ.nodes_used == 100 + 50
+    assert [item[2:] for item in work] == [item[1] for item in floats[:2] + doubles]
+    assert integ.rounding == floats[0][3] + floats[1][3] + doubles[0][3] + doubles[1][3]
+    assert doubles[0][3] < floats[2][3]
 
 
 def test_predicted_tail_switches_to_double_double_within_a_call(monkeypatch):
@@ -620,8 +676,11 @@ def test_predicted_tail_switches_to_double_double_within_a_call(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(series, "_series_vector_dd", counted)
-    res, taken = _tail_run(monkeypatch, PREDICTED_TAILS[-1], False)
-    assert len(taken) == 2 and calls == [25]
+    case = PREDICTED_TAILS[-1]
+    res, batches = _tail_run(monkeypatch, case, False)
+    tail = _tail_panels(case, batches)
+    assert len(tail) == 2 and batches[-2] == tail and batches[-1] == tail[1:]
+    assert calls == [25]
     assert res.nodes_used == 75 + 2 * 25 + 25
 
 
@@ -633,20 +692,13 @@ def test_predicted_tail_call_that_would_overflow_falls_back(monkeypatch):
     # one panel, and the result is the reference's
     from hyperlap import quadrature
     case = (0.5, 1.0, 0.99, [0.3], [2.9], 1e-9)
-    want, want_taken = _tail_run(monkeypatch, case, True)
+    want, want_calls = _tail_run(monkeypatch, case, True)
     monkeypatch.setattr(quadrature, "_Z_OVERFLOW", 1e4)
     monkeypatch.setattr(quadrature._TailModel, "panels", lambda model, *args: 64)
-    spans = []
-    batch = quadrature._PanelIntegrator.batch
-
-    def recorded(integ, panels):
-        spans.append(panels)
-        return batch(integ, panels)
-
-    monkeypatch.setattr(quadrature._PanelIntegrator, "batch", recorded)
-    got, got_taken = _tail_run(monkeypatch, case, False)
-    assert len(want_taken) == 8 and got_taken == want_taken
-    assert spans[-2][-1][1] > 1000.0 and spans[-1] == spans[-2][:1]
+    got, got_calls = _tail_run(monkeypatch, case, False)
+    assert got_calls[-2][-1][1] > 1000.0 and got_calls[-1] == got_calls[-2][:1]
+    tail = _tail_panels(case, want_calls)
+    assert len(tail) == 8 and _tail_panels(case, got_calls[:-2] + got_calls[-1:]) == tail
     assert got.nodes_used == want.nodes_used
     assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
 
@@ -725,23 +777,23 @@ def test_long_tail_that_ends_is_not_refused(case, monkeypatch):
     assert got == want
 
 
-def test_tail_whose_rounding_sets_the_target_is_not_refused(monkeypatch):
+def test_tail_whose_rounding_sets_the_target_is_not_refused():
     # 2F2(60, 3; 1.5, 2) at w/s = 0.8: the tail outweighs the body by
     # about 1e21, so its rounding, not the tolerance, sets the target.  |h|
     # stays above the tolerance out to the overflow, but the check bounds
-    # the rounding by no less than |h|, so it does not refuse.  The loop
-    # takes the reference's panels (it would stop early if a panel of a
-    # call were charged for the call's rows) and, like it, meets an
-    # overflowing rounding bound on the 31st
+    # the rounding by no less than |h|, so it does not refuse.  Each tail
+    # panel is charged for the rows its call summed, and that rounding
+    # raises the target enough for the loop to stop before its rounding
+    # bound overflows.  Gamma(v) 3F2(v, 60, 3; 1.5, 2; 0.8), mpmath at 40
+    # digits, frozen
     from hyperlap import quadrature
-    case = (1.5, 1.0, 0.8, [60.0, 3.0], [1.5, 2.0], 1e-7)
-    assert not quadrature._tail_overflows(HyperSeriesSpec(case[3], case[4], 1.0), 1.5 + 0j,
-                                          0.8 + 0j, 24.0, 20.0, 0.2, 1e-9, 0.0, 1e-13)
-    taken = {}
-    for one_panel_calls in (True, False):
-        with pytest.raises(OverflowError, match="rounding bound"):
-            _tail_run(monkeypatch, case, one_panel_calls, taken.setdefault(one_panel_calls, []))
-    assert len(taken[True]) == 31 and taken[False] == taken[True]
+    want = 9.301019848385291e43
+    ratios = series.TermRatios([60.0, 3.0], [1.5, 2.0])
+    assert not quadrature._tail_overflows(ratios, 1.5 + 0j, 0.8 + 0j, 24.0, 20.0, 0.2,
+                                          1e-9, 0.0, 1e-13)
+    res = laplace_numeric(1.5, 1.0, 0.8, HyperSeriesSpec([60.0, 3.0], [1.5, 2.0], 1.0), tol=1e-7)
+    assert res.tail_method is TailMethod.EXP_DECAY
+    assert abs(res.value - want) <= res.abs_err_est
 
 
 def _fit_by_three_solves(rho_c, upper, hv, noise, fit):
