@@ -29,12 +29,13 @@ import time
 from .errors import (DegenerateParameterError, DivergentSeriesError, HyperLapError,
                      IndeterminateError, InvalidBinding, PoleError, SamplerExhausted,
                      SlowDecayError, ValidityError)
-from .gammafn import gamma
-from .laplace import LaplaceCase, closed_form, lhs_integrand
+from .gammafn import POLE_TOL, gamma
+from .laplace import (LaplaceCase, case_gamma_arguments, closed_form, lhs_integrand,
+                      require_integral_exists)
 from .quadrature import laplace_numeric
 from .series import HyperSeriesSpec, eval_series
 from .summation import DixonVariant
-from . import verifier
+from . import laplace, summation, verifier
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,18 +83,14 @@ def parse_complex_list(text: str) -> list[complex]:
 
 
 _PARAM_FLAGS = ("a", "b", "c", "d", "e")
-_CONFIG_TYPES = {
-    "a": parse_complex, "b": parse_complex, "c": parse_complex,
-    "d": parse_complex, "e": parse_complex, "s": parse_complex,
-    "z": parse_complex, "v": parse_complex, "w": parse_complex,
-    "num": parse_complex_list, "den": parse_complex_list,
-    "tol": float, "oracle-tol": float, "n": int, "seed": int,
-    "max-terms": int, "complex-im": float, "pole-margin": float,
-}
 
 
-def _load_config(path: str) -> dict:
-    values: dict = {}
+def _config_flags(path: str) -> list[str]:
+    """The key=value lines of a config file as the flags --key=value of the
+    chosen command (a switch: true gives --key, false nothing), to be parsed
+    ahead of the explicit flags, which win.  A key that is no option of
+    the command is a usage error, as an unknown flag is."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -101,19 +98,21 @@ def _load_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise _UsageError(f"config line without '=': {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            conv = _CONFIG_TYPES.get(key, str)
-            values[key.replace("-", "_")] = conv(raw)
-    return values
+            key, _, raw = (part.strip() for part in line.partition("="))
+            key = key.replace("_", "-")
+            if key in ("config", "help"):
+                raise _UsageError(f"config key {key!r} is not allowed")
+            if raw != "false":
+                flags.append(f"--{key}" if raw == "true" else f"--{key}={raw}")
+    return flags
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--config", default=None,
-                   help="flat key=value file supplying defaults; explicit flags win")
+                   help="flat key=value file of this command's options (no dashes), "
+                        "read as flags ahead of the explicit ones, which win")
     p.add_argument("--timing", action="store_true",
                    help="attach wall-clock timing (breaks byte-reproducibility)")
     if seed:
@@ -372,17 +371,10 @@ def _cmd_check(args) -> int:
         tol = verifier.DEFAULT_TOLERANCES[
             verifier._series_tolerance_key(args.id)
             if args.oracle == "series" else args.oracle]
-    # surface validity problems as exit code 2 before running oracles
+    _refuse_invalid(kind, _ident, binding, variant)
     if kind == "sum":
-        from .summation import validity
-        ok, reason = validity(_ident, binding, dixon_variant=variant)
-        if not ok:
-            raise ValidityError(reason)
         report = verifier.check_series(args.id, binding, tol, variant)
     else:
-        from .laplace import _check_case_validity
-        params = {k: v for k, v in binding.items() if k != "s"}
-        _check_case_validity(LaplaceCase(_ident, params, binding["s"]))
         dispatch = {
             "series": lambda: verifier.check_series(args.id, binding, tol, variant),
             "quadrature": lambda: verifier.check_quadrature(args.id, binding, tol,
@@ -399,6 +391,26 @@ def _cmd_check(args) -> int:
         doc["envelope"] = {"timing_ms": (time.monotonic() - t0) * 1e3}
     _emit(doc, args, rows_for_csv=[row])
     return EXIT_OK if report.passed else EXIT_NUMERICAL
+
+
+def _refuse_invalid(kind: str, ident, binding: dict, variant: DixonVariant) -> None:
+    """Raise a validity error (exit code 2) where the catalog refuses the
+    binding, for sums and transforms alike: an exact exclusion, a stated
+    condition, a numerator gamma argument of the closed form on a pole, or
+    a divergent series (for a transform, an integral that does not exist).
+    The sampler's margins do not apply: a binding near a pole or an
+    exclusion is checked."""
+    if kind == "sum":
+        ok, reason = summation.validity(ident, binding, margin=POLE_TOL, dixon_variant=variant)
+    else:
+        case = LaplaceCase(ident, *verifier._split_laplace_binding(binding))
+        laplace._check_case_validity(case)
+        integ = lhs_integrand(case)
+        require_integral_exists(integ.power, case.s, integ.w, integ.spec)
+        reason = summation._pole_proximity_reason(*case_gamma_arguments(case, variant), POLE_TOL)
+        ok = reason is None
+    if not ok:
+        raise ValidityError(reason)
 
 
 def _cmd_suite(args) -> int:
@@ -450,18 +462,14 @@ def _cmd_resolve_dixon(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        # first pass just to honor --config as a defaults source
+        argv = sys.argv[1:] if argv is None else list(argv)
         probe = _Parser(add_help=False)
         probe.add_argument("--config", default=None)
-        known, _rest = probe.parse_known_args(argv)
-        if known.config:
-            defaults = _load_config(known.config)
-            args = parser.parse_args(argv)
-            for key, val in defaults.items():
-                if getattr(args, key, None) is None:
-                    setattr(args, key, val)
-        else:
-            args = parser.parse_args(argv)
+        config = probe.parse_known_args(argv)[0].config
+        if config:
+            at = 2 if argv[:1] == ["eval"] else 1  # past the command's name
+            argv = argv[:at] + _config_flags(config) + argv[at:]
+        args = parser.parse_args(argv)
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "check":
@@ -474,7 +482,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (argparse.ArgumentTypeError, ValueError) as exc:
+    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:  # OSError: --config, --out
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _VALIDITY_ERRORS as exc:

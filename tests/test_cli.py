@@ -226,3 +226,65 @@ def test_eval_laplace_numeric_refusals_exit_codes(w, code, capsys):
 def test_suite_refuses_negative_sampler_inputs(flags, capsys):
     assert main(["suite", "--ids", "sum.gauss2x", *flags]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def _main_json(capsys, *args):
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out) if captured.out else None, captured.err
+
+
+def test_config_values_replace_defaults_that_are_not_none(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("n=1\nseed=7\ncomplex-im=0.3\npole-margin=0.01\n")
+    code, doc, _ = _main_json(capsys, "suite", "--ids", "sum.gauss2x", "--no-reports",
+                              "--config", str(cfg))
+    assert code == 0
+    env = doc["results"][0]["environment"]
+    got = env["n_per_id"], env["seed"], env["complex_im"], env["pole_margin"]
+    assert got == (1, 7, 0.3, 0.01)
+    # an explicit flag still wins over the config
+    code, doc, _ = _main_json(capsys, "suite", "--ids", "sum.gauss2x", "--no-reports",
+                              "--config", str(cfg), "--n", "2", "--seed", "42")
+    env = doc["results"][0]["environment"]
+    assert (env["n_per_id"], env["seed"], env["complex_im"]) == (2, 42, 0.3)
+
+
+def test_config_tol_and_max_terms_reach_eval_pfq(tmp_path, capsys):
+    cfg = tmp_path / "pfq.cfg"
+    cfg.write_text("tol=1e-6\nmax-terms=5\n")
+    code, doc, err = _main_json(capsys, "eval", "pfq", "--num", "1", "--den", "2", "--z", "0.5",
+                                "--config", str(cfg))
+    assert code == 3 and "did not converge" in err
+    code, doc, _ = _main_json(capsys, "eval", "pfq", "--num", "1", "--den", "2", "--z", "0.5",
+                              "--config", str(cfg), "--max-terms", "100")
+    assert code == 0
+    assert doc["inputs"]["tol"] == 1e-6 and doc["inputs"]["max_terms"] == 100
+
+
+@pytest.mark.parametrize("line", ["n=3", "config=other.cfg", "format=xml", "timing=maybe", None])
+def test_unknown_config_key_or_missing_config_is_a_usage_error(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    if line is not None:  # else no config file at all
+        cfg.write_text(line + "\n")
+    code, doc, err = _main_json(capsys, "eval", "pfq", "--num", "1", "--den", "2", "--z", "0.5",
+                                "--config", str(cfg))
+    assert code == 1 and doc is None and "usage error" in err
+
+
+@pytest.mark.parametrize("identity, flags, rel", [
+    ("sum.kummerx", ["--a", "2.5", "--b", "0.9995", "--d", "3"], 1e-11),  # 5e-4 from b = 1
+    ("sum.gauss2x", ["--a", "1.8005", "--b", "0.8", "--d", "1.5"], 1e-10),  # 5e-4 from a pole
+])
+def test_check_runs_bindings_inside_the_sampler_margins(identity, flags, rel, capsys):
+    code, doc, _ = _main_json(capsys, "check", "--id", identity, *flags)
+    row = doc["results"][0]
+    assert code == 0 and row["pass"] is True and row["rel_residual"] <= rel
+
+
+@pytest.mark.parametrize("identity", ["sum.gauss2x", "lap.gauss2x"])
+def test_check_at_a_gamma_pole_is_a_validity_error_for_both_kinds(identity, capsys):
+    # a - b = 1 puts a numerator gamma argument of the closed form on 0
+    code, doc, err = _main_json(capsys, "check", "--id", identity, "--a", "1.8", "--b", "0.8",
+                                "--d", "1.5", "--s", "2")
+    assert code == 2 and doc is None and "pole" in err
