@@ -33,6 +33,7 @@ from .gammafn import POLE_TOL, gamma
 from .laplace import (LaplaceCase, case_gamma_arguments, closed_form, lhs_integrand,
                       require_integral_exists)
 from .quadrature import laplace_numeric
+from .reporting import json_value
 from .series import HyperSeriesSpec, eval_series
 from .summation import DixonVariant
 from . import laplace, summation, verifier
@@ -214,25 +215,8 @@ def _collect_params(args, symbols) -> dict:
     return params
 
 
-def _identity_symbols(identity_id: str) -> tuple[str, ...]:
-    kind, ident = verifier.parse_identity(identity_id)
-    if kind == "sum":
-        from .summation import REQUIRED_SYMBOLS
-        return REQUIRED_SYMBOLS[ident]
-    from .laplace import REQUIRED_LAPLACE_SYMBOLS
-    return REQUIRED_LAPLACE_SYMBOLS[ident]
-
-
 def _complex_fields(prefix: str, z: complex) -> dict:
     return {f"{prefix}_re": z.real, f"{prefix}_im": z.imag}
-
-
-def _echo_value(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if isinstance(v, list):
-        return [_echo_value(x) for x in v]
-    return v
 
 
 def _inputs_echo(args, skip=("format", "out", "config", "timing", "command", "kind")) -> dict:
@@ -243,11 +227,15 @@ def _inputs_echo(args, skip=("format", "out", "config", "timing", "command", "ki
         val = getattr(args, key)
         if val is None:
             continue
-        out[key] = _echo_value(val)
+        out[key] = json_value(val)
     return out
 
 
-def _emit(doc: dict, args, rows_for_csv=None) -> None:
+def _emit(doc: dict, args, t0: float, rows_for_csv=None) -> None:
+    """Write doc, or its rows as CSV; under --timing, with the wall time
+    since t0 in a separate envelope field."""
+    if args.timing:
+        doc["envelope"] = {"timing_ms": (time.monotonic() - t0) * 1e3}
     if args.format == "csv":
         text = _to_csv(rows_for_csv if rows_for_csv is not None else doc["results"])
     else:
@@ -260,10 +248,9 @@ def _emit(doc: dict, args, rows_for_csv=None) -> None:
 
 
 def _to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
     if not rows:
-        buf.write("")
-        return buf.getvalue()
+        return ""
+    buf = io.StringIO()
     flat_rows = []
     for row in rows:
         flat = {}
@@ -338,10 +325,7 @@ def _cmd_eval(args) -> int:
                   **_complex_fields("tail_contribution", res.tail_contribution)}
     else:  # pragma: no cover - argparse enforces choices
         raise _UsageError(f"unknown eval kind {args.kind}")
-    doc = _document(f"eval {args.kind}", args, [result])
-    if args.timing:
-        doc["envelope"] = {"timing_ms": (time.monotonic() - t0) * 1e3}
-    _emit(doc, args)
+    _emit(_document(f"eval {args.kind}", args, [result]), args, t0)
     return EXIT_OK
 
 
@@ -349,47 +333,24 @@ def _case_from_args(args) -> LaplaceCase:
     kind, ident = verifier.parse_identity(args.id)
     if kind != "lap":
         raise _UsageError(f"{args.id} is not a Laplace identity")
-    symbols = _identity_symbols(args.id)
-    params = _collect_params(args, symbols)
-    if args.s is None:
-        raise _UsageError("--s is required")
-    return LaplaceCase(ident, params, args.s)
+    binding = _collect_params(args, verifier._symbols(kind, ident))
+    return LaplaceCase(ident, *verifier._split_laplace_binding(binding))
 
 
 def _cmd_check(args) -> int:
     t0 = time.monotonic()
-    kind, _ident = verifier.parse_identity(args.id)
-    symbols = _identity_symbols(args.id)
-    binding = _collect_params(args, symbols)
-    if kind == "lap":
-        if args.s is None:
-            raise _UsageError("--s is required for Laplace identities")
-        binding["s"] = args.s
+    kind, ident = verifier.parse_identity(args.id)
+    oracles = verifier.oracle_tolerances(kind, ident)
+    if args.oracle not in oracles:
+        raise _UsageError(f"the {args.oracle} oracle does not apply to {args.id} "
+                          f"(it takes {', '.join(oracles)})")
+    binding = _collect_params(args, verifier._symbols(kind, ident))
     variant = DixonVariant(args.dixon_variant)
-    tol = args.tol
-    if tol is None:
-        tol = verifier.DEFAULT_TOLERANCES[
-            verifier._series_tolerance_key(args.id)
-            if args.oracle == "series" else args.oracle]
-    _refuse_invalid(kind, _ident, binding, variant)
-    if kind == "sum":
-        report = verifier.check_series(args.id, binding, tol, variant)
-    else:
-        dispatch = {
-            "series": lambda: verifier.check_series(args.id, binding, tol, variant),
-            "quadrature": lambda: verifier.check_quadrature(args.id, binding, tol,
-                                                            dixon_variant=variant),
-            "compositional": lambda: verifier.check_compositional(args.id, binding,
-                                                                  tol, variant),
-            "specialization": lambda: verifier.check_specialization(args.id, binding,
-                                                                    tol),
-        }
-        report = dispatch[args.oracle]()
+    tol = oracles[args.oracle] if args.tol is None else args.tol
+    _refuse_invalid(kind, ident, binding, variant)
+    report = getattr(verifier, f"check_{args.oracle}")(args.id, binding, tol, variant)
     row = verifier._report_to_dict(report)
-    doc = _document("check", args, [row])
-    if args.timing:
-        doc["envelope"] = {"timing_ms": (time.monotonic() - t0) * 1e3}
-    _emit(doc, args, rows_for_csv=[row])
+    _emit(_document("check", args, [row]), args, t0, rows_for_csv=[row])
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
@@ -437,10 +398,7 @@ def _cmd_suite(args) -> int:
                                 resolve_variant=args.resolve_variant,
                                 keep_reports=not args.no_reports)
     payload = result.to_dict()
-    doc = _document("suite", args, [payload])
-    if args.timing:
-        doc["envelope"] = {"timing_ms": (time.monotonic() - t0) * 1e3}
-    _emit(doc, args, rows_for_csv=payload["reports"])
+    _emit(_document("suite", args, [payload]), args, t0, rows_for_csv=payload["reports"])
     return EXIT_OK if result.overall_pass else EXIT_NUMERICAL
 
 
@@ -452,10 +410,8 @@ def _cmd_resolve_dixon(args) -> int:
         "dixon_variant_verdict": verdict,
         "evidence": [verifier._evidence_to_dict(row) for row in evidence],
     }
-    doc = _document("resolve-dixon", args, [payload])
-    if args.timing:
-        doc["envelope"] = {"timing_ms": (time.monotonic() - t0) * 1e3}
-    _emit(doc, args, rows_for_csv=payload["evidence"])
+    _emit(_document("resolve-dixon", args, [payload]), args, t0,
+          rows_for_csv=payload["evidence"])
     return EXIT_OK if verdict != "inconclusive" else EXIT_NUMERICAL
 
 
@@ -479,10 +435,8 @@ def main(argv=None) -> int:
         if args.command == "resolve-dixon":
             return _cmd_resolve_dixon(args)
         raise _UsageError(f"unknown command {args.command}")
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:  # OSError: --config, --out
+    except (_UsageError, argparse.ArgumentTypeError, ValueError, OSError) as exc:
+        # OSError: --config, --out
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _VALIDITY_ERRORS as exc:

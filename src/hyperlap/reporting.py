@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 NEAR_ZERO_RHS = 1e-12
 _FLOOR = 1e-300
@@ -50,6 +52,44 @@ def failed_report(identity_id: str, params: dict, oracle: str,
                        float("inf"), float("inf"), oracle, False, diagnostics)
 
 
+def json_value(v):
+    """v as a report holds it: a complex as {"re", "im"}, a list item by item."""
+    if isinstance(v, complex):
+        return {"re": v.real, "im": v.imag}
+    if isinstance(v, list):
+        return [json_value(x) for x in v]
+    return v
+
+
+def series_tolerance(tol: float) -> float:
+    """The tolerance the series oracle sums to, for a check at tol: two
+    digits tighter, so the oracle's own error stays out of the residual."""
+    return max(tol * 1e-2, 1e-13)
+
+
+class Sides(NamedTuple):
+    """The two evaluated sides of a check.  params, when set, replaces the
+    binding in the report of a successful comparison."""
+
+    lhs: complex
+    rhs: complex
+    diagnostics: str = ""
+    params: dict | None = None
+
+
+def compare(identity_id: str, params: dict, oracle: str, tol: float,
+            sides: Callable[[], Sides]) -> CheckReport:
+    """The comparison step of every oracle check: evaluate sides() and
+    judge it with make_report.  An exception never propagates: it comes
+    back as a failed report on params."""
+    try:
+        got = sides()
+    except Exception as exc:  # noqa: BLE001 - reported, not raised
+        return failed_report(identity_id, params, oracle, f"{type(exc).__name__}: {exc}")
+    return make_report(identity_id, params if got.params is None else got.params,
+                       got.lhs, got.rhs, oracle, tol, got.diagnostics)
+
+
 @dataclass
 class IdentityAggregate:
     identity_id: str
@@ -68,14 +108,5 @@ class IdentityAggregate:
 
     @property
     def median_residual(self) -> float:
-        if not self.residuals:
-            return 0.0
-        ordered = sorted(self.residuals)
-        mid = len(ordered) // 2
-        if len(ordered) % 2 == 1:
-            return ordered[mid]
-        return 0.5 * (ordered[mid - 1] + ordered[mid])
+        return statistics.median(self.residuals) if self.residuals else 0.0
 
-    @property
-    def all_passed(self) -> bool:
-        return self.n_passed == self.n_checked

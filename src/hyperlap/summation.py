@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateParameterError, InvalidBinding, ValidityError
 from .gammafn import POLE_TOL, gamma_ratio, GammaRatioSpec, nearest_pole_distance
-from .reporting import CheckReport, failed_report, make_report
+from .reporting import CheckReport, Sides, compare, series_tolerance
 from .series import HyperSeriesSpec, classify, converges, eval_series, parametric_excess
 
 __all__ = [
@@ -469,22 +469,16 @@ def validity(id: SummationId, params: dict, margin: float = 1e-3,
 
 
 def check(id: SummationId, params: dict, tol: float,
-          series_tol: float | None = None,
           dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
           ) -> CheckReport:
-    """Series oracle vs closed form at one parameter point.
+    """Series oracle vs closed form at one parameter point, the series
+    summed to reporting.series_tolerance(tol).
 
-    Errors never propagate: they come back as a failed report.
+    Errors never propagate: reporting.compare returns them as a failed
+    report.
     """
-    if series_tol is None:
-        series_tol = max(tol * 1e-2, 1e-13)
-    try:
-        spec = lhs_spec(id, params)
-        lhs = eval_series(spec, tol=series_tol)
+    def sides() -> Sides:
+        lhs = eval_series(lhs_spec(id, params), tol=series_tolerance(tol))
         rhs = rhs_closed_form(id, params, dixon_variant)
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
-        return failed_report(f"sum.{id.value}", params, "series",
-                             f"{type(exc).__name__}: {exc}")
-    diag = "" if lhs.converged else "series not converged"
-    return make_report(f"sum.{id.value}", params, lhs.value, rhs.value,
-                       "series", tol, diag)
+        return Sides(lhs.value, rhs.value, "" if lhs.converged else "series not converged")
+    return compare(f"sum.{id.value}", params, "series", tol, sides)

@@ -11,6 +11,12 @@ transforms (lap.*).  Each is hit with up to four independent oracles:
 * specialization -- extended transform at the distinguished d against the
                   classical entry it must collapse to.
 
+oracle_tolerances states which oracles apply to an identity and at what
+default tolerance; the checks' guards, run_suite and ``hyperlap check`` all
+read it.  The four checks share one signature, (identity_id, binding, tol,
+dixon_variant), and one comparison step, reporting.compare, which turns an
+exception into a failed report.
+
 Samples are drawn in blocks, in the same stream order, from
 per-(identity, oracle) child seeds, so results are reproducible bit for bit
 regardless of how checks might be scheduled.  Each block is screened as
@@ -32,7 +38,8 @@ from .laplace import (CLASSICAL_IDS, LaplaceCase, LaplaceId, NEW_IDS,
                       closed_form_direct, lhs_integrand, specialization_target,
                       transform_rhs_series)
 from .quadrature import _SLOW_DECAY_MARGIN, laplace_numeric
-from .reporting import CheckReport, IdentityAggregate, failed_report, make_report
+from .reporting import (CheckReport, IdentityAggregate, Sides, compare, failed_report,
+                        json_value, series_tolerance)
 from .series import eval_series, parametric_excess
 from .summation import (ARGUMENT, DixonVariant, REQUIRED_SYMBOLS, SummationId, lhs_spec,
                         rhs_closed_form)
@@ -42,6 +49,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "SamplerConfig",
     "SuiteResult",
+    "oracle_tolerances",
     "parse_identity",
     "resolve_dixon_variant",
     "run_suite",
@@ -64,6 +72,10 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "specialization": 1e-10,
     "compositional": 1e-13,
 }
+
+# the tolerance the quadrature oracle integrates to, two digits inside the
+# check's own
+QUADRATURE_ORACLE_TOL = 1e-7
 
 # series excess margins: keep draws clear of the convergence boundary so
 # the oracles stay fast and well conditioned; at z = 1 (s = w for a
@@ -252,95 +264,94 @@ def _split_laplace_binding(binding: dict) -> tuple[dict, complex]:
     return params, binding["s"]
 
 
-def _series_tolerance_key(identity_id: str) -> str:
+def oracle_tolerances(kind: str, ident,
+                      tolerances: dict = DEFAULT_TOLERANCES) -> dict[str, float]:
+    """The oracles that apply to an identity, in the order run_suite runs
+    them, each with its tolerance from tolerances: series to every identity
+    (series_unit where its series sits at unit argument), quadrature to the
+    transforms, and compositional and specialization to the seven new
+    transforms, which compose a sum's closed form and collapse to a
+    classical entry.  kind and ident as parse_identity gives them."""
+    unit = (ARGUMENT[ident] if kind == "sum" else W_FACTOR[ident]) == 1.0
+    oracles = {"series": tolerances["series_unit" if unit else "series"]}
+    if kind == "lap":
+        oracles["quadrature"] = tolerances["quadrature"]
+        if ident in SUMMATION_OF:
+            for oracle in ("compositional", "specialization"):
+                oracles[oracle] = tolerances[oracle]
+    return oracles
+
+
+def _check_transform(oracle: str, identity_id: str, binding: dict, tol: float,
+                     sides) -> CheckReport:
+    """reporting.compare of sides(ident, params, s) for a transform; a
+    failed report where the oracle does not apply to identity_id."""
     kind, ident = parse_identity(identity_id)
-    z = ARGUMENT[ident] if kind == "sum" else W_FACTOR[ident]
-    return "series_unit" if z == 1.0 else "series"
+    if oracle not in oracle_tolerances(kind, ident):
+        return failed_report(identity_id, binding, oracle,
+                             f"the {oracle} oracle does not apply to {identity_id}")
+    params, s = _split_laplace_binding(binding)
+    return compare(identity_id, binding, oracle, tol, lambda: sides(ident, params, s))
 
 
 def check_series(identity_id: str, binding: dict, tol: float,
                  dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
                  ) -> CheckReport:
-    """Closed form against the series oracle."""
+    """Closed form against the series oracle, summed to
+    reporting.series_tolerance(tol)."""
     kind, ident = parse_identity(identity_id)
     if kind == "sum":
         return summation.check(ident, binding, tol, dixon_variant=dixon_variant)
-    params, s = _split_laplace_binding(binding)
-    try:
+
+    def sides(ident, params, s):
         case = LaplaceCase(ident, params, s)
         integ = lhs_integrand(case)
-        series_tol = max(tol * 1e-2, 1e-13)
         lhs = transform_rhs_series(integ.power, case.s, integ.w, integ.spec,
-                                   tol=series_tol)
-        rhs = closed_form(case, dixon_variant)
-    except Exception as exc:  # noqa: BLE001
-        return failed_report(identity_id, binding, "series",
-                             f"{type(exc).__name__}: {exc}")
-    return make_report(identity_id, binding, lhs, rhs.value, "series", tol)
+                                   tol=series_tolerance(tol))
+        return Sides(lhs, closed_form(case, dixon_variant).value)
+    return _check_transform("series", identity_id, binding, tol, sides)
 
 
 def check_quadrature(identity_id: str, binding: dict, tol: float,
-                     oracle_tol: float = 1e-7,
                      dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
                      ) -> CheckReport:
-    """Closed form against the numerical-integration oracle (Laplace only)."""
-    kind, ident = parse_identity(identity_id)
-    if kind != "lap":
-        return failed_report(identity_id, binding, "quadrature",
-                             "quadrature oracle applies to Laplace identities")
-    params, s = _split_laplace_binding(binding)
-    try:
+    """Closed form against the numerical-integration oracle, run at
+    QUADRATURE_ORACLE_TOL."""
+    def sides(ident, params, s):
         case = LaplaceCase(ident, params, s)
         integ = lhs_integrand(case)
         lhs = laplace_numeric(integ.power, case.s, integ.w, integ.spec,
-                              tol=oracle_tol)
-        rhs = closed_form(case, dixon_variant)
-    except Exception as exc:  # noqa: BLE001
-        return failed_report(identity_id, binding, "quadrature",
-                             f"{type(exc).__name__}: {exc}")
-    return make_report(identity_id, binding, lhs.value, rhs.value, "quadrature",
-                       tol, diagnostics=f"nodes={lhs.nodes_used}")
+                              tol=QUADRATURE_ORACLE_TOL)
+        return Sides(lhs.value, closed_form(case, dixon_variant).value,
+                     f"nodes={lhs.nodes_used}")
+    return _check_transform("quadrature", identity_id, binding, tol, sides)
 
 
 def check_compositional(identity_id: str, binding: dict, tol: float,
                         dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
                         ) -> CheckReport:
-    """Verbatim transcription against the compositional route (new ids)."""
-    kind, ident = parse_identity(identity_id)
-    if kind != "lap" or ident not in SUMMATION_OF:
-        return failed_report(identity_id, binding, "compositional",
-                             "compositional check applies to the new transforms")
-    params, s = _split_laplace_binding(binding)
-    try:
+    """Verbatim transcription against the compositional route."""
+    def sides(ident, params, s):
         case = LaplaceCase(ident, params, s)
-        direct = closed_form_direct(case, dixon_variant)
-        composed = closed_form(case, dixon_variant)
-    except Exception as exc:  # noqa: BLE001
-        return failed_report(identity_id, binding, "compositional",
-                             f"{type(exc).__name__}: {exc}")
-    return make_report(identity_id, binding, direct.value, composed.value,
-                       "compositional", tol)
+        return Sides(closed_form_direct(case, dixon_variant).value,
+                     closed_form(case, dixon_variant).value)
+    return _check_transform("compositional", identity_id, binding, tol, sides)
 
 
-def check_specialization(identity_id: str, binding: dict, tol: float) -> CheckReport:
-    """Extended transform at its distinguished d against the classical entry."""
-    kind, ident = parse_identity(identity_id)
-    if kind != "lap" or ident not in SUMMATION_OF:
-        return failed_report(identity_id, binding, "specialization",
-                             "specialization applies to the new transforms")
-    params, s = _split_laplace_binding(binding)
-    rule = specialization_target(ident)
-    try:
-        params = dict(params)
-        params["d"] = rule.d_value(params)
-        reduced = closed_form(LaplaceCase(ident, params, s))
+def check_specialization(identity_id: str, binding: dict, tol: float,
+                         dixon_variant: DixonVariant = DixonVariant.HALF_A_MINUS_B,
+                         ) -> CheckReport:
+    """Extended transform, in the given Dixon reading, at its distinguished
+    d against the classical entry.  The report carries the substituted d;
+    a failed one, the binding as given."""
+    def sides(ident, params, s):
+        rule = specialization_target(ident)
+        params = {**params, "d": rule.d_value(params)}
+        reduced = closed_form(LaplaceCase(ident, params, s), dixon_variant)
         classical = closed_form(LaplaceCase(rule.classical_id,
                                             rule.classical_params(params), s))
-    except Exception as exc:  # noqa: BLE001
-        return failed_report(identity_id, binding, "specialization",
-                             f"{type(exc).__name__}: {exc}")
-    return make_report(identity_id, {**params, "s": s}, reduced.value,
-                       classical.value, "specialization", tol)
+        return Sides(reduced.value, classical.value, params={**params, "s": s})
+    return _check_transform("specialization", identity_id, binding, tol, sides)
 
 
 def _specialized_ok(lid: LaplaceId, p: dict, s, cfg: SamplerConfig):
@@ -436,23 +447,12 @@ class SuiteResult:
 
 
 def _evidence_to_dict(row: dict) -> dict:
-    out = {}
-    for key in sorted(row):
-        val = row[key]
-        if isinstance(val, complex):
-            out[key] = {"re": val.real, "im": val.imag}
-        else:
-            out[key] = val
-    return out
+    return {key: json_value(row[key]) for key in sorted(row)}
 
 
 def _report_to_dict(r: CheckReport) -> dict:
-    out = {"identity_id": r.identity_id}
-    params = {}
-    for key in sorted(r.params):
-        val = complex(r.params[key])
-        params[key] = {"re": val.real, "im": val.imag}
-    out["params"] = params
+    out = {"identity_id": r.identity_id,
+           "params": {key: json_value(complex(r.params[key])) for key in sorted(r.params)}}
     out.update({
         "lhs_re": r.lhs.real, "lhs_im": r.lhs.imag,
         "rhs_re": r.rhs.real, "rhs_im": r.rhs.imag,
@@ -462,8 +462,8 @@ def _report_to_dict(r: CheckReport) -> dict:
     return out
 
 
-_QUADRATURE_CAP = 25
-_COMPOSITIONAL_CAP = 100
+# the oracles that check only the first draws of an identity's sample
+_CHECK_CAPS = {"quadrature": 25, "compositional": 100}
 
 
 def run_suite(ids: list[str] | None = None,
@@ -495,34 +495,24 @@ def run_suite(ids: list[str] | None = None,
         kind, ident = parse_identity(identity_id)
         agg = IdentityAggregate(identity_id)
         reports: list[CheckReport] = []
-        series_tol = tols[_series_tolerance_key(identity_id)]
         try:
             bindings = sample_valid(identity_id, cfg, n_per_id)
         except SamplerExhausted as exc:
             sampler_failures[identity_id] = str(exc)
             bindings = []
-        for binding in bindings:
-            reports.append(check_series(identity_id, binding, series_tol,
-                                        dixon_variant))
-        if kind == "lap":
-            for binding in bindings[:min(_QUADRATURE_CAP, len(bindings))]:
-                reports.append(check_quadrature(identity_id, binding,
-                                                tols["quadrature"],
-                                                dixon_variant=dixon_variant))
-            if ident in SUMMATION_OF:
-                for binding in bindings[:min(_COMPOSITIONAL_CAP, len(bindings))]:
-                    reports.append(check_compositional(identity_id, binding,
-                                                       tols["compositional"],
-                                                       dixon_variant))
+        for oracle, tol in oracle_tolerances(kind, ident, tols).items():
+            draws = bindings[:_CHECK_CAPS.get(oracle)]
+            if oracle == "specialization":  # it draws its own sample
                 try:
-                    spec_bindings = sample_for_specialization(identity_id, cfg,
-                                                              n_per_id)
+                    draws = sample_for_specialization(identity_id, cfg, n_per_id)
                 except SamplerExhausted as exc:
                     sampler_failures[identity_id + ":specialization"] = str(exc)
-                    spec_bindings = []
-                for binding in spec_bindings:
-                    reports.append(check_specialization(identity_id, binding,
-                                                        tols["specialization"]))
+                    draws = []
+            # looked up by name on each run, so a check wrapped after import
+            # is the one called
+            check = globals()[f"check_{oracle}"]
+            reports.extend(check(identity_id, binding, tol, dixon_variant)
+                           for binding in draws)
         for rep in reports:
             agg.add(rep)
         per_identity[identity_id] = {

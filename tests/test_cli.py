@@ -109,6 +109,30 @@ def test_check_quadrature_oracle_flag():
     assert doc["results"][0]["oracle"] == "quadrature"
 
 
+@pytest.mark.parametrize("identity, oracle, flags", [
+    ("sum.kummerx", "quadrature", ["--a", "2.5", "--b", "0.5", "--d", "3"]),
+    ("lap.kummer", "specialization", ["--a", "2.5", "--b", "0.5", "--s", "2"]),
+])
+def test_check_with_an_oracle_that_does_not_apply_is_a_usage_error(identity, oracle, flags,
+                                                                    capsys):
+    code, doc, err = _main_json(capsys, "check", "--id", identity, "--oracle", oracle, *flags)
+    assert code == 1 and doc is None and f"{oracle} oracle does not apply" in err
+
+
+@pytest.mark.parametrize("oracle", ["series", "specialization"])
+def test_check_dixon_variant_reaches_every_closed_form(oracle, capsys):
+    # the other printed reading of the second denominator misses by ~4e-2,
+    # against the series and against the classical Dixon entry alike
+    flags = ["--id", "lap.dixonx", "--oracle", oracle, "--a", "1.3", "--b", "0.6",
+             "--c", "0.5", "--d", "1.7", "--s", "2"]
+    code, doc, _ = _main_json(capsys, "check", *flags)
+    assert code == 0 and doc["results"][0]["rel_residual"] < 1e-12
+    code, doc, _ = _main_json(capsys, "check", *flags,
+                              "--dixon-variant", "half_a_minus_c_twice")
+    row = doc["results"][0]
+    assert code == 3 and row["pass"] is False and row["rel_residual"] > 1e-2
+
+
 def test_usage_errors_exit_1():
     code, _, _ = run_cli("eval", "gamma", "--zz", "5")
     assert code == 1

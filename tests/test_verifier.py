@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from hyperlap.errors import SamplerExhausted
 from hyperlap.laplace import NEW_IDS, LaplaceId
-from hyperlap.reporting import make_report
+from hyperlap import verifier
+from hyperlap.reporting import Sides, compare, make_report
 from hyperlap.summation import SummationId, validity
-from hyperlap.verifier import (ALL_IDENTITY_IDS, SamplerConfig, check_quadrature,
-                               check_series, parse_identity, resolve_dixon_variant,
-                               run_suite, sample_for_specialization, sample_valid)
+from hyperlap.verifier import (ALL_IDENTITY_IDS, DEFAULT_TOLERANCES, SamplerConfig,
+                               check_compositional, check_quadrature, check_series,
+                               check_specialization, oracle_tolerances, parse_identity,
+                               resolve_dixon_variant, run_suite, sample_for_specialization,
+                               sample_valid)
 
 
 def test_identity_namespace():
@@ -83,6 +86,55 @@ def test_near_zero_rhs_flagged():
     assert rep.passed  # judged on the absolute residual
     rep = make_report("sum.gauss2x", {"a": 1.0}, 1e-3, 0.0, "series", 1e-9)
     assert not rep.passed
+
+
+def test_compare_reports_an_exception_as_a_failed_check():
+    def sides():
+        raise ZeroDivisionError("boom")
+    rep = compare("sum.gauss2x", {"a": 1.0}, "series", 1e-9, sides)
+    assert not rep.passed and rep.diagnostics == "ZeroDivisionError: boom"
+    rep = compare("lap.kummerx", {"d": 1.0}, "specialization", 1e-9,
+                  lambda: Sides(1.0, 1.0, params={"d": 2.0}))
+    assert rep.passed and rep.params == {"d": 2.0}
+
+
+def test_oracle_rule():
+    tols = DEFAULT_TOLERANCES
+    assert oracle_tolerances(*parse_identity("sum.kummerx")) == {"series": tols["series"]}
+    assert oracle_tolerances(*parse_identity("sum.dixonx")) == {"series": tols["series_unit"]}
+    assert oracle_tolerances(*parse_identity("lap.kummer")) == {
+        "series": tols["series"], "quadrature": tols["quadrature"]}
+    assert list(oracle_tolerances(*parse_identity("lap.watson1x"))) == [
+        "series", "quadrature", "compositional", "specialization"]
+    # watson's integrand sits at unit argument, so it reads series_unit
+    looser = {**tols, "series_unit": 0.5}
+    assert oracle_tolerances(*parse_identity("lap.watson1x"), looser)["series"] == 0.5
+
+
+@pytest.mark.parametrize("check, identity_id", [
+    (check_quadrature, "sum.kummerx"),
+    (check_compositional, "lap.kummer"),
+    (check_specialization, "sum.kummerx"),
+])
+def test_a_check_that_does_not_apply_is_a_failed_report(check, identity_id):
+    rep = check(identity_id, {"a": 2.5, "b": 0.5, "d": 3.0, "s": 2.0}, 1e-9)
+    assert not rep.passed and "does not apply" in rep.diagnostics
+
+
+def test_run_suite_calls_the_checks_through_the_module(monkeypatch):
+    # the benchmark times each check by wrapping these module attributes
+    calls = []
+    for name in ("check_series", "check_quadrature", "check_compositional",
+                 "check_specialization"):
+        def wrapped(*args, _fn=getattr(verifier, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(verifier, name, wrapped)
+    res = run_suite(ids=["sum.kummerx", "lap.kummerx"], cfg=SamplerConfig(seed=58),
+                    n_per_id=2)
+    assert sorted(set(calls)) == ["check_compositional", "check_quadrature",
+                                  "check_series", "check_specialization"]
+    assert len(calls) == sum(agg["n_checked"] for agg in res.per_identity.values())
 
 
 def test_check_series_and_quadrature_roundtrip():
