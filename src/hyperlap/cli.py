@@ -347,26 +347,35 @@ def _cmd_check(args) -> int:
     binding = _collect_params(args, verifier._symbols(kind, ident))
     variant = DixonVariant(args.dixon_variant)
     tol = oracles[args.oracle] if args.tol is None else args.tol
-    _refuse_invalid(kind, ident, binding, variant)
+    _refuse_invalid(kind, ident, binding, variant, args.oracle)
     report = getattr(verifier, f"check_{args.oracle}")(args.id, binding, tol, variant)
     row = verifier._report_to_dict(report)
     _emit(_document("check", args, [row]), args, t0, rows_for_csv=[row])
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-def _refuse_invalid(kind: str, ident, binding: dict, variant: DixonVariant) -> None:
+def _refuse_invalid(kind: str, ident, binding: dict, variant: DixonVariant,
+                    oracle: str) -> None:
     """Raise a validity error (exit code 2) where the catalog refuses the
     binding, for sums and transforms alike: an exact exclusion, a stated
-    condition, a numerator gamma argument of the closed form on a pole, or
-    a divergent series (for a transform, an integral that does not exist).
-    The sampler's margins do not apply: a binding near a pole or an
-    exclusion is checked."""
+    condition, a numerator gamma argument of the closed form on a pole, a
+    nonpositive-integer series denominator, or a divergent series (for a
+    transform, an integral that does not exist).  The sampler's margins do
+    not apply: a binding near a pole or an exclusion is checked.  A
+    specialization binding is checked at the distinguished d its check
+    substitutes."""
     if kind == "sum":
         ok, reason = summation.validity(ident, binding, margin=POLE_TOL, dixon_variant=variant)
     else:
-        case = LaplaceCase(ident, *verifier._split_laplace_binding(binding))
+        params, s = verifier._split_laplace_binding(binding)
+        if oracle == "specialization":
+            params = {**params, "d": laplace.specialization_target(ident).d_value(params)}
+        case = LaplaceCase(ident, params, s)
         laplace._check_case_validity(case)
-        integ = lhs_integrand(case)
+        try:
+            integ = lhs_integrand(case)
+        except ValueError as exc:  # a denominator parameter on a nonpositive integer
+            raise ValidityError(str(exc)) from None
         require_integral_exists(integ.power, case.s, integ.w, integ.spec)
         reason = summation._pole_proximity_reason(*case_gamma_arguments(case, variant), POLE_TOL)
         ok = reason is None

@@ -1,10 +1,13 @@
 """Complex gamma, log-gamma, Pochhammer symbols and stable gamma ratios.
 
 Everything downstream (closed forms, series prefactors, quadrature
-calibration) reduces to these four operations.  ln_gamma is a Lanczos
-approximation (g=7, 9 coefficients) on Re z >= 0.5 and the reflection
-formula with Hare's branch correction elsewhere, giving the principal
-branch continuous on the plane cut along the nonpositive real axis.
+calibration) reduces to these four operations.  ln_gamma, the path of
+complex arguments, is a Lanczos approximation (g=7, 9 coefficients) on
+Re z >= 0.5 and the reflection formula with Hare's branch correction
+elsewhere, giving the principal branch continuous on the plane cut along
+the nonpositive real axis.  gamma, reciprocal_gamma and gamma_ratio take
+ln|Gamma| at real arguments from math.lgamma (CPython's own
+implementation) and the sign from the poles crossed.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ def nearest_pole_distance(z: complex) -> float:
 def is_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
     """True when z lies within tol of 0, -1, -2, ..."""
     z = complex(z)
+    if z.real > tol:  # exact: no pole lies within tol
+        return False
     n = round(z.real)
     return n <= 0 and abs(z - n) <= tol
 
@@ -118,22 +123,13 @@ def _real_gamma_sign(x: float) -> int:
     return 1 if math.floor(-x) % 2 == 1 else -1
 
 
-def _ln_abs_gamma_real(x: float) -> float:
-    """ln |Gamma(x)| for real non-pole x, computed in real arithmetic."""
-    if x >= 0.5:
-        return _ln_gamma_right(complex(x, 0.0)).real
-    # |Gamma(x)| = pi / (|sin(pi x)| * Gamma(1-x))
-    s = abs(_sin_pi(complex(x, 0.0)).real)
-    return _LOG_PI - math.log(s) - _ln_gamma_right(complex(1.0 - x, 0.0)).real
-
-
 def gamma(z: complex) -> complex:
     """Gamma function, exp(ln_gamma(z)); exactly real for real z."""
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z={z}")
     if z.imag == 0.0:
-        ln_abs = _ln_abs_gamma_real(z.real)
+        ln_abs = math.lgamma(z.real)
         if ln_abs > _MAX_EXP:
             raise OverflowError(f"gamma({z}) exceeds double range")
         return complex(_real_gamma_sign(z.real) * math.exp(ln_abs), 0.0)
@@ -149,7 +145,7 @@ def reciprocal_gamma(z: complex) -> complex:
     if is_nonpositive_integer(z):
         return complex(0.0, 0.0)
     if z.imag == 0.0:
-        ln_abs = _ln_abs_gamma_real(z.real)
+        ln_abs = math.lgamma(z.real)
         if -ln_abs > _MAX_EXP:
             raise OverflowError(f"1/gamma({z}) exceeds double range")
         return complex(_real_gamma_sign(z.real) * math.exp(-ln_abs), 0.0)
@@ -185,8 +181,8 @@ class GammaRatioSpec:
     denominator: tuple[complex, ...]
 
     def __init__(self, numerator: Sequence[complex] = (), denominator: Sequence[complex] = ()):
-        object.__setattr__(self, "numerator", tuple(complex(x) for x in numerator))
-        object.__setattr__(self, "denominator", tuple(complex(x) for x in denominator))
+        object.__setattr__(self, "numerator", tuple([complex(x) for x in numerator]))
+        object.__setattr__(self, "denominator", tuple([complex(x) for x in denominator]))
 
 
 def gamma_ratio(spec: GammaRatioSpec) -> complex:
@@ -208,17 +204,14 @@ def gamma_ratio(spec: GammaRatioSpec) -> complex:
     if den_poles:
         return complex(0.0, 0.0)
 
-    all_real = all(z.imag == 0.0 for z in spec.numerator) and all(
-        z.imag == 0.0 for z in spec.denominator
-    )
-    if all_real:
+    if all([z.imag == 0.0 for z in (*spec.numerator, *spec.denominator)]):
         ln_abs = 0.0
         sign = 1
         for z in spec.numerator:
-            ln_abs += _ln_abs_gamma_real(z.real)
+            ln_abs += math.lgamma(z.real)
             sign *= _real_gamma_sign(z.real)
         for z in spec.denominator:
-            ln_abs -= _ln_abs_gamma_real(z.real)
+            ln_abs -= math.lgamma(z.real)
             sign *= _real_gamma_sign(z.real)
         if ln_abs > _MAX_EXP:
             raise OverflowError("gamma ratio exceeds double range")

@@ -105,8 +105,8 @@ class HyperSeriesSpec:
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex],
                  argument: complex):
-        object.__setattr__(self, "numerator", tuple(complex(x) for x in numerator))
-        object.__setattr__(self, "denominator", tuple(complex(x) for x in denominator))
+        object.__setattr__(self, "numerator", tuple([complex(x) for x in numerator]))
+        object.__setattr__(self, "denominator", tuple([complex(x) for x in denominator]))
         object.__setattr__(self, "argument", complex(argument))
         object.__setattr__(self, "order", _termination_order(self.numerator))
         self._validate()
@@ -390,7 +390,7 @@ def _binomial_powers(s: np.ndarray, a: float) -> np.ndarray:
     integral a/(s-1)).  Double accuracy needs a >= ~20 (~40 at z = -1),
     |s| well below a, and a |1-z| well above |s| + 13, as
     L_l ~ l! / (1-z)^(l+1) near z = 1."""
-    return np.cumprod((s[:, None] + _POWERS[:-2]) / (-a * _POWERS[1:-1]), axis=1)
+    return ((s[:, None] + _POWERS[:-2]) / (-a * _POWERS[1:-1])).cumprod(axis=1)
 
 
 def _fsum(x: np.ndarray) -> complex:
@@ -403,6 +403,11 @@ def _fsum(x: np.ndarray) -> complex:
 # orders of the remainder expansion summed past the cut; the next one is
 # the estimate of the truncation error
 _TAIL_ORDERS = 8
+_TAIL_RANGE = np.arange(_TAIL_ORDERS + 2)
+# binom(-j, m) = (-1)^m binom(k, m), k = j + m - 1, for every k the
+# remainder coefficients reach
+_SIGNED_BINOMIALS = [[(-1) ** m * math.comb(k, m) for m in range(k + 1)]
+                     for k in range(_TAIL_ORDERS + 2)]
 # the omitted orders are multiplied by this, as the expansions are only
 # asymptotic
 _TAIL_SAFETY = 10.0
@@ -420,8 +425,9 @@ def _remainder_coefficients(numerator: Sequence[complex], denominator: Sequence[
     prod(1 + b_j x) (1+x)^delta.  Q has no x^1 term, so the equation at
     order k+1 fixes e_k:
       k e_k = sum_{j<k} e_j (binom(-j, k+1-j) - Q_(k+1-j)).
-    O(orders^2) operations, in float arithmetic for real parameters."""
-    if all(x.imag == 0.0 for x in (*numerator, *denominator)):
+    O(orders^2) operations, in float arithmetic for real parameters;
+    orders <= _TAIL_ORDERS + 1."""
+    if all([x.imag == 0.0 for x in (*numerator, *denominator)]):
         numerator = [x.real for x in numerator]
         denominator = [x.real for x in denominator]
     delta = sum(denominator) - sum(numerator)
@@ -438,10 +444,10 @@ def _remainder_coefficients(numerator: Sequence[complex], denominator: Sequence[
     e = [1.0]
     for k in range(1, orders + 1):
         acc = -q[k + 1]
+        binom = _SIGNED_BINOMIALS[k]
         for j in range(1, k):
-            m = k + 1 - j  # binom(-j, m) = (-1)^m binom(j+m-1, m) = (-1)^m binom(k, m)
-            binom = math.comb(k, m)
-            acc += e[j] * ((binom if m % 2 == 0 else -binom) - q[m])
+            m = k + 1 - j
+            acc += e[j] * (binom[m] - q[m])
         e.append(acc / k)
     return e
 
@@ -488,46 +494,45 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
         while rungs[-1] < max_terms:
             rungs.append(2 * rungs[-1])
     limit = min(max_terms, rungs[-1])
-    orders = np.arange(_TAIL_ORDERS + 2)
-    exponents = s + orders
+    exponents = s + _TAIL_RANGE
     integral = 1.0 / (exponents - 1.0) if z == 1.0 else 0.0
     coeffs = np.array(_remainder_coefficients(spec.numerator, spec.denominator,
                                               _TAIL_ORDERS + 1))
     table = TermRatios(spec.numerator, spec.denominator)
     terms = np.ones(1, dtype=table.dtype)  # signed terms t_0 .. t_n (z^n included)
-    for n in [n for n in rungs if n < limit] + [limit]:
-        # overflow is detected below: a non-finite term or partial sum leaves
-        # the last partial sum non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow is detected below: a non-finite term or partial sum leaves the
+    # last partial sum non-finite, and a non-finite remainder is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in [n for n in rungs if n < limit] + [limit]:
             terms = np.concatenate([terms, _terms(table, z, terms[-1], len(terms) - 1, n)])
             partial = np.cumsum(terms[:n])  # S_0 .. S_(n-1)
-        if not cmath.isfinite(partial[-1]):
-            raise OverflowError(
-                f"pFq series term at z = {z} overflowed within {n + 1} terms")
-        decaying = float(np.abs(table.ratios(n)[n // 2:n]).max()) <= 1.0
-        if not (decaying or n == limit):
-            continue
-        # the remainder over t_n: sum_k e_k n^-k sum_j z^j (1 + j/n)^(-s-k) / phi(1/n)
-        scaled = coeffs / float(n) ** orders
-        powers = _binomial_powers(exponents, float(n))
-        omitted = powers[:, _POWER_ORDERS - 1:] @ weights[_POWER_ORDERS:]  # l = 12, 13
-        kept = weights[0] + n * integral + powers @ weights[1:] - omitted  # l < 12
-        phi, kept_sum = complex(scaled[:-1].sum()), complex(scaled[:-1] @ kept[:-1])
-        t_n = complex(terms[n])
-        tail = t_n * kept_sum / phi
-        nxt = t_n * (kept_sum + complex(scaled[-1] * kept[-1])) / (phi + complex(scaled[-1]))
-        if not cmath.isfinite(tail):
-            raise OverflowError(
-                f"remainder of the pFq series at z = {z} overflowed at {n} terms")
-        value = complex(partial[-1]) + tail  # the accepted cut's prefix is fsum'd below
-        budget = tol * max(abs(value), _ABS_FLOOR)
-        max_abs = float(np.abs(partial).max())
-        rounding = _recurrence_charge(spec, value, partial) + _EPS * max_abs
-        truncation = (_TAIL_SAFETY * (abs(nxt - tail)
-                                      + abs(t_n * complex(scaled[:-1] @ omitted[:-1]) / phi))
-                      if decaying else math.inf)
-        if truncation <= budget:
-            break
+            if not cmath.isfinite(partial[-1]):
+                raise OverflowError(
+                    f"pFq series term at z = {z} overflowed within {n + 1} terms")
+            decaying = float(np.abs(table.ratios(n)[n // 2:n]).max()) <= 1.0
+            if not (decaying or n == limit):
+                continue
+            # the remainder over t_n: sum_k e_k n^-k sum_j z^j (1 + j/n)^(-s-k) / phi(1/n)
+            scaled = coeffs / float(n) ** _TAIL_RANGE
+            powers = _binomial_powers(exponents, float(n))
+            omitted = powers[:, _POWER_ORDERS - 1:] @ weights[_POWER_ORDERS:]  # l = 12, 13
+            kept = weights[0] + n * integral + powers @ weights[1:] - omitted  # l < 12
+            phi, kept_sum = complex(scaled[:-1].sum()), complex(scaled[:-1] @ kept[:-1])
+            t_n = complex(terms[n])
+            tail = t_n * kept_sum / phi
+            nxt = t_n * (kept_sum + complex(scaled[-1] * kept[-1])) / (phi + complex(scaled[-1]))
+            if not cmath.isfinite(tail):
+                raise OverflowError(
+                    f"remainder of the pFq series at z = {z} overflowed at {n} terms")
+            value = complex(partial[-1]) + tail  # the accepted cut's prefix is fsum'd below
+            budget = tol * max(abs(value), _ABS_FLOOR)
+            max_abs = float(np.abs(partial).max())
+            rounding = _recurrence_charge(spec, value, partial) + _EPS * max_abs
+            truncation = (_TAIL_SAFETY * (abs(nxt - tail)
+                                          + abs(t_n * complex(scaled[:-1] @ omitted[:-1]) / phi))
+                          if decaying else math.inf)
+            if truncation <= budget:
+                break
     value = _fsum(terms[:n]) + tail
     cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
     return SeriesResult(value, n, truncation + rounding, cancel, truncation <= budget,
@@ -601,20 +606,21 @@ class TermRatios:
     n, so an entry depends on n and the parameters alone, never on what
     the table was asked before.
     Real parameters give a float table, complex ones a complex table; the
-    double-double pairs (real parameters only) are built on first use.
-    order, the series' termination order (None if it does not end), is
-    found on first use: only the vector kernels read it."""
+    double-double pairs (real parameters only) and the log walk are built
+    on first use, from the class's empty tables.  order, the series'
+    termination order (None if it does not end), is found on first use:
+    only the vector kernels read it."""
+
+    _log_walk = _hi = _lo = np.empty(0)
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex]):
         params = [complex(x) for x in (*numerator, *denominator)]
-        self.real = all(x.imag == 0.0 for x in params)
-        conv = (lambda x: complex(x).real) if self.real else complex
-        self.numerator = tuple(conv(a) for a in numerator)
-        self.denominator = tuple(conv(b) for b in denominator)
+        self.real = all([x.imag == 0.0 for x in params])
+        if self.real:
+            params = [x.real for x in params]
+        self.numerator = tuple(params[:len(numerator)])
+        self.denominator = tuple(params[len(numerator):])
         self._r = np.empty(0, dtype=float if self.real else complex)
-        self._log_walk = np.empty(0)
-        self._hi = np.empty(0)
-        self._lo = np.empty(0)
 
     @functools.cached_property
     def order(self) -> int | None:
@@ -641,7 +647,7 @@ class TermRatios:
                     r = r * (a + n)
                 for b in self.denominator:
                     r = r / (b + n)
-            self._r = np.concatenate([self._r, r])
+            self._r = np.concatenate([self._r, r]) if len(self._r) else r
         return self._r
 
     def log_walk(self, stop: int) -> np.ndarray:

@@ -312,3 +312,30 @@ def test_check_at_a_gamma_pole_is_a_validity_error_for_both_kinds(identity, caps
     code, doc, err = _main_json(capsys, "check", "--id", identity, "--a", "1.8", "--b", "0.8",
                                 "--d", "1.5", "--s", "2")
     assert code == 2 and doc is None and "pole" in err
+
+
+@pytest.mark.parametrize("identity, flags", [("sum.kummerx", []), ("lap.kummerx", ["--s", "2"])])
+def test_check_with_a_zero_series_denominator_is_a_validity_error_for_both_kinds(
+        identity, flags, capsys):
+    # b = a + 2 puts a denominator parameter of the series on 0
+    code, doc, err = _main_json(capsys, "check", "--id", identity, "--a", "0.5", "--b", "2.5",
+                                "--d", "1.5", *flags)
+    assert code == 2 and doc is None
+    assert "validity error" in err and "nonpositive integer" in err
+
+
+def test_specialization_check_is_prechecked_at_the_distinguished_d(capsys):
+    # the given d = -0.5 is refused, but the check runs at d = (a+b+1)/2 = 1.55
+    code, doc, _ = _main_json(capsys, "check", "--id", "lap.gauss2x", "--oracle",
+                              "specialization", "--a", "1.2", "--b", "0.9", "--d=-0.5", "--s", "2")
+    row = doc["results"][0]
+    assert code == 0 and row["pass"] is True
+    assert row["params"]["d"] == {"re": 1.55, "im": 0.0}
+
+
+def test_specialization_binding_invalid_at_the_distinguished_d_exits_2(capsys):
+    # valid at the given d = 1.5 (the series oracle runs), but d = (a+b+1)/2 = -0.3
+    flags = ["--id", "lap.gauss2x", "--a", "-2.5", "--b", "0.9", "--d", "1.5", "--s", "2"]
+    assert _main_json(capsys, "check", *flags)[0] == 0
+    code, doc, err = _main_json(capsys, "check", "--oracle", "specialization", *flags)
+    assert code == 2 and doc is None and "Re(d)<=0" in err

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlap.errors import IndeterminateError, PoleError
-from hyperlap.gammafn import (GammaRatioSpec, gamma, gamma_ratio, ln_gamma,
-                              pochhammer, reciprocal_gamma)
+from hyperlap.gammafn import (POLE_TOL, GammaRatioSpec, gamma, gamma_ratio,
+                              is_nonpositive_integer, ln_gamma, pochhammer,
+                              reciprocal_gamma)
 
 # reference values: 50-digit evaluations (mpmath 1.3), frozen
 LN_GAMMA_REFS = [
@@ -159,3 +160,66 @@ def test_gamma_ratio_complex_matches_direct():
     ratio = gamma_ratio(spec)
     direct = gamma(2.2 + 0.4j) * gamma(1.1) / gamma(3.3 - 0.2j)
     assert abs(ratio - direct) <= 1e-13 * abs(direct)
+
+
+# Gamma(x) at real x in [-12, 60], mpmath 1.3 at 40 digits, frozen: points
+# 1e-4 from the poles 0, -1, -3 and -11, the zeros of ln|Gamma| near 1, 2
+# and -2.457 (the last one itself), the minimum of Gamma on x > 0, and the
+# range's ends
+REAL_GAMMA_REFS = [
+    (-11.9999, 2.088203144756112e-05), (-11.0001, 0.0002504599015141008),
+    (-10.9999, -0.0002505822891675887), (-7.3, 0.000418387873013548),
+    (-3.0001, 1666.4573519137095), (-2.9999, -1666.8760578105366),
+    (-2.4570247382208006, -1.0), (-1.0001, 9999.577356844993),
+    (-0.9999, -10000.422925525278), (-0.5, -3.544907701811032),
+    (-0.0001, -10000.577314579576), (0.0001, 9999.422883231624), (0.3, 2.991568987687591),
+    (0.9999, 1.0000577314579577), (1.0001, 0.9999422883231625),
+    (1.4616321449683622, 0.8856031944108887), (1.9999, 0.9999577256848119),
+    (2.0001, 1.0000422825519948), (3.7, 4.170651783796604), (10.3, 716430.6890623764),
+    (25.25, 1.3821549138373968e+24), (42.5, 2.161528954754577e+50),
+    (59.9, 9.217388786047855e+79), (60.0, 1.3868311854568984e+80),
+]
+# prod Gamma(num) / prod Gamma(den) at real arguments, mpmath 1.3 at 40
+# digits, frozen
+REAL_RATIO_REFS = [
+    ([59.9, -0.0001], [60.0, 1.4616321449683622], -7505.337123519673),
+    ([-11.0001, 0.3], [-2.4570247382208006, 42.5], -3.466380000974565e-54),
+    ([0.9999, 2.0001], [1.0001, 1.9999], 1.0002000200020003),
+    ([-10.9999, 25.25, -2.9999], [-7.3, 10.3], 1.926003775228636e+21),
+]
+
+
+@pytest.mark.parametrize("x,ref", REAL_GAMMA_REFS)
+def test_real_gamma_and_its_reciprocal_against_references(x, ref):
+    got = gamma(x)
+    assert got.imag == 0.0
+    assert abs(got.real - ref) <= 1e-13 * abs(ref)
+    assert abs(reciprocal_gamma(x).real - 1.0 / ref) <= 1e-13 / abs(ref)
+
+
+@pytest.mark.parametrize("num,den,ref", REAL_RATIO_REFS)
+def test_real_gamma_ratio_against_references(num, den, ref):
+    got = gamma_ratio(GammaRatioSpec(num, den))
+    assert got.imag == 0.0
+    assert abs(got.real - ref) <= 1e-13 * abs(ref)
+
+
+def test_real_path_matches_complex_ln_gamma_right_of_one_half():
+    # gamma takes ln|Gamma| from math.lgamma at real x, ln_gamma from the
+    # Lanczos sum; the two agree where Gamma > 0
+    rng = np.random.default_rng(105)
+    for x in [0.5, 1.0, 2.0, *rng.uniform(0.5, 60.0, 500)]:
+        ln = ln_gamma(complex(x))
+        assert ln.imag == 0.0
+        assert abs(math.log(gamma(x).real) - ln.real) <= 1e-13 * max(1.0, abs(ln.real))
+
+
+@pytest.mark.parametrize("z,pole", [
+    (POLE_TOL, True), (0.5, False), (-1e-13, True), (complex(-1e-13, 5e-13), True),
+    (2e-12, False), (-4.0 + 0.5e-12, True), (-4.0 - 0.5e-12, True),
+    # -1 + 1e-12 and -1 - 1e-12 round to distances of 0.99998e-12 and
+    # 1.00009e-12 from -1, either side of tol
+    (-1.0 + 1e-12, True), (-1.0 - 1e-12, False), (-1.0, True), (1.0, False),
+])
+def test_is_nonpositive_integer_at_the_tolerance(z, pole):
+    assert is_nonpositive_integer(z) is pole

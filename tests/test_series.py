@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -929,6 +930,48 @@ def test_remainder_coefficients_against_exact_values(params, exact):
     assert len(got) == len(exact)
     for k, (g, e) in enumerate(zip(got, exact)):
         assert abs(g - e) <= 1e-13 * abs(e), k
+
+
+def _exact_remainder_coefficients(numerator, denominator, orders):
+    """The recurrence of series._remainder_coefficients in exact rational
+    arithmetic, each binom(-j, m) formed from its product."""
+    delta = sum(denominator) - sum(numerator)
+    q = [Fraction(1)] * (orders + 2)
+    for m in range(1, orders + 2):
+        q[m] = q[m - 1] * (delta - m + 1) / m
+    for a in numerator:
+        q = [q[0]] + [q[m] + a * q[m - 1] for m in range(1, orders + 2)]
+    for b in denominator:
+        for m in range(1, orders + 2):
+            q[m] -= b * q[m - 1]
+    e = [Fraction(1)]
+    for k in range(1, orders + 1):
+        acc = -q[k + 1]
+        for j in range(1, k):
+            m = k + 1 - j
+            binom = Fraction(math.prod(-j - i for i in range(m)), math.factorial(m))
+            acc += e[j] * (binom - q[m])
+        e.append(acc / k)
+    return e
+
+
+@pytest.mark.parametrize("numerator,denominator", [
+    ("3/8 5/4 11/16", "15/8 13/16"),
+    ("-5/4 7/2 1/16", "3/16 9/4"),
+    ("9/8 5/8 37/16 7/8", "27/16 19/8 13/16"),
+    ("1/2 -3/4 13/8 21/16", "5/16 7/4 11/8"),
+])
+def test_remainder_coefficients_against_exact_arithmetic(numerator, denominator):
+    # dyadic parameters, so the float recurrence starts from the exact values
+    num = [Fraction(x) for x in numerator.split()]
+    den = [Fraction(x) for x in denominator.split()]
+    orders = series._TAIL_ORDERS + 1
+    got = series._remainder_coefficients([complex(x) for x in num],
+                                         [complex(x) for x in den], orders)
+    exact = _exact_remainder_coefficients(num, den, orders)
+    assert len(got) == len(exact) == 10
+    for k, (g, e) in enumerate(zip(got, exact)):
+        assert abs(g - float(e)) <= 1e-13 * abs(float(e)), k
 
 
 # mpmath 1.3.0, 40 digits: (-1)^m lerchphi(-1, s, m) for the
