@@ -3,7 +3,7 @@ with extended summation theorems and independent numerical verification."""
 
 from .errors import (DegenerateParameterError, DivergentSeriesError, HyperLapError,
                      IndeterminateError, InvalidBinding, NotSpecializable, PoleError,
-                     SamplerExhausted, SlowDecayError, ValidityError)
+                     SamplerExhausted, SeriesPoleError, SlowDecayError, ValidityError)
 from .gammafn import GammaRatioSpec, gamma, gamma_ratio, ln_gamma, pochhammer
 from .laplace import (LaplaceCase, LaplaceId, LaplaceIntegrand, SpecializationRule,
                       closed_form, closed_form_direct, lhs_integrand,
@@ -25,7 +25,7 @@ __all__ = [
     "DixonVariant", "GammaRatioSpec", "HyperLapError", "HyperSeriesSpec",
     "IndeterminateError", "IntegralResult", "InvalidBinding", "LaplaceCase",
     "LaplaceId", "LaplaceIntegrand", "NotSpecializable", "PoleError",
-    "SamplerConfig", "SamplerExhausted", "SeriesResult", "SlowDecayError",
+    "SamplerConfig", "SamplerExhausted", "SeriesPoleError", "SeriesResult", "SlowDecayError",
     "SpecializationRule", "SuiteResult", "SummationId", "TailMethod",
     "ValidityError", "check", "classify", "closed_form", "closed_form_direct",
     "derivative_shift", "eval_series", "gamma", "gamma_integral_check",

@@ -372,10 +372,7 @@ def _refuse_invalid(kind: str, ident, binding: dict, variant: DixonVariant,
             params = {**params, "d": laplace.specialization_target(ident).d_value(params)}
         case = LaplaceCase(ident, params, s)
         laplace._check_case_validity(case)
-        try:
-            integ = lhs_integrand(case)
-        except ValueError as exc:  # a denominator parameter on a nonpositive integer
-            raise ValidityError(str(exc)) from None
+        integ = lhs_integrand(case)
         require_integral_exists(integ.power, case.s, integ.w, integ.spec)
         reason = summation._pole_proximity_reason(*case_gamma_arguments(case, variant), POLE_TOL)
         ok = reason is None
@@ -444,13 +441,13 @@ def main(argv=None) -> int:
         if args.command == "resolve-dixon":
             return _cmd_resolve_dixon(args)
         raise _UsageError(f"unknown command {args.command}")
+    except _VALIDITY_ERRORS as exc:  # first: SeriesPoleError is a ValueError too
+        print(f"validity error: {exc}", file=sys.stderr)
+        return EXIT_VALIDITY
     except (_UsageError, argparse.ArgumentTypeError, ValueError, OSError) as exc:
         # OSError: --config, --out
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _VALIDITY_ERRORS as exc:
-        print(f"validity error: {exc}", file=sys.stderr)
-        return EXIT_VALIDITY
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

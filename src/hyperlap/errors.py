@@ -35,6 +35,11 @@ class DegenerateParameterError(ValidityError):
     denominator factor in a closed form)."""
 
 
+class SeriesPoleError(ValidityError, ValueError):
+    """A nonpositive-integer denominator parameter that a pFq series
+    reaches; a ValueError too, as a bad argument of the series."""
+
+
 class InvalidBinding(HyperLapError):
     """Parameter binding does not match the symbols an identity requires."""
 

@@ -45,12 +45,12 @@ term ratios built per integral (series.TermRatios), so the values do not
 depend on earlier integrals.  Each sum comes with a bound on its rounding
 (its charge), and the charges, weighted like the values, go into a
 running total that goes into the error estimate.  For Re(w/s) < 0 the
-terms alternate and cancel: a real integrand starts in float, and from the
-panel whose charge would take the total past a tenth of the absolute
-tolerance on, the integral (the whole seed, if it is the seed that passes)
-is summed in double-double; a seed that still rounds by more than the
-whole tolerance is refused.  A complex alternating integrand only carries
-the charge.
+terms alternate and cancel, real or complex: the integrand starts in
+float, and from the panel whose charge would take the total past a tenth
+of the absolute tolerance on (the whole seed, if it is the seed that
+passes), every node whose weighted charge passes its share of that budget
+is summed again exactly (series._sum_exact); a seed that still rounds by
+more than the whole tolerance is refused.
 """
 
 from __future__ import annotations
@@ -271,10 +271,6 @@ class _PanelIntegrator:
         """(lo, hi, value, err) of each span, from one call of f."""
         return [(*span, *panel) for span, panel in zip(spans, self._panels(spans)[0])]
 
-    def integrate(self, a: float, b: float, abs_tol: float,
-                  max_panels: int = 512) -> tuple[complex, float]:
-        return self.refine(self.seed([(a, b)]), abs_tol, max_panels)
-
     def refine(self, work, abs_tol: float,
                max_panels: int = 512) -> tuple[complex, float]:
         """Refine the evaluated panels work (position order) as one
@@ -301,29 +297,39 @@ class _PanelIntegrator:
         return sum((item[2] for item in work), complex(0.0)), total_err
 
 
-def _integrand_factory(ratios: TermRatios, ratio: complex, series_tol: float):
+def _integrand_factory(ratios: TermRatios, ratio: complex, series_tol: float, exact=None):
     """phi(u) = e^(-u) F(ratio*u) on vectors of u >= 0, with e^(-u) times
-    each sum's rounding charge (the rows its call summed), and a more
-    precise phi or None; the integrand is u^(v-1) phi(u), the power
-    applied by _PanelIntegrator.  F is summed directly at every node from
-    the integral's term-ratio table, shared by every call.  For a real
-    alternating integrand (real parameters, Re(ratio) < 0) the precise phi
-    sums in double-double."""
+    each sum's rounding charge (the rows its call summed); the integrand
+    is u^(v-1) phi(u), the power applied by _PanelIntegrator.  F is summed
+    directly at every node from the integral's term-ratio table, shared by
+    every call.
+
+    With exact = (v, density), the precise phi of an alternating
+    integrand: the same float sums, and every node whose weighted charge
+    passes its share of the budget summed again exactly
+    (series._resum_exact), its charge then the exact sum's estimate.  A
+    node's weighted charge is |scale W_j u^(v-1)| times its charge, its
+    share the same rule weight |scale W_j| times the density, so the
+    weight cancels: the node is summed again when |u^(v-1)| e^(-u) charge
+    passes the density."""
     real = ratio.imag == 0.0 and ratios.real
     z = ratio.real if real else ratio
 
     if not ratios.numerator and not ratios.denominator and ratio == 0.0:
-        return (lambda u: np.exp(-u)), None
+        return lambda u: np.exp(-u)
 
-    def charged(kernel):
-        def phi(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            fvals, charge = kernel(ratios, z * u, series_tol)
-            damp = np.exp(-u)
-            return damp * fvals, damp * charge
-        return phi
-
-    return (charged(series._series_vector),
-            charged(series._series_vector_dd) if real and ratio.real < 0.0 else None)
+    def phi(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = z * u
+        fvals, charge = series._series_vector(ratios, x, series_tol)
+        damp = np.exp(-u)
+        if exact is not None:
+            v, density = exact
+            with np.errstate(divide="ignore", invalid="ignore"):  # u = 0, Re v < 1
+                weighted = u ** (v.real - 1.0) * damp * charge
+            series._resum_exact(ratios, x, fvals, charge, np.flatnonzero(~(weighted <= density)),
+                                series_tol)
+        return damp * fvals, damp * charge
+    return phi
 
 
 # |w/s| u past which the series' terms overflow a double (e^709.8): no
@@ -479,16 +485,25 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
 
     series_tol = min(1e-13, tol * 1e-3)
     ratios = TermRatios(spec.numerator, spec.denominator)
-    phi, precise = _integrand_factory(ratios, ratio, series_tol)
-    integ = _PanelIntegrator(phi, v, precise)
+    integ = _PanelIntegrator(_integrand_factory(ratios, ratio, series_tol), v)
 
     # the coarse panels give the scale of the integral, then seed the
     # refinement of [0, u_body]; the integrand's rounding may take a tenth
     # of the budget, else the seed is made again with the precise integrand
     u_body = max(24.0, 6.0 * abs(v))
     spans = [(0.0, 1.0), (1.0, 0.25 * u_body), (0.25 * u_body, u_body)]
-    panels, absh, _, _ = integ._panels(spans)
+    pending = integ.batch(spans)[0]
+    # a seed value lies within its error and charge of its panel's integral,
+    # so their excess over those bounds the integral's scale from below
+    floor = max(sum(max(abs(val) - err - added, 0.0) for _, (val, err), _, added in pending),
+                1e-12)
+    panels, absh = zip(*[integ.take(pending) for _ in spans])
     scale = max(sum(abs(val) for val, _ in panels), 1e-12)
+    if ratio.real < 0.0:
+        # the precise integrand spreads a tenth of tol times that floor over
+        # [0, 2 u_body]
+        integ.precise = _integrand_factory(ratios, ratio, series_tol,
+                                           (v, 0.05 * tol * floor / u_body))
     if integ.rounding > 0.1 * tol * scale and integ.sharpen():
         integ.rounding = 0.0
         panels, absh, _, _ = integ._panels(spans)

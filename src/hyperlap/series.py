@@ -18,8 +18,11 @@ a TermRatios table (_terms) and return their correctly rounded sum:
   sums sum_j z^j (1 + j/N)^(-1-delta-k) expand in the power sums
   sum_j j^l z^j, read as zeta(-l) at z = 1 and as the Abel sums
   Li_(-l)(z), polynomials in 1/(1-z), on the rest of the circle;
-* p = q with large negative real z suffers exponential cancellation and
-  is summed term by term in double-double precision.
+* a terminating or direct sum whose estimate, its rounding included,
+  exceeds tol |value| (p = q at large negative z: the terms cancel
+  exponentially) is summed again exactly (_sum_exact): the recurrence
+  runs on the parameters' exact dyadic values in fixed-point integers,
+  with a running bound of its rounding beside it.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import ddouble as dd
-from .errors import DivergentSeriesError
+# unused by the kernels; perfbench's tracer proxies series.dd, and perfbench
+# changes only with its benchmark
+from . import ddouble as dd  # noqa: F401
+from .errors import DivergentSeriesError, SeriesPoleError
 from .gammafn import is_nonpositive_integer
 
 __all__ = [
@@ -52,8 +57,6 @@ __all__ = [
 ]
 
 _ABS_FLOOR = 1e-300
-# predicted cancellation above which eval_series sums in double-double
-_DD_CANCEL_THRESHOLD = 1e6
 _EPS = 2.220446049250313e-16
 
 
@@ -91,10 +94,10 @@ def _termination_order(numerator: Sequence[complex]) -> int | None:
 class HyperSeriesSpec:
     """Parameters and argument of a pFq series.
 
-    Construction rejects a nonpositive-integer denominator parameter
-    unless a numerator parameter is a nonpositive integer of strictly
-    smaller magnitude (the series then terminates before the zero
-    denominator factor is reached).  order, the termination order, is
+    Construction rejects (SeriesPoleError) a nonpositive-integer
+    denominator parameter unless a numerator parameter is a nonpositive
+    integer of strictly smaller magnitude (the series then terminates
+    before the zero denominator factor is reached).  order, the termination order, is
     found once here.
     """
 
@@ -116,7 +119,7 @@ class HyperSeriesSpec:
             if is_nonpositive_integer(b):
                 mag = round(-b.real)
                 if self.order is None or self.order >= mag:
-                    raise ValueError(
+                    raise SeriesPoleError(
                         f"denominator parameter {b} is a nonpositive integer and the "
                         "series does not terminate before the zero factor"
                     )
@@ -128,9 +131,6 @@ class HyperSeriesSpec:
     @property
     def q(self) -> int:
         return len(self.denominator)
-
-    def with_argument(self, z: complex) -> "HyperSeriesSpec":
-        return replace(self, argument=complex(z))
 
     def excess(self) -> complex:
         """Parametric excess sum(b_j) - sum(a_i) (unit-circle convergence)."""
@@ -204,23 +204,9 @@ def derivative_shift(spec: HyperSeriesSpec) -> tuple[complex, HyperSeriesSpec]:
     return coeff, shifted
 
 
-def _predicted_cancellation(p: int, q: int, z: complex) -> float:
-    """Rough size of the largest term of a pFq series at z relative to
-    O(1), for real z < 0.
-
-    For p = q the terms peak near exp(|z|); each extra denominator
-    parameter tames the factorial growth to exp(k |z|^(1/k))."""
-    if z.real >= 0.0 or z.imag != 0.0:
-        return 1.0
-    k = q - p + 1
-    if k <= 0:
-        return math.inf
-    expo = k * abs(z.real) ** (1.0 / k)
-    return math.exp(min(expo, 700.0))
-
-
-def _sum_terminating(spec: HyperSeriesSpec, order: int) -> SeriesResult:
-    table = TermRatios(spec.numerator, spec.denominator)
+def _sum_terminating(spec: HyperSeriesSpec, order: int,
+                     table: "TermRatios | None" = None) -> SeriesResult:
+    table = table or TermRatios(spec.numerator, spec.denominator)
     z = spec.argument if spec.argument.imag else spec.argument.real
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.concatenate([np.ones(1), _terms(table, z, 1.0, 0, order)])
@@ -234,8 +220,9 @@ def _sum_terminating(spec: HyperSeriesSpec, order: int) -> SeriesResult:
     return SeriesResult(total, order + 1, tail, max(cancel, 1.0), True, "terminating")
 
 
-def _ratio_bound(spec: HyperSeriesSpec, n: int) -> float:
-    """An upper bound on sup_{m >= n} |r_m z|, p <= q + 1.
+def _ratio_bound(table: "TermRatios", z: complex, n: int) -> float:
+    """An upper bound on sup_{m >= n} |r_m z|, p <= q + 1, for the
+    parameters of the table.
 
     r_m pairs each numerator factor a + m with a denominator factor d + m
     (the b_j, then the m + 1 of the factorial).  With x = Re d + n > 0 and
@@ -245,16 +232,16 @@ def _ratio_bound(spec: HyperSeriesSpec, n: int) -> float:
     unpaired denominator factor has 1 / |d + m| <= 1 / x.  The product
     tends to the true limit |z| (p = q + 1) or 0 as n grows; it is
     infinite when some x <= 0 or a numerator factor is unpaired."""
-    denominators = (*spec.denominator, complex(1.0))
-    if spec.p > len(denominators):
+    p, denominators = len(table.numerator), (*table.denominator, 1.0)
+    if p > len(denominators):
         return math.inf
-    bound = abs(spec.argument)
+    bound = abs(z)
     for i, d in enumerate(denominators):
         x = d.real + n
         if x <= 0.0:
             return math.inf
-        if i < spec.p:
-            diff = spec.numerator[i] - d
+        if i < p:
+            diff = table.numerator[i] - d
             bound *= max(1.0, abs(1.0 + diff.real / x)) + abs(diff.imag) / x
         else:
             bound /= x
@@ -270,13 +257,127 @@ def _recurrence_charge(spec: HyperSeriesSpec, value: complex, partial: np.ndarra
     return (spec.p + spec.q + 3) * _EPS * float(np.abs(value - partial).sum())
 
 
-def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
+# bits of the exact kernel's fixed point past the peak term and tol
+_GUARD_BITS = 64
+# a float product of nonnegative factors, raised by this, bounds the exact one
+_UP = 1.0 + 4.0 * _EPS
+
+
+def _dyadic(x) -> tuple[int, int, int]:
+    """(re, im, e) with x = (re + i im) / 2^e exactly, x a float or a
+    complex: a double is a dyadic rational."""
+    (rn, rd), (im, idn) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    d = max(rd, idn)
+    return rn * (d // rd), im * (d // idn), d.bit_length() - 1
+
+
+def _sum_exact(table: "TermRatios", z: complex, tol: float, max_terms: int,
+               scale: float) -> SeriesResult:
+    """pFq at z from the parameters of the table, the term recurrence run
+    exactly in fixed point (the technique of mpmath's hypsum and of
+    Johansson, ACM TOMS 45, 2019).
+
+    The parameters and z are dyadic rationals, so each ratio r_n z is an
+    exact quotient of Gaussian integers (of integers, when the parameters
+    and z are real).  A term t_n is held as the two integers of t_n 2^P,
+    and each step floors its one division.  P is the bits of the peak
+    term plus log2(1/tol) plus _GUARD_BITS; scale is the largest partial
+    sum the caller's float sum measured, or a bound of it, and twice it
+    bounds the peak term.  Beside the recurrence runs a bound E_n of the
+    error of t_n 2^P: E_(n+1) = |r_n z| E_n plus one unit per part that
+    did not divide exactly, and the sum rounds by sum E_n / 2^P.  A
+    terminating series is summed through t_order, the rest being exactly
+    0; another stops at the first n with |t_n| far below |S_n| and a tail
+    bound (|t_n| + E_n / 2^P) / (1 - rho), rho = _ratio_bound, within
+    tol |S_n| / 2, or at max_terms.  While the rounding passes
+    tol |value| / 4 (a value far below the peak term, or a scale that
+    understates it) the sum runs again with the bits it lacked, three runs
+    at most.  The estimate is the tail bound, the rounding and half an ulp
+    of the returned value; converged when it is within tol |value|.
+    cancellation_ratio is the largest |S_m| over |value|, to a factor of 2.
+    """
+    z = complex(z)
+    order = table.order
+    limit = max_terms if order is None else order + 1
+    bits = max(math.frexp(scale)[1] + 1, 0) + math.ceil(-math.log2(tol)) + _GUARD_BITS
+    num = [_dyadic(a) for a in table.numerator]
+    den = [_dyadic(b) for b in table.denominator]
+    zr, zi, ez = _dyadic(z)
+    shift = sum(e for *_, e in den) - sum(e for *_, e in num) - ez
+    up, down = max(shift, 0), max(-shift, 0)  # the power of 2 in every ratio
+    small = math.ceil(-math.log2(tol)) + 4  # bits by which |t_n| < tol |S_n| / 5
+    real = not (zi or any(i for _, i, _ in num + den))
+    for _ in range(3):
+        one = 1 << bits
+        tr, ti, sr, si = one, 0, 0, 0
+        err = rounding = 0.0
+        top = 0
+        # the factors a + n, b + n times 2^e as [re, im, 2^e]
+        fnum = [[r, i, 1 << e] for r, i, e in num]
+        fden = [[r, i, 1 << e] for r, i, e in den]
+        tail = 0.0  # a terminating series ends exactly
+        n = 0
+        while n < limit:
+            n += 1
+            sr += tr
+            si += ti
+            rounding += err
+            size = sr.bit_length() if real else max(sr.bit_length(), si.bit_length())
+            # t_n = t_(n-1) r_(n-1) z = t_(n-1) N / D, with complex
+            # parameters as N conj(D) / |D|^2; real ones skip the
+            # imaginary parts, all 0
+            if real:
+                nr, d = zr, n
+                for f in fnum:
+                    nr *= f[0]
+                    f[0] += f[2]
+                for f in fden:
+                    d *= f[0]
+                    f[0] += f[2]
+                nr, d = nr << up, d << down
+                tr, rx = divmod(tr * nr, d)
+                err = err * abs(nr / d) * _UP + (rx != 0)
+                tsize = tr.bit_length()
+            else:
+                nr, ni, d, di = zr, zi, n, 0
+                for f in fnum:
+                    nr, ni = nr * f[0] - ni * f[1], nr * f[1] + ni * f[0]
+                    f[0] += f[2]
+                for f in fden:
+                    d, di = d * f[0] - di * f[1], d * f[1] + di * f[0]
+                    f[0] += f[2]
+                nr, ni = (nr * d + ni * di) << up, (ni * d - nr * di) << up
+                d = (d * d + di * di) << down
+                (tr, rx), (ti, ry) = divmod(tr * nr - ti * ni, d), divmod(tr * ni + ti * nr, d)
+                err = err * math.hypot(nr / d, ni / d) * _UP + (rx != 0) + (ry != 0)
+                tsize = max(tr.bit_length(), ti.bit_length())
+            if size > top:
+                top = size
+            if order is None and (tsize + small <= size or n == limit):
+                rho = _ratio_bound(table, z, n)
+                tail = ((math.hypot(tr / one, ti / one) + math.ldexp(err, -bits)) / (1.0 - rho)
+                        if rho < 1.0 else math.inf)
+                if tail <= 0.5 * tol * math.hypot(sr / one, si / one):
+                    break
+        value = complex(sr / one, si / one)
+        rounding = math.ldexp(rounding * _UP, -bits)
+        lacking = rounding / (0.25 * tol * abs(value)) if value else math.inf
+        if lacking <= 1.0 or rounding == 0.0:
+            break
+        bits += min(math.ceil(math.log2(lacking)), 1024) + 4
+    estimate = tail + rounding + 0.5 * _EPS * abs(value)
+    cancel = max(math.ldexp(1.0, top - bits) / max(abs(value), _ABS_FLOOR), 1.0)
+    return SeriesResult(value, n, estimate, cancel, estimate <= tol * abs(value), "exact")
+
+
+def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int,
+                table: "TermRatios | None" = None) -> SeriesResult:
     """Sum until three consecutive |t_(k+1)| <= tol |partial sum through
     t_k|, forming the terms in doubling segments.  The rest of the series
     after t_0 .. t_(n-1) is bounded by |t_n| / (1 - rho), rho from
     _ratio_bound; the estimate adds the term recurrence's rounding
     (_recurrence_charge)."""
-    table = TermRatios(spec.numerator, spec.denominator)
+    table = table or TermRatios(spec.numerator, spec.denominator)
     z = spec.argument if spec.argument.imag else spec.argument.real
     terms = np.ones(1)
     stop = 0
@@ -298,49 +399,11 @@ def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResu
                             f"(|z| = {abs(spec.argument):.6g})")
     total = _fsum(terms[:n])
     nxt = float(mags[n])
-    rho = _ratio_bound(spec, n)  # |t_(m+1)| <= rho |t_m| for every m >= n
+    rho = _ratio_bound(table, z, n)  # |t_(m+1)| <= rho |t_m| for every m >= n
     cancel = max(float(sums[:n].max()) / max(abs(total), _ABS_FLOOR), 1.0)
     tail = max(nxt / (1.0 - rho) if rho < 1.0 else math.inf, cancel * _EPS * abs(total))
     tail += _recurrence_charge(spec, total, partial[:n])
     return SeriesResult(total, n, tail, cancel, hits.size > 0, "direct")
-
-
-def _sum_direct_dd(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
-    """Double-double summation for real parameters and real argument."""
-    num = [a.real for a in spec.numerator]
-    den = [b.real for b in spec.denominator]
-    z = spec.argument.real
-    thi, tlo = 1.0, 0.0
-    shi, slo = 0.0, 0.0
-    max_abs = 0.0
-    consec = 0
-    n = 0
-    while n < max_terms:
-        shi, slo = dd.dd_add(shi, slo, thi, tlo)
-        max_abs = max(max_abs, abs(shi))
-        # a + n is not exactly representable in one double; keep the factor
-        # as an error-free two_sum pair so term accuracy stays at dd level
-        for a in num:
-            fhi, flo = dd.two_sum(a, float(n))
-            thi, tlo = dd.dd_mul(thi, tlo, fhi, flo)
-        for b in den:
-            fhi, flo = dd.two_sum(b, float(n))
-            thi, tlo = dd.dd_div(thi, tlo, fhi, flo)
-        thi, tlo = dd.dd_mul_d(thi, tlo, z)
-        thi, tlo = dd.dd_div_d(thi, tlo, n + 1.0)
-        n += 1
-        if abs(thi) <= tol * max(abs(shi), _ABS_FLOOR):
-            consec += 1
-            if consec >= 3:
-                break
-        else:
-            consec = 0
-    value = dd.dd_to_float(shi, slo)
-    cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
-    tail = abs(thi) / (1.0 - min(abs(z) / (n + 1), 0.95))
-    tail = max(tail, cancel * dd.DD_EPS * abs(value))
-    converged = consec >= 3
-    return SeriesResult(complex(value, 0.0), n, tail, cancel, converged, "double-double")
 
 
 # orders l of the power sums L_l(z) = sum_{j>=0} j^l z^j kept in the
@@ -470,16 +533,15 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
     asymptotic) times the first omitted order e_9 plus the l = 12, 13
     columns.  N is the first rung of _UNIT_RUNGS up to min(max_terms,
     24576), or max_terms below the first rung, at which the terms decay
-    across [N/2, N] and that charge is below tol |value|.  The expansion
-    needs N |1-z| well above |s| + 13, as L_l ~ l! / (1-z)^(l+1): where
+    across [N/2, N] and the estimate is below tol |value|: that charge
+    plus the recurrence's rounding (_recurrence_charge, the remainder in
+    the value) and eps max|S_m| for the prefix.  The expansion needs
+    N |1-z| well above |s| + 13, as L_l ~ l! / (1-z)^(l+1): where
     24576 |1-z| < 4 (|s| + 13) (z close to 1, but not 1) the rungs go on
-    doubling up to max_terms.  Otherwise the
-    last cut comes back with converged=False, its estimate infinite when
-    the terms still rise there.  The estimate adds the recurrence's
-    rounding (_recurrence_charge, the remainder in the value) and
-    eps max|S_m| for the prefix; they do not decide convergence.  Raises
-    OverflowError when a term, a partial sum or the remainder is no longer
-    finite.
+    doubling up to max_terms.  Otherwise the last cut comes back with
+    converged=False, its estimate infinite when the terms still rise
+    there.  Raises OverflowError when a term, a partial sum or the
+    remainder is no longer finite.
     """
     z = spec.argument
     if abs(z - 1.0) <= 1e-14:
@@ -531,21 +593,24 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
             truncation = (_TAIL_SAFETY * (abs(nxt - tail)
                                           + abs(t_n * complex(scaled[:-1] @ omitted[:-1]) / phi))
                           if decaying else math.inf)
-            if truncation <= budget:
+            if truncation + rounding <= budget:
                 break
     value = _fsum(terms[:n]) + tail
     cancel = max(max_abs / max(abs(value), _ABS_FLOOR), 1.0)
-    return SeriesResult(value, n, truncation + rounding, cancel, truncation <= budget,
-                        "direct+power-tail")
+    estimate = truncation + rounding
+    return SeriesResult(value, n, estimate, cancel, estimate <= budget, "direct+power-tail")
 
 
 def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
                 max_terms: int = 100_000) -> SeriesResult:
-    """Sum the series to relative tolerance tol.
+    """Sum the series to relative tolerance tol: converged when the
+    estimate, rounding included, is within tol |value|.
 
-    Raises DivergentSeriesError outside the convergence domain.  Hitting
-    max_terms is not an exception: the best estimate comes back with
-    converged=False.
+    Raises DivergentSeriesError outside the convergence domain.  A
+    terminating or direct float sum that met its stopping rule with an
+    estimate above tol |value| is summed again exactly (_sum_exact).
+    Hitting max_terms is not an exception: the best estimate comes back
+    with converged=False.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -556,19 +621,20 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
         raise DivergentSeriesError(
             f"series p={spec.p}, q={spec.q} at z={spec.argument} diverges"
         )
+    if cls.kind in (Convergence.UNIT_CIRCLE_ABSOLUTE, Convergence.UNIT_CIRCLE_CONDITIONAL):
+        return _sum_unit_power_tail(spec, tol, max_terms)
+    table = TermRatios(spec.numerator, spec.denominator)
     if cls.kind is Convergence.TERMINATING:
         order = spec.order
         if order is None or spec.argument == 0.0:
             order = 0
-        return _sum_terminating(spec, order)
-    if cls.kind in (Convergence.UNIT_CIRCLE_ABSOLUTE, Convergence.UNIT_CIRCLE_CONDITIONAL):
-        return _sum_unit_power_tail(spec, tol, max_terms)
-    if (_predicted_cancellation(spec.p, spec.q, spec.argument) > _DD_CANCEL_THRESHOLD
-            and spec.argument.imag == 0.0
-            and all(a.imag == 0.0 for a in spec.numerator)
-            and all(b.imag == 0.0 for b in spec.denominator)):
-        return _sum_direct_dd(spec, tol, max_terms)
-    return _sum_direct(spec, tol, max_terms)
+        result = _sum_terminating(spec, order, table)
+    else:
+        result = _sum_direct(spec, tol, max_terms, table)
+    if result.converged and result.tail_estimate > tol * abs(result.value):
+        return _sum_exact(table, spec.argument, tol, max_terms,
+                          result.cancellation_ratio * max(abs(result.value), _ABS_FLOOR))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +643,17 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
 # The quadrature oracle sums the same series at a few hundred nodes per
 # integral, a few dozen nodes per call.  One TermRatios table per integral
 # holds the term ratios r_n, so a call does no per-term parameter work.
-# Both kernels form a block of rows of terms for every node at once and
-# share one block loop (_sum_chunks): the float/complex kernel with a
-# cumulative product and a cumulative sum down the rows of r_n * z, the
-# double-double kernel with log-depth scans under dd_mul and dd_add over
-# the same rows.  Every block costs the same fixed numpy overhead, so the
-# float/complex kernel sizes its first block to the stop row predicted
-# from the term magnitudes (_predicted_rows) and forms it at once; the
-# double-double kernel keeps blocks of _CHUNK rows, since its scans round
-# more the deeper a block is.  The loop also measures each node's rounding
-# (its charge), so a caller picks the precision from the rounding it can
-# afford.
+# The kernel forms a block of rows of terms for every node at once, with
+# a cumulative product and a cumulative sum down the rows of r_n * z
+# (_series_vector, _Rows).  Every block costs the same fixed numpy overhead, so the
+# first block is sized to the stop row predicted from the term magnitudes
+# (_predicted_rows) and formed at once.  The loop also measures each
+# node's rounding (its charge), so a caller sums again exactly
+# (_sum_exact) the nodes whose rounding it cannot afford.
 # ---------------------------------------------------------------------------
 
-# rows of terms formed per block past the predicted stop, and in every
-# double-double block; the ratio table grows in whole multiples of it
+# rows of terms formed per block past the predicted stop; the ratio table
+# grows in whole multiples of it
 _CHUNK = 32
 # most entries (rows x nodes) of a block longer than _CHUNK rows, so a
 # large predicted block costs little memory
@@ -606,12 +668,11 @@ class TermRatios:
     n, so an entry depends on n and the parameters alone, never on what
     the table was asked before.
     Real parameters give a float table, complex ones a complex table; the
-    double-double pairs (real parameters only) and the log walk are built
-    on first use, from the class's empty tables.  order, the series'
-    termination order (None if it does not end), is found on first use:
-    only the vector kernels read it."""
+    log walk is built on first use, from the class's empty table.  order,
+    the series' termination order (None if it does not end), is found on
+    first use: only the vector and exact kernels read it."""
 
-    _log_walk = _hi = _lo = np.empty(0)
+    _log_walk = np.empty(0)
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex]):
         params = [complex(x) for x in (*numerator, *denominator)]
@@ -666,27 +727,6 @@ class TermRatios:
                 self._log_walk = np.concatenate([self._log_walk, np.cumsum(logs)])
         return self._log_walk
 
-    def dd_ratios(self, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The table as double-double (hi, lo) pairs, at least up to stop
-        (real parameters)."""
-        if len(self._hi) < stop:
-            n = self._missing(len(self._hi), stop)
-            hi, lo = dd.dd_ones(n.shape)
-            # a + n is not exactly representable in one double; keep each
-            # factor as an error-free two_sum pair; rows past a terminating
-            # order may divide by 0, none is read
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for a in self.numerator:
-                    fhi, flo = dd.two_sum(a, n)
-                    hi, lo = dd.dd_mul(hi, lo, fhi, flo)
-                for b in self.denominator:
-                    fhi, flo = dd.two_sum(b, n)
-                    hi, lo = dd.dd_div(hi, lo, fhi, flo)
-                hi, lo = dd.dd_div_d(hi, lo, n + 1.0)
-            self._hi = np.concatenate([self._hi, hi])
-            self._lo = np.concatenate([self._lo, lo])
-        return self._hi, self._lo
-
 
 def _terms(table: TermRatios, z, term, start: int, stop: int) -> np.ndarray:
     """t_(start+1) .. t_stop from t_start = term, one cumulative product of
@@ -710,9 +750,9 @@ def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int
     k = q - p + 1, so a first window of 2 z_max^(1/k) + 2 _CHUNK rows holds
     that n unless the parameters are large; a longer walk doubles the
     window.  The walk reads the table from row 0, so its answer depends on
-    the parameters, z_max and tol alone.  The prediction falls short where the partial sums lie
-    far below the peak term (cancelling sums); the loop then goes on in
-    blocks of _CHUNK rows."""
+    the parameters, z_max and tol alone.  The prediction falls short where
+    the partial sums lie far below the peak term (cancelling sums); the
+    loop then goes on in blocks of _CHUNK rows."""
     if not math.isfinite(z_max):
         return 0  # no walk: the loop refuses the rows that are not finite
     log_z = math.log(z_max) if z_max > 0.0 else -math.inf
@@ -732,34 +772,72 @@ def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int
         stop *= 2
 
 
-def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
-    """The block loop of the vector kernels; returns each node's rounding charge.
+class _Rows:
+    """Blocks of the vector kernel: one cumulative product down the
+    rows of r_n * z, started from the carried term in row 0, forms the
+    terms, one cumulative sum the partial sums; the running sum is
+    compensated across blocks."""
 
-    rows.form(n, m) forms rows n .. n+m-1 at every node and returns the
-    terms t_(n+1) .. t_(n+m) and the partial sums through t_n ..
-    t_(n+m-1) (the leading parts, for double-double); rows.keep(k) makes
-    the first k rows part of the running sum.  The blocks run through row
-    rows.predicted(tol, max_terms) (0 for double-double), each capped at
-    _BLOCK_ENTRIES entries but never under _CHUNK rows; past that row
-    every block has _CHUNK rows.  Stops once three consecutive terms are
-    <= tol * |partial sum| at every node, at that row, or after t_order of
-    a terminating series (later rows may divide by a zero denominator
-    factor).  Rows formed past the stop are never read.  Raises
-    OverflowError once the last summed row's term or partial sum is no
-    longer finite (a non-finite term or partial sum stays so), since the
-    sum of the remaining terms is then unknown; it does so where a loop of
-    _CHUNK-row blocks would, with the same row count.
+    def __init__(self, ratios: TermRatios, z: np.ndarray):
+        self.ratios = ratios
+        self.z = z
+        dtype = np.result_type(z.dtype, ratios.dtype)
+        self.term = np.ones(z.shape, dtype)    # first term not yet summed
+        self.total = np.zeros(z.shape, dtype)
+        self.comp = np.zeros(z.shape, dtype)   # compensation across blocks
 
-    The charge is _recurrence_charge's (p+q+3) unit sum_m |value - S_m|
+    def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows n .. n+m-1 at every node: the terms t_(n+1) .. t_(n+m) and
+        the partial sums through t_n .. t_(n+m-1)."""
+        self.terms = np.empty((m + 1, *self.z.shape), self.term.dtype)  # t_n .. t_(n+m)
+        self.terms[0] = self.term
+        steps = self.terms[1:]
+        np.multiply.outer(self.ratios.ratios(n + m)[n:n + m], self.z, out=steps)
+        steps[0] *= self.term  # (r_n z) t_n, the product order of _terms
+        steps.cumprod(axis=0, out=steps)
+        self.sums = self.terms[:-1].cumsum(axis=0)  # t_n + .. + t_(n+k)
+        return steps, self.total + self.sums
+
+    def keep(self, k: int) -> None:
+        """Make the first k rows formed part of the running sum."""
+        y = self.sums[k - 1] - self.comp
+        t = self.total + y
+        self.comp = (t - self.total) - y
+        self.total = t
+        self.term = self.terms[-1]
+
+
+def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
+                   max_terms: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+    """pFq at each entry of the argument vector z (1-D, float or complex)
+    by direct summation, in blocks of rows (_Rows), and each node's
+    rounding charge.
+
+    The blocks run through the row _predicted_rows gives, each capped at
+    _BLOCK_ENTRIES entries but never under _CHUNK rows; past that row, and
+    in every call with a node at Re z < 0 (the terms cancel: the partial
+    sums lie far below the peak term, and their rounding noise, which the
+    block layout changes, sets the stop row), every block has _CHUNK rows.
+    Stops once three consecutive terms are <= tol * |partial sum| at every
+    node, at that row, or after t_order of a terminating series (later
+    rows may divide by a zero denominator factor).  Rows formed past the
+    stop are never read.  Raises OverflowError once the last summed row's
+    term or partial sum is no longer finite (a non-finite term or partial
+    sum stays so), since the sum of the remaining terms is then unknown;
+    it does so where a loop of _CHUNK-row blocks would, with the same row
+    count.
+
+    The charge is _recurrence_charge's (p+q+3) eps sum_m |value - S_m|
     over the N summed rows, bounded by the triangle inequality as
-    (p+q+3) unit (sum_m |S_m| + N |value|), unit the kernel's rounding
-    unit (rows.unit); sum_m |S_m| reuses the stopping test's |S_m|.  N
-    is the call's row count, the same at every node: a node is charged
-    for the rows its call summed."""
-    if rows.ratios.order is not None:
-        max_terms = min(max_terms, rows.ratios.order + 1)
-    predicted = rows.predicted(tol, max_terms)
-    cap = max(_CHUNK, _BLOCK_ENTRIES // max(rows.z.size, 1))
+    (p+q+3) eps (sum_m |S_m| + N |value|); sum_m |S_m| reuses the
+    stopping test's |S_m|.  N is the call's row count, the same at every
+    node: a node is charged for the rows its call summed."""
+    rows = _Rows(ratios, z)
+    if ratios.order is not None:
+        max_terms = min(max_terms, ratios.order + 1)
+    predicted = 0 if (z.real < 0.0).any() else _predicted_rows(
+        ratios, float(np.abs(z).max(initial=0.0)), tol, max_terms)
+    cap = max(_CHUNK, _BLOCK_ENTRIES // max(z.size, 1))
     consec = 0
     n = 0
     abs_sum = 0.0
@@ -790,7 +868,7 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
                 if consec >= 3 or n + kept >= end:
                     raise OverflowError(
                         f"pFq series term overflowed after {min(n + kept, end)} terms "
-                        f"(|z| up to {float(np.abs(rows.z).max()):.6g})")
+                        f"(|z| up to {float(np.abs(z).max()):.6g})")
             rows.keep(kept)
             abs_sum = abs_sum + sums[:kept].sum(axis=0)
             n += kept
@@ -798,121 +876,21 @@ def _sum_chunks(rows, tol: float, max_terms: int) -> np.ndarray:
                 break
         # inside the errstate block: near the largest double the charge
         # overflows to inf, which the caller refuses
-        factors = len(rows.ratios.numerator) + len(rows.ratios.denominator) + 3
-        return factors * rows.unit * (abs_sum + n * sums[kept - 1])
+        factors = len(ratios.numerator) + len(ratios.denominator) + 3
+        return rows.total, factors * _EPS * (abs_sum + n * sums[kept - 1])
 
 
-class _Rows:
-    """Blocks of the float/complex kernel: one cumulative product down the
-    rows of r_n * z, started from the carried term in row 0, forms the
-    terms, one cumulative sum the partial sums; the running sum is
-    compensated across blocks."""
-
-    unit = _EPS
-
-    def __init__(self, ratios: TermRatios, z: np.ndarray):
-        self.ratios = ratios
-        self.z = z
-        dtype = np.result_type(z.dtype, ratios.dtype)
-        self.term = np.ones(z.shape, dtype)    # first term not yet summed
-        self.total = np.zeros(z.shape, dtype)
-        self.comp = np.zeros(z.shape, dtype)   # compensation across blocks
-
-    def predicted(self, tol: float, max_terms: int) -> int:
-        # at Re z < 0 the terms cancel: the partial sums lie far below the
-        # peak term, and their rounding noise, which the block layout
-        # changes, sets the stop row
-        if (self.z.real < 0.0).any():
-            return 0
-        return _predicted_rows(self.ratios, float(np.abs(self.z).max(initial=0.0)),
-                               tol, max_terms)
-
-    def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        self.terms = np.empty((m + 1, *self.z.shape), self.term.dtype)  # t_n .. t_(n+m)
-        self.terms[0] = self.term
-        steps = self.terms[1:]
-        np.multiply.outer(self.ratios.ratios(n + m)[n:n + m], self.z, out=steps)
-        steps[0] *= self.term  # (r_n z) t_n, the product order of _terms
-        steps.cumprod(axis=0, out=steps)
-        self.sums = self.terms[:-1].cumsum(axis=0)  # t_n + .. + t_(n+k)
-        return steps, self.total + self.sums
-
-    def keep(self, k: int) -> None:
-        y = self.sums[k - 1] - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-        self.term = self.terms[-1]
-
-
-def _dd_scan(op, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive scan of the (hi, lo) rows under the double-double
-    operation op, in place: ceil(log2(rows)) whole-array steps
-    (Hillis-Steele)."""
-    shift = 1
-    while shift < len(hi):
-        hi[shift:], lo[shift:] = op(hi[shift:], lo[shift:], hi[:-shift], lo[:-shift])
-        shift *= 2
-    return hi, lo
-
-
-class _DDRows:
-    """Blocks of the double-double kernel: the steps r_n * z as (hi, lo)
-    pairs with the carried term folded into row 0, scanned under dd_mul
-    for the terms; the terms with the running sum folded into row 0,
-    scanned under dd_add for the partial sums.  Every block has _CHUNK
-    rows: the scans' rounding grows with their depth, and the kernel's
-    64 DD_EPS sum |t_n| bound is for that depth."""
-
-    unit = dd.DD_EPS
-
-    def __init__(self, ratios: TermRatios, z: np.ndarray):
-        self.ratios = ratios
-        self.z = z
-        self.term = dd.dd_ones(z.shape)    # first term not yet summed
-        self.total = dd.dd_zeros(z.shape)
-
-    def predicted(self, tol: float, max_terms: int) -> int:
-        return 0
-
-    def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        rhi, rlo = self.ratios.dd_ratios(n + m)
-        shi, slo = dd.dd_mul_d(rhi[n:n + m, None], rlo[n:n + m, None], self.z)
-        thi, tlo = self.term
-        shi[0], slo[0] = dd.dd_mul(shi[0], slo[0], thi, tlo)
-        self.nxt = _dd_scan(dd.dd_mul, shi, slo)                  # t_(n+1) .. t_(n+m)
-        ahi = np.concatenate([thi[None, :], self.nxt[0][:-1]])  # t_n .. t_(n+m-1)
-        alo = np.concatenate([tlo[None, :], self.nxt[1][:-1]])
-        ahi[0], alo[0] = dd.dd_add(*self.total, thi, tlo)
-        self.partial = _dd_scan(dd.dd_add, ahi, alo)
-        return self.nxt[0], self.partial[0]
-
-    def keep(self, k: int) -> None:
-        self.total = (self.partial[0][k - 1], self.partial[1][k - 1])
-        self.term = (self.nxt[0][-1], self.nxt[1][-1])
-
-
-def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
-                   max_terms: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
-    """pFq at each entry of the argument vector z (1-D, float or complex)
-    by direct summation, and each node's rounding charge (_sum_chunks).
-
-    Stops once three consecutive terms are <= tol * |partial sum| at every
-    node; raises OverflowError when a term or a partial sum is no longer
-    finite, since the sum of the remaining terms is then unknown."""
-    rows = _Rows(ratios, z)
-    charge = _sum_chunks(rows, tol, max_terms)
-    return rows.total, charge
-
-
-def _series_vector_dd(ratios: TermRatios, z: np.ndarray, tol: float,
-                      max_terms: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
-    """_series_vector for real z in double-double.  The stopping rule is
-    that of a term-by-term loop; only the order in which the terms and
-    partial sums are rounded differs."""
-    rows = _DDRows(ratios, z)
-    charge = _sum_chunks(rows, tol, max_terms)
-    return rows.total[0] + rows.total[1], charge
+def _resum_exact(ratios: TermRatios, z: np.ndarray, values: np.ndarray, charge: np.ndarray,
+                 nodes, tol: float, max_terms: int = 100_000) -> None:
+    """Sum the series again exactly (_sum_exact) at the given nodes of z,
+    in place: each node's value, and the exact sum's estimate as its
+    charge.  A charge is at least (p+q+3) eps times the largest partial
+    sum (_series_vector)."""
+    unit = (len(ratios.numerator) + len(ratios.denominator) + 3) * _EPS
+    for i in nodes:
+        res = _sum_exact(ratios, complex(z[i]), tol, max_terms, float(charge[i]) / unit)
+        values[i] = res.value if values.dtype.kind == "c" else res.value.real
+        charge[i] = res.tail_estimate
 
 
 def series_values_real(spec: HyperSeriesSpec, z: np.ndarray, tol: float = 1e-14,
@@ -922,15 +900,15 @@ def series_values_real(spec: HyperSeriesSpec, z: np.ndarray, tol: float = 1e-14,
 
     ratios is the parameters' term-ratio table; a caller that sums the
     same series many times passes one table to every call.  Sums in float
-    and measures the rounding: when some node's charge (_sum_chunks)
-    exceeds tol * |value|, the vector is summed again in double-double.
-    Raises OverflowError when a term or partial sum overflows.
+    and measures the rounding: every node whose charge (_series_vector)
+    exceeds tol * |value| is summed again exactly (_resum_exact).  Raises
+    OverflowError when a term or partial sum overflows.
     """
     if ratios is None:
         ratios = TermRatios([a.real for a in spec.numerator],
                             [b.real for b in spec.denominator])
     z = np.asarray(z, dtype=float)
     values, charge = _series_vector(ratios, z, tol, max_terms)
-    if (charge > tol * np.abs(values)).any():
-        values = _series_vector_dd(ratios, z, tol, max_terms)[0]
+    _resum_exact(ratios, z, values, charge, np.flatnonzero(charge > tol * np.abs(values)),
+                 tol, max_terms)
     return values

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateParameterError, InvalidBinding, ValidityError
+from .errors import DegenerateParameterError, InvalidBinding, SeriesPoleError, ValidityError
 from .gammafn import POLE_TOL, gamma_ratio, GammaRatioSpec, nearest_pole_distance
 from .reporting import CheckReport, Sides, compare, series_tolerance
 from .series import HyperSeriesSpec, classify, converges, eval_series, parametric_excess
@@ -428,7 +428,7 @@ def _screen(id: SummationId, params: dict, margin: float,
         return None, failing[1]
     try:
         spec = lhs_spec(id, p)
-    except ValueError as exc:  # a denominator parameter on a nonpositive integer
+    except SeriesPoleError as exc:
         return None, str(exc)
     if not classify(spec).summable:
         return None, "series divergent"

@@ -537,7 +537,7 @@ def run_suite(ids: list[str] | None = None,
         "complex_im": cfg.complex_im,
         "n_per_id": n_per_id,
         "tolerances": dict(sorted(tols.items())),
-        "precision_mode": "float64+double-double",
+        "precision_mode": "float64+exact",
         "dixon_variant": dixon_variant.value,
     }
     return SuiteResult(per_identity, environment, verdict, evidence,

@@ -339,3 +339,23 @@ def test_specialization_binding_invalid_at_the_distinguished_d_exits_2(capsys):
     assert _main_json(capsys, "check", *flags)[0] == 0
     code, doc, err = _main_json(capsys, "check", "--oracle", "specialization", *flags)
     assert code == 2 and doc is None and "Re(d)<=0" in err
+
+
+_KUMMERX_ON_A_ZERO = ["--id", "lap.kummerx", "--a", "0.5", "--b", "2.5", "--d", "1.5", "--s", "2"]
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "pfq", "--num", "1", "--den=-2", "--z", "0.5"],
+    ["eval", "laplace-numeric", "--v", "1", "--s", "2", "--w", "1", "--num", "1", "--den=-2"],
+    ["eval", "laplace-numeric", *_KUMMERX_ON_A_ZERO],
+    ["eval", "closed-form", *_KUMMERX_ON_A_ZERO],
+    ["check", *_KUMMERX_ON_A_ZERO],
+    ["check", "--oracle", "quadrature", *_KUMMERX_ON_A_ZERO],
+    ["check", "--id", "sum.kummerx", "--a", "0.5", "--b", "2.5", "--d", "1.5"],
+])
+def test_nonpositive_integer_series_denominator_exits_2_on_every_path(args, capsys):
+    # --den=-2, or b = a + 2 in lap.kummerx, puts a denominator parameter of
+    # the series on a nonpositive integer that the series reaches: a
+    # validity error (SeriesPoleError, also a ValueError), never a usage error
+    code, doc, err = _main_json(capsys, *args)
+    assert code == 2 and doc is None and "validity error" in err

@@ -106,9 +106,9 @@ def test_growth_along_the_ray_is_refused_as_slow_decay():
 
 def test_panel_additivity():
     integ = _PanelIntegrator(lambda u: np.exp(-u) * np.sin(u))
-    whole, err_whole = integ.integrate(0.0, 8.0, 1e-12)
-    left, err_left = integ.integrate(0.0, 3.1, 1e-12)
-    right, err_right = integ.integrate(3.1, 8.0, 1e-12)
+    whole, err_whole = integ.refine(integ.seed([(0.0, 8.0)]), 1e-12)
+    left, err_left = integ.refine(integ.seed([(0.0, 3.1)]), 1e-12)
+    right, err_right = integ.refine(integ.seed([(3.1, 8.0)]), 1e-12)
     assert abs(whole - (left + right)) <= err_whole + err_left + err_right + 1e-14
 
 
@@ -152,21 +152,24 @@ def test_integrand_overflow_is_refused(a):
         laplace_numeric(1.5, 1.0, 0.99, HyperSeriesSpec([a], [2.5], 1.0), tol=1e-7)
 
 
-def test_double_double_integrand_overflow_is_refused(monkeypatch):
-    # w/s = -20: the float seed rounds by far more than its budget, so the
-    # seed is made again in double-double, whose rounding still exceeds the
-    # whole tolerance: refused at once, with no further integrand call
-    calls = []
-    kernel = series._series_vector_dd
+def test_large_negative_ratio_integrand_is_summed_exactly():
+    # w/s = -20: the float seed rounds by far more than its budget (the sums
+    # of 1F1(1; 2; -20 u) = (1 - e^(-20 u)) / (20 u) are noise past u ~ 2),
+    # so the seed is made again with its costly nodes summed exactly.  At
+    # v = 1 the transform is ln(21) / 20
+    want = math.log(21.0) / 20.0
+    res = laplace_numeric(1.0, 1.0, -20.0, HyperSeriesSpec([1.0], [2.0], 1.0), tol=1e-7)
+    assert abs(res.value - want) <= res.abs_err_est <= 1e-7 * want
 
-    def counted(*args):
-        calls.append(len(args[1]))
-        return kernel(*args)
 
-    monkeypatch.setattr(series, "_series_vector_dd", counted)
-    with pytest.raises(OverflowError):
-        laplace_numeric(1.0, 1.0, -20.0, HyperSeriesSpec([1.0], [2.0], 1.0), tol=1e-7)
-    assert len(calls) == 1
+def test_complex_ratio_alternating_integrand_is_covered():
+    # 1F1(2; 1.1) at w/s = -0.5+3i: |w/s| u reaches 73 over the body, whose
+    # float sums are noise; once refused for rounding past the tolerance,
+    # it is covered with the costly nodes summed exactly.
+    # Gamma(v) s^(-v) 2F1(v, 2; 1.1; w/s), mpmath at 40 digits, frozen
+    want = -0.0332361016953748 + 0.10285111948320683j
+    res = laplace_numeric(1.0, 1.0, -0.5 + 3j, HyperSeriesSpec([2.0], [1.1], 1.0), tol=1e-7)
+    assert abs(res.value - want) <= res.abs_err_est <= 1e-7 * abs(want)
 
 
 def test_result_does_not_depend_on_earlier_integrals():
@@ -188,7 +191,7 @@ def test_result_does_not_depend_on_earlier_integrals():
 @pytest.mark.parametrize("max_panels", [1, 2, 7, 40])
 def test_sweep_never_exceeds_max_panels(max_panels):
     integ = _PanelIntegrator(lambda u: 1.0 / np.sqrt(np.abs(u - 0.3)))
-    integ.integrate(0.0, 1.0, 1e-300, max_panels=max_panels)
+    integ.refine(integ.seed([(0.0, 1.0)]), 1e-300, max_panels=max_panels)
     # one panel to start, two per bisection: panels = (evaluations + 1) / 2
     panels = (integ.nodes_used // 25 + 1) // 2
     assert integ.nodes_used % 25 == 0
@@ -283,7 +286,7 @@ def test_panel_estimate_tracks_the_error(z, v, a, b):
 
 def test_bisecting_the_endpoint_panel_keeps_the_weight_on_its_left_half():
     integ = _PanelIntegrator(lambda u: np.cos(40.0 * u), 0.3 + 0.2j)
-    integ.integrate(0.0, 1.0, 1e-300, max_panels=2)
+    integ.refine(integ.seed([(0.0, 1.0)]), 1e-300, max_panels=2)
     # weighted [0, 1], then weighted [0, 1/2] and plain [1/2, 1]
     assert integ.nodes_used == 25 + 25 + 25
 
@@ -422,15 +425,15 @@ KUMMER_TRANSFORMS = [
 ]
 
 
-def _refuse_double_double(*args):
+def _refuse_exact(*args):
     raise AssertionError("the integral left float")
 
 
 @pytest.mark.parametrize("ident, params, s, want", KUMMER_TRANSFORMS)
 def test_kummer_transform_integrand_stays_in_float(ident, params, s, want, monkeypatch):
     # e^(-u) damps the cancellation of F(-u): the float sums' measured
-    # rounding stays within the budget, so no call takes double-double
-    monkeypatch.setattr(series, "_series_vector_dd", _refuse_double_double)
+    # rounding stays within the budget, so no node is summed exactly
+    monkeypatch.setattr(series, "_sum_exact", _refuse_exact)
     case = LaplaceCase(ident, params, s)
     integ = lhs_integrand(case)
     assert integ.w / case.s == -1.0
@@ -452,23 +455,25 @@ CANCELLING_DRAWS = [
 
 @pytest.mark.parametrize("v, s, num, den, want", CANCELLING_DRAWS)
 def test_cancelling_integrand_falls_back_to_double_double(v, s, num, den, want, monkeypatch):
+    # the precise integrand, double-double when this test was written, now
+    # sums the costly nodes exactly
     calls = []
-    kernel = series._series_vector_dd
+    kernel = series._sum_exact
 
     def counted(*args):
-        calls.append(len(args[1]))
+        calls.append(args[1])
         return kernel(*args)
 
-    monkeypatch.setattr(series, "_series_vector_dd", counted)
+    monkeypatch.setattr(series, "_sum_exact", counted)
     res = laplace_numeric(v, s, -s, HyperSeriesSpec(num, den, 1.0), tol=1e-7)
     assert calls
     assert abs(res.value - want) <= res.abs_err_est
     assert abs(res.value - want) <= 1e-7 * abs(want)
 
 
-# complex-parameter 2F2 at w/s = -1: no double-double sum, so the float
-# rounding is only charged; the first draw's error was 1.3 times the
-# estimate before the charge
+# complex-parameter 2F2 at w/s = -1: the float rounding is charged, and
+# the costly nodes are summed exactly; the first draw's error was 1.3 times
+# the estimate before the charge
 COMPLEX_ALTERNATING = [
     (1.3595225860281313, 3.2928001775060296,
      [2.6522604511187087 - 0.23349937406761767j, 2.7138828085674223 - 0.19391365699715013j],
@@ -541,7 +546,7 @@ PREDICTED_TAILS = [
     (2.0, 1.0, 0.5 + 0.1j, [1.5 + 0.3j], [2.1 - 0.2j], 1e-9),  # runs past the prediction
     (3.0, 1.0, -1.0, [1.5, 0.7], [2.1, 1.3], 1e-9),    # alternating, in float
     (2.5, 1.0, -0.6, [0.9], [1.1, 2.0], 1e-9),         # alternating, p < q
-    (3.0, 2.0, -3.0, [0.9, 0.4], [1.5, 2.8], 1e-9),    # double-double from its 2nd panel
+    (3.0, 2.0, -3.0, [0.9, 0.4], [1.5, 2.8], 1e-9),    # exact re-sums from its 2nd panel
 ]
 
 
@@ -637,25 +642,26 @@ def test_a_batch_charges_each_panel_when_it_is_taken():
     assert integ.precise is None and len(pending) == 1
 
 
-def test_sweep_passing_its_budget_switches_to_double_double_from_that_panel(monkeypatch):
+def test_sweep_passing_its_budget_switches_to_double_double_from_that_panel():
     # a sweep of four panels of a real alternating integrand, whose third
     # charge takes the rounding past the budget: the first two stay float,
-    # the third and fourth are evaluated again in one double-double call
+    # the third and fourth are evaluated again in one call of the precise
+    # integrand (double-double when this test was written), which sums
+    # every node with a charge exactly
     from hyperlap import quadrature
     calls = []
-    kernel = series._series_vector_dd
+    table = series.TermRatios([1.5], [2.5])
+    phi = quadrature._integrand_factory(table, -3.0 + 0j, 1e-13)
+    exact_phi = quadrature._integrand_factory(table, -3.0 + 0j, 1e-13, (1.0 + 0j, 0.0))
 
-    def counted(*args):
-        calls.append(args[1].size)
-        return kernel(*args)
+    def counted(u):
+        calls.append(u.size)
+        return exact_phi(u)
 
-    monkeypatch.setattr(series, "_series_vector_dd", counted)
-    phi, dd_phi = quadrature._integrand_factory(series.TermRatios([1.5], [2.5]), -3.0 + 0j, 1e-13)
     spans = [(2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0)]
     floats = _PanelIntegrator(phi).batch(spans)[0]
-    doubles = _PanelIntegrator(dd_phi).batch(spans[2:])[0]
-    calls.clear()
-    integ = _PanelIntegrator(phi, precise=dd_phi)
+    doubles = _PanelIntegrator(exact_phi).batch(spans[2:])[0]
+    integ = _PanelIntegrator(phi, precise=counted)
     integ.budget = floats[0][3] + floats[1][3] + 0.5 * floats[2][3]
     work = integ.seed(spans)
     assert calls == [50] and integ.precise is None
@@ -667,15 +673,16 @@ def test_sweep_passing_its_budget_switches_to_double_double_from_that_panel(monk
 
 def test_predicted_tail_switches_to_double_double_within_a_call(monkeypatch):
     # the second panel of the tail's one call takes the rounding past the
-    # budget: that panel alone is evaluated again, in double-double
+    # budget: that panel alone is evaluated again, with the precise
+    # integrand (double-double when this test was written)
     calls = []
-    kernel = series._series_vector_dd
+    kernel = series._resum_exact
 
-    def counted(*args):
-        calls.append(args[1].size)
-        return kernel(*args)
+    def counted(ratios, z, *args):
+        calls.append(z.size)
+        return kernel(ratios, z, *args)
 
-    monkeypatch.setattr(series, "_series_vector_dd", counted)
+    monkeypatch.setattr(series, "_resum_exact", counted)
     case = PREDICTED_TAILS[-1]
     res, batches = _tail_run(monkeypatch, case, False)
     tail = _tail_panels(case, batches)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -472,11 +475,18 @@ def test_direct_sum_refuses_overflow():
 
 
 def test_direct_sum_estimate_covers_recurrence_rounding():
-    # mpmath 1.3.0, 30 digits: hyper([1.39, 0.95], [1.43, 2.14], -10)
+    # mpmath 1.3.0, 30 digits: hyper([1.39, 0.95], [1.43, 2.14], -10).  The
+    # float sum meets its stopping rule, and its estimate covers its
+    # rounding; that estimate exceeds tol |value|, so eval_series sums the
+    # series again exactly
     ref = 0.134383260948663775773
-    r = eval_series(F([1.39, 0.95], [1.43, 2.14], -10.0))
+    spec = F([1.39, 0.95], [1.43, 2.14], -10.0)
+    r = series._sum_direct(spec, 1e-12, 100_000)
     assert r.method == "direct" and r.converged
     assert abs(r.value - ref) <= r.tail_estimate
+    r = eval_series(spec)
+    assert r.method == "exact" and r.converged
+    assert abs(r.value - ref) <= r.tail_estimate <= 1e-12 * abs(r.value)
 
 
 # mpmath 1.3.0, 40 digits: alternating 2F2 direct sums, whose recurrence
@@ -489,9 +499,11 @@ def test_direct_sum_estimate_covers_recurrence_rounding():
     ([2.7216, 1.6975], [2.0156, 1.9074], -9.781, -0.00021930928642769705969),
 ])
 def test_alternating_direct_sum_within_its_estimate(num, den, z, ref):
-    r = eval_series(F(num, den, z))
+    r = series._sum_direct(F(num, den, z), 1e-12, 100_000)
     assert r.method == "direct" and r.converged
     assert abs(r.value - ref) <= r.tail_estimate
+    r = eval_series(F(num, den, z))
+    assert r.converged and abs(r.value - ref) <= r.tail_estimate <= 1e-12 * abs(r.value)
 
 
 # mpmath 1.3.0, 40 digits.  Two draws of the perfbench eval-regimes
@@ -580,16 +592,61 @@ def test_zero_denominator_unreachable():
 def test_cancellation_ratio_reported_for_alternating_regime():
     spec = F([1.2, 3.3], [2.2, 2.3], -25.0)
     r = eval_series(spec, tol=1e-12)
-    assert r.cancellation_ratio > 10.0
-    assert r.method == "double-double"
-    # the reported tail covers the cancellation-driven roundoff floor
-    dd_unit = 2.5e-32
-    assert r.tail_estimate >= 0.4 * r.cancellation_ratio * dd_unit * abs(r.value)
-    # the longdouble brute force carries its own error ~ eps_ld * e^|z|;
-    # the double-double value must agree within that reference budget
-    ref = brute_force_pfq([1.2, 3.3], [2.2, 2.3], -25.0, n_terms=400)
-    ref_budget = 100 * 5.5e-20 * math.exp(25.0)
-    assert abs(r.value - ref) <= ref_budget
+    # the largest partial sum over the value, to a factor of 2: the float
+    # sum's largest partial sums are accurate, its value is not
+    floats = series._sum_direct(spec, 1e-12, 100_000)
+    largest = floats.cancellation_ratio * abs(floats.value)
+    assert 1.0 <= r.cancellation_ratio * abs(r.value) / largest <= 2.0
+    assert r.cancellation_ratio > 1e10
+    assert r.method == "exact" and r.converged
+    # mpmath 1.3.0, 40 digits
+    ref = 0.0110723699720814047367328953728619605069
+    assert abs(r.value - ref) <= r.tail_estimate <= 1e-12 * ref
+
+
+# mpmath 1.3.0, 40 digits.  The 2F2 summed at z = -56.8529 with a
+# cancellation ratio of 1e33, and a complex 2F2 at z = -36: the float sums
+# are noise there, and the exact kernel sums them within their estimates
+@pytest.mark.parametrize("num, den, z, ref", [
+    ([2.697, 2.9776], [1.1513, 1.7494], -56.8529,
+     -0.000002114960436951722242475567518891820696695),
+    ([1.5 + 0.3j, 0.7 - 0.2j], [2.1 + 0.1j, 1.3 - 0.4j], -36.0,
+     0.06631855026795319970924230285142290589353 + 0.007223500779169490168383425500789951399671j),
+])
+def test_cancelling_sum_is_summed_exactly_within_its_estimate(num, den, z, ref):
+    r = eval_series(F(num, den, z))
+    assert r.method == "exact" and r.converged
+    assert abs(r.value - ref) <= r.tail_estimate <= 1e-12 * abs(r.value)
+    code, out = _eval_pfq_cli(num, den, z)
+    assert code == 0 and out["method"] == "exact" and out["converged"] is True
+
+
+def _eval_pfq_cli(num, den, z):
+    """Exit code and result row of eval pfq, in process."""
+    def literal(x):
+        x = complex(x)
+        return f"{x.real!r}{x.imag:+}i" if x.imag else repr(x.real)
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["eval", "pfq", "--num", ",".join(map(literal, num)),
+                     "--den", ",".join(map(literal, den)), f"--z={literal(z)}"])
+    return code, json.loads(buf.getvalue())["results"][0] if code == 0 else None
+
+
+def test_every_sum_path_converges_only_within_tol():
+    # converged means an estimate within tol |value|, on every path: float
+    # sums that round by more are summed exactly, and a power tail whose
+    # rounding passes tol takes the next cut
+    rng = np.random.default_rng(5)
+    specs = [F([-int(rng.integers(4, 13)), *rng.uniform(0.3, 3.0, 1)], rng.uniform(0.3, 3.0, 1),
+               rng.uniform(0.2, 0.9)) for _ in range(20)]
+    specs += [F(rng.uniform(0.3, 3.0, 2), rng.uniform(0.3, 3.0, 2), -rng.uniform(5.0, 60.0))
+              for _ in range(20)]
+    specs.append(F([0.9, 1.6, 0.4], [1.3, 2.9], -1.0))
+    for spec in specs:
+        r = eval_series(spec)
+        assert r.converged and r.tail_estimate <= 1e-12 * abs(r.value), spec
 
 
 def test_double_double_vs_float_vector_paths_agree_where_both_work():
@@ -606,7 +663,7 @@ def test_vector_eval_positive_arguments():
     z = np.array([0.5, 5.0, 40.0])
     vals = series_values_real(spec, z)
     for zz, got in zip(z, vals):
-        want = eval_series(spec.with_argument(float(zz)), tol=1e-13).value.real
+        want = eval_series(F(spec.numerator, spec.denominator, float(zz)), tol=1e-13).value.real
         assert abs(got - want) <= 1e-11 * abs(want)
 
 
@@ -624,10 +681,13 @@ def test_vector_kernel_matches_scalar_positive_float():
 
 
 def test_vector_kernel_matches_scalar_negative_float_below_dd_threshold():
+    # against the scalar float sum, which eval_series sums again exactly
+    # where its estimate passes tol |value|
     num, den = [1.2, 3.3], [1.7, 2.3]
     z = np.linspace(-12.0, -0.5, 37)
     got = series._series_vector(TermRatios(num, den), z, 1e-14)[0]
-    for g, ref in zip(got, _scalar_reference(num, den, z)):
+    for g, zz in zip(got, z):
+        ref = series._sum_direct(F(num, den, float(zz)), 1e-14, 100_000)
         assert ref.method == "direct"
         # both sums carry the cancellation's rounding, nothing more
         budget = 32.0 * ref.cancellation_ratio * EPS * abs(ref.value)
@@ -635,12 +695,14 @@ def test_vector_kernel_matches_scalar_negative_float_below_dd_threshold():
 
 
 def test_vector_kernel_matches_scalar_double_double():
+    # the vector path's exact re-sums against the scalar ones, which
+    # replaced the double-double sums
     num, den = [1.2, 3.3], [2.2, 2.3]
     z = np.linspace(-40.0, -20.0, 21)
     got = series_values_real(F(num, den, 1.0), z, tol=1e-14)
     for g, ref in zip(got, _scalar_reference(num, den, z)):
-        assert ref.method == "double-double"
-        assert abs(g - ref.value) <= 1e-12 * abs(ref.value)
+        assert ref.method == "exact"
+        assert abs(g - ref.value) <= 1e-13 * abs(ref.value)
 
 
 def test_vector_kernel_matches_scalar_complex_parameters():
@@ -659,8 +721,6 @@ def test_term_ratio_table_is_history_free():
     grown.ratios(150)
     fresh = TermRatios(num, den).ratios(150)
     assert np.array_equal(grown.ratios(150)[:150], fresh[:150])
-    hi, lo = TermRatios(num, den).dd_ratios(100)
-    assert np.allclose(hi[:100], fresh[:100], rtol=4 * EPS, atol=0.0)
     # one jump to the power tail's cap against step-by-step growth
     for num, den in ((num, den), ([0.4 + 0.3j, 1.9], [2.6, 0.8 - 0.5j])):
         grown = TermRatios(num, den)
@@ -686,12 +746,13 @@ def test_vector_kernel_stops_at_termination_order(num, den, z):
 
 
 def test_double_double_kernel_stops_at_termination_order():
-    # 1F1(-4; -5; z) at z = -40 in the double-double kernel
-    z = np.array([-40.0, -25.0])
-    got = series._series_vector_dd(TermRatios([-4.0], [-5.0]), z, 1e-14)[0]
-    for g, zz in zip(got, z):
+    # 1F1(-4; -5; z) at z = -40 in the exact kernel, which replaced the
+    # double-double one: five terms, the rest exactly 0
+    for zz in (-40.0, -25.0):
+        got = series._sum_exact(TermRatios([-4.0], [-5.0]), zz, 1e-14, 100_000, zz ** 4)
         want = explicit_terminating_sum([-4.0], [-5.0], zz, 4)
-        assert abs(g - want) <= 1e-14 * abs(want)
+        assert got.terms_used == 5 and got.converged
+        assert abs(got.value - want) <= got.tail_estimate + 4 * EPS * abs(want)
 
 
 def test_vector_kernel_refuses_overflow():
@@ -704,12 +765,12 @@ def test_vector_kernel_refuses_overflow():
 
 def test_double_double_kernel_refuses_overflow():
     # 1F1(1; 2; z) at z = -800: the terms pass 1e308 long before they
-    # cancel; the double-double path must refuse like the float one
+    # cancel; the float sums refuse before any node is summed exactly
     z = np.array([-20.0, -800.0])
     with pytest.raises(OverflowError, match="overflowed"):
         series_values_real(F([1.0], [2.0], 1.0), z)
     with pytest.raises(OverflowError, match="overflowed"):
-        series._series_vector_dd(TermRatios([1.0], [2.0]), z, 1e-14, 100_000)
+        eval_series(F([1.0], [2.0], -800.0))
 
 
 def _chunked_reference(ratios, z, tol, max_terms=100_000):
@@ -810,44 +871,38 @@ def test_float_kernel_overflow_message_counts_as_the_chunked_reference(num, z):
     assert str(got.value) == str(want.value)
 
 
-def _per_term_dd_loop(ratios, z, tol, max_terms):
-    """The double-double kernel as a loop of one dd_add, one dd_mul and
-    one dd_mul_d per term: the reference for the chunk scans of
-    series._series_vector_dd.  Also returns sum |t_n| over the summed
-    terms."""
-    dd = series.dd
-    thi, tlo = dd.dd_ones(z.shape)
-    shi, slo = dd.dd_zeros(z.shape)
-    abs_sum = np.zeros(z.shape)
-    consec = 0
-    for n in range(max_terms):
-        rhi, rlo = ratios.dd_ratios(n + 1)
-        shi, slo = dd.dd_add(shi, slo, thi, tlo)
-        abs_sum += np.abs(thi)
-        thi, tlo = dd.dd_mul(thi, tlo, rhi[n], rlo[n])
-        thi, tlo = dd.dd_mul_d(thi, tlo, z)
-        if np.all(np.abs(thi) <= tol * np.maximum(np.abs(shi), 1e-300)):
-            consec += 1
-            if consec >= 3:
-                break
-        else:
-            consec = 0
-    return shi + slo, abs_sum
+def _rational_loop(num, den, z, terms):
+    """t_0 .. t_(terms-1) summed in exact rational arithmetic, with the
+    parameters' exact values: the reference for series._sum_exact."""
+    num = [Fraction(a) for a in num]
+    den = [Fraction(b) for b in den]
+    z = Fraction(z)
+    term, total = Fraction(1), Fraction(0)
+    for n in range(terms):
+        total += term
+        for a in num:
+            term *= a + n
+        for b in den:
+            term /= b + n
+        term *= z / (n + 1)
+    return total
 
 
 @pytest.mark.parametrize("max_terms", [5, 40, 100_000])
 @pytest.mark.parametrize("nodes", [1, 7, 40])
 def test_double_double_kernel_matches_per_term_loop(nodes, max_terms):
+    # the exact kernel, which replaced the double-double one, against the
+    # same terms summed in rational arithmetic: within its rounding bound
+    # (the estimate, less the tail once it stops by its own rule)
     rng = np.random.default_rng(1000 * nodes + max_terms)
     # 1F1, 2F2 and a p < q set, over the alternating integrand's range
     for num, den in (([1.2], [2.5]), ([1.2, 3.3], [2.2, 2.3]), ([0.7], [1.4, 2.9])):
-        z = -rng.uniform(14.0, 56.0, nodes)
-        got = series._series_vector_dd(TermRatios(num, den), z, 1e-14, max_terms)[0]
-        want, abs_sum = _per_term_dd_loop(TermRatios(num, den), z, 1e-14, max_terms)
-        # same terms, summed in another order: the rounding of double-double
-        # sums of sum |t_n|, plus the final rounding to one double
-        bound = 64.0 * series.dd.DD_EPS * abs_sum + 4.0 * EPS * np.abs(want)
-        assert np.all(np.abs(got - want) <= bound), (num, den)
+        for zz in -rng.uniform(14.0, 56.0, min(nodes, 3)):
+            # e^|z| bounds the terms of all three sets
+            got = series._sum_exact(TermRatios(num, den), zz, 1e-14, max_terms, math.exp(-zz))
+            want = float(_rational_loop(num, den, zz, got.terms_used))
+            assert abs(got.value - want) <= got.tail_estimate + 4 * EPS * abs(want), (num, den)
+            assert got.terms_used == max_terms or got.converged
 
 
 # 2F2(a; b; -u) at quadrature nodes of a w/s = -1 integrand, mpmath 1.3.0 at
@@ -886,7 +941,7 @@ def test_float_kernel_charge_bounds_its_error(num, den, want):
 
 def test_series_values_real_measures_its_rounding():
     # positive z: the float sums round within a loose tol and stay float;
-    # z = -30 rounds by far more, and the vector is summed in double-double
+    # z = -30 rounds by far more, and its nodes are summed again exactly
     spec = F([1.2, 1.7], [2.3, 0.6], 1.0)
     table = TermRatios([1.2, 1.7], [2.3, 0.6])
     z = np.array([0.5, 8.0, 24.0])
@@ -894,7 +949,10 @@ def test_series_values_real_measures_its_rounding():
                           series._series_vector(table, z, 1e-9)[0])
     z = -np.array(_ALTERNATING_NODES)
     got = series_values_real(spec, z, tol=1e-13)
-    assert np.array_equal(got, series._series_vector_dd(table, z, 1e-13)[0])
+    floats, charge = series._series_vector(table, z, 1e-13)
+    exact = [series._sum_exact(table, zz, 1e-13, 100_000, c / (6 * EPS)).value.real
+             for zz, c in zip(z, charge)]
+    assert np.array_equal(got, np.where(charge > 1e-13 * np.abs(floats), exact, floats))
     want = np.array(_ALTERNATING_VECTOR[1][2])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -1110,3 +1168,14 @@ def test_classify_total_on_valid_specs(p, q, z, seed):
     den = [rng.uniform(0.2, 4.0) for _ in range(q)]
     cls = classify(F(num, den, z))
     assert isinstance(cls.kind, Convergence)
+
+
+def test_exact_kernel_adds_the_bits_a_low_scale_lacks():
+    # a scale far below the peak term leaves the fixed point too coarse for
+    # the cancellation; the kernel sums again with the bits it lacked and
+    # lands where a true scale does
+    table = TermRatios([1.2, 3.3], [2.2, 2.3])
+    low = series._sum_exact(table, -40.0, 1e-12, 100_000, 1.0)
+    true = series._sum_exact(table, -40.0, 1e-12, 100_000, math.exp(40.0))
+    assert low.converged and true.converged
+    assert abs(low.value - true.value) <= low.tail_estimate + true.tail_estimate

@@ -157,8 +157,7 @@ def test_baileyx_specialization_structure_and_value():
         ok, _ = validity(SummationId.BAILEYX, binding)
         if not ok:
             continue
-        reduced = eval_series(
-            lhs_spec(SummationId.BAILEYX, binding).with_argument(0.5), tol=1e-13)
+        reduced = eval_series(type(spec)(spec.numerator, spec.denominator, 0.5), tol=1e-13)
         two_f_one = eval_series(
             type(spec)([a, 1 - a], [c], 0.5), tol=1e-13)
         assert abs(reduced.value - two_f_one.value) <= 1e-12 * abs(two_f_one.value)
