@@ -163,9 +163,9 @@ def test_large_negative_ratio_integrand_is_summed_exactly():
 
 
 def test_complex_ratio_alternating_integrand_is_covered():
-    # 1F1(2; 1.1) at w/s = -0.5+3i: |w/s| u reaches 73 over the body, whose
-    # float sums are noise; once refused for rounding past the tolerance,
-    # it is covered with the costly nodes summed exactly.
+    # 1F1(2; 1.1) at w/s = -0.5+3i: |w/s| u reaches 73 over the body, where
+    # the float sums are noise; with the costly nodes summed exactly the
+    # integral lies within its estimate.
     # Gamma(v) s^(-v) 2F1(v, 2; 1.1; w/s), mpmath at 40 digits, frozen
     want = -0.0332361016953748 + 0.10285111948320683j
     res = laplace_numeric(1.0, 1.0, -0.5 + 3j, HyperSeriesSpec([2.0], [1.1], 1.0), tol=1e-7)
