@@ -38,7 +38,8 @@ def main(argv=None) -> int:
     print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}  ({dt:.1f}s)")
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
+        # one compact line, as the CLI writes it: with no indent the C encoder runs
+        fh.write(json.dumps(result.to_dict()) + "\n")
     print(f"report written to {args.out}")
     return 0 if result.overall_pass else 3
 

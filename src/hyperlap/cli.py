@@ -12,9 +12,10 @@ Commands
 
 Complex literals use `1.5+0.5i`; a bare decimal means a real value.
 Exit codes: 0 success, 1 usage error, 2 validity error, 3 numerical
-failure.  Reports are deterministic for fixed seed and flags; wall-clock
-timing is only attached under --timing (in a separate envelope field) so
-default output stays byte-reproducible.
+failure.  A JSON report is one compact line.  Reports are deterministic
+for fixed seed and flags; wall-clock timing is only attached under
+--timing (in a separate envelope field, so JSON only) so default output
+stays byte-reproducible.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
                    help="flat key=value file of this command's options (no dashes), "
                         "read as flags ahead of the explicit ones, which win")
     p.add_argument("--timing", action="store_true",
-                   help="attach wall-clock timing (breaks byte-reproducibility)")
+                   help="attach wall-clock timing to a JSON report "
+                        "(breaks byte-reproducibility)")
     if seed:
         p.add_argument("--seed", type=int, default=42,
                        help="sampling seed (inert for deterministic evaluations)")
@@ -193,7 +195,7 @@ def build_parser() -> _Parser:
     su.add_argument("--complex-im", type=float, default=0.0)
     su.add_argument("--pole-margin", type=float, default=1e-3)
     su.add_argument("--no-reports", action="store_true",
-                    help="omit per-check rows from the report")
+                    help="omit per-check rows from a JSON report")
     _add_common(su)
 
     rd = sub.add_parser("resolve-dixon", help="the second-denominator variant experiment")
@@ -232,14 +234,15 @@ def _inputs_echo(args, skip=("format", "out", "config", "timing", "command", "ki
 
 
 def _emit(doc: dict, args, t0: float, rows_for_csv=None) -> None:
-    """Write doc, or its rows as CSV; under --timing, with the wall time
+    """Write doc as one compact JSON line (no indent, so CPython's C
+    encoder runs), or its rows as CSV; under --timing, with the wall time
     since t0 in a separate envelope field."""
     if args.timing:
         doc["envelope"] = {"timing_ms": (time.monotonic() - t0) * 1e3}
     if args.format == "csv":
         text = _to_csv(rows_for_csv if rows_for_csv is not None else doc["results"])
     else:
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -382,6 +385,8 @@ def _refuse_invalid(kind: str, ident, binding: dict, variant: DixonVariant,
 
 def _cmd_suite(args) -> int:
     t0 = time.monotonic()
+    if args.no_reports and args.format == "csv":
+        raise _UsageError("--no-reports leaves --format csv no rows to write")
     if args.ids:
         ids = [part.strip() for part in args.ids.split(",") if part.strip()]
         for identity_id in ids:
@@ -432,6 +437,9 @@ def main(argv=None) -> int:
             at = 2 if argv[:1] == ["eval"] else 1  # past the command's name
             argv = argv[:at] + _config_flags(config) + argv[at:]
         args = parser.parse_args(argv)
+        if args.timing and args.format == "csv":
+            raise _UsageError("--timing needs --format json: a CSV report has no "
+                              "envelope to hold the wall time")
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "check":

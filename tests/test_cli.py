@@ -161,7 +161,7 @@ def test_suite_json_deterministic(tmp_path):
     assert out1 == out2  # byte-identical
     doc = json.loads(out1)
     # round trip: reparse and re-dump reproduces the numbers exactly
-    assert json.dumps(doc, indent=2) + "\n" == out1
+    assert json.dumps(doc) + "\n" == out1
 
 
 def test_suite_out_file_and_csv(tmp_path):
@@ -180,6 +180,28 @@ def test_suite_out_file_and_csv(tmp_path):
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 1 + 4  # header + one row per check
     assert "identity_id" in lines[0]
+
+
+def test_suite_no_reports_csv_is_a_usage_error(tmp_path, capsys):
+    # without its per-check rows a suite has nothing to write as CSV
+    out = tmp_path / "r.csv"
+    assert main(["suite", "--ids", "sum.gauss2x", "--n", "3", "--no-reports",
+                 "--format", "csv", "--out", str(out)]) == 1
+    assert "--no-reports" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "gamma", "--z", "5"],
+    ["check", "--id", "sum.gauss2x", "--a", "1.2", "--b", "0.8", "--d", "1.5"],
+    ["suite", "--ids", "sum.gauss2x", "--n", "2"],
+    ["resolve-dixon", "--n", "2"],
+])
+def test_timing_with_csv_is_a_usage_error(argv, capsys):
+    # CSV has no envelope to hold the wall time
+    assert main([*argv, "--timing", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert "--timing" in captured.err and captured.out == ""
 
 
 def test_suite_n_zero_vacuous_pass():
