@@ -19,8 +19,9 @@ digits; at s = w it is Gauss's sum Gamma(v) s^(-v) Gamma(c) Gamma(c-a-v)
 / (Gamma(c-a) Gamma(c-v)).  A draw is under-covered when its error
 exceeds its abs_err_est; a typed refusal (ValidityError, SlowDecayError,
 OverflowError) is counted, not failed.  Prints, per family, the draws,
-refusals, under-covered draws, the worst and median error/estimate and
-the median nodes; exits 1 on any under-covered draw.
+refusals, under-covered draws, the worst and median error/estimate, the
+median nodes and the nodes summed again exactly (series._resum_exact,
+counted by wrapping it from here); exits 1 on any under-covered draw.
 """
 
 import argparse
@@ -29,11 +30,21 @@ import sys
 import mpmath as mp
 import numpy as np
 
+from hyperlap import series
 from hyperlap.errors import SlowDecayError, ValidityError
 from hyperlap.quadrature import laplace_numeric
 from hyperlap.series import HyperSeriesSpec
 
 _TOLS = (1e-5, 1e-7, 1e-9)
+_EXACT_NODES = [0]
+
+
+def _counted_resum_exact(kernel):
+    """series._resum_exact, adding the nodes it is given to _EXACT_NODES."""
+    def counted(ratios, z, values, charge, nodes, *args):
+        _EXACT_NODES[0] += len(nodes)
+        return kernel(ratios, z, values, charge, nodes, *args)
+    return counted
 
 
 def _param(rng, lo: float, hi: float, cplx: bool) -> complex:
@@ -74,6 +85,7 @@ def _reference(v, s, w, num, den) -> complex:
 def sweep(family: str, n: int, rng) -> dict:
     ratios, nodes = [], []
     refused = under = 0
+    exact_before = _EXACT_NODES[0]
     for i in range(n):
         v, s, w, num, den = _draw(rng, family, cplx=i % 2 == 1)
         tol = _TOLS[i % len(_TOLS)]
@@ -89,7 +101,8 @@ def sweep(family: str, n: int, rng) -> dict:
     return {"draws": n, "refused": refused, "under": under,
             "worst": max(ratios, default=float("nan")),
             "median": float(np.median(ratios)) if ratios else float("nan"),
-            "nodes": float(np.median(nodes)) if nodes else float("nan")}
+            "nodes": float(np.median(nodes)) if nodes else float("nan"),
+            "exact": _EXACT_NODES[0] - exact_before}
 
 
 def main(argv=None) -> int:
@@ -99,15 +112,18 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, default=40, help="draws per family")
     args = ap.parse_args(argv)
     mp.mp.dps = 30
+    series._resum_exact = _counted_resum_exact(series._resum_exact)
     rng = np.random.default_rng(args.seed)
     print(f"{'family':<12} {'draws':>6} {'refused':>8} {'under':>6} "
-          f"{'worst err/est':>14} {'median err/est':>15} {'median nodes':>13}")
+          f"{'worst err/est':>14} {'median err/est':>15} {'median nodes':>13} "
+          f"{'exact nodes':>12}")
     under = 0
     for family in ("exp_decay", "alternating", "power_law"):
         r = sweep(family, args.n, rng)
         under += r["under"]
         print(f"{family:<12} {r['draws']:>6} {r['refused']:>8} {r['under']:>6} "
-              f"{r['worst']:>14.3g} {r['median']:>15.3g} {r['nodes']:>13.0f}")
+              f"{r['worst']:>14.3g} {r['median']:>15.3g} {r['nodes']:>13.0f} "
+              f"{r['exact']:>12}")
     return 1 if under else 0
 
 

@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -75,6 +76,17 @@ def parse_complex(text: str) -> complex:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a real or re+imi complex literal") from exc
+
+
+def parse_tol(text: str) -> float:
+    """A tolerance: a finite float > 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not a finite number > 0")
+    return tol
 
 
 def parse_complex_list(text: str) -> list[complex]:
@@ -139,7 +151,7 @@ def build_parser() -> _Parser:
 
     g = evsub.add_parser("gamma")
     g.add_argument("--z", type=parse_complex, required=True)
-    g.add_argument("--tol", type=float, default=None,
+    g.add_argument("--tol", type=parse_tol, default=None,
                    help="accepted for interface uniformity; gamma runs at fixed precision")
     _add_common(g)
 
@@ -147,14 +159,14 @@ def build_parser() -> _Parser:
     pf.add_argument("--num", type=parse_complex_list, default=[])
     pf.add_argument("--den", type=parse_complex_list, default=[])
     pf.add_argument("--z", type=parse_complex, required=True)
-    pf.add_argument("--tol", type=float, default=1e-12)
+    pf.add_argument("--tol", type=parse_tol, default=1e-12)
     pf.add_argument("--max-terms", type=int, default=100_000)
     _add_common(pf)
 
     cf = evsub.add_parser("closed-form")
     cf.add_argument("--id", required=True)
     _add_params(cf)
-    cf.add_argument("--tol", type=float, default=None,
+    cf.add_argument("--tol", type=parse_tol, default=None,
                     help="accepted for interface uniformity; closed forms are direct")
     cf.add_argument("--dixon-variant", choices=[v.value for v in DixonVariant],
                     default=DixonVariant.HALF_A_MINUS_B.value)
@@ -168,13 +180,13 @@ def build_parser() -> _Parser:
     ln.add_argument("--w", type=parse_complex, default=None)
     ln.add_argument("--num", type=parse_complex_list, default=None)
     ln.add_argument("--den", type=parse_complex_list, default=None)
-    ln.add_argument("--tol", type=float, default=1e-7)
+    ln.add_argument("--tol", type=parse_tol, default=1e-7)
     _add_common(ln)
 
     ck = sub.add_parser("check", help="one identity, one binding, one oracle")
     ck.add_argument("--id", required=True)
     _add_params(ck)
-    ck.add_argument("--tol", type=float, default=None)
+    ck.add_argument("--tol", type=parse_tol, default=None)
     ck.add_argument("--oracle",
                     choices=("series", "quadrature", "compositional", "specialization"),
                     default="series")
@@ -187,7 +199,7 @@ def build_parser() -> _Parser:
     group.add_argument("--all", action="store_true", dest="all_ids")
     group.add_argument("--ids", default=None, help="comma-separated identity ids")
     su.add_argument("--n", type=int, default=200)
-    su.add_argument("--tol", type=float, default=None,
+    su.add_argument("--tol", type=parse_tol, default=None,
                     help="blunt override applied to every oracle class")
     su.add_argument("--tol-overrides", default=None,
                     help="comma-separated oracle=tol pairs, e.g. series=1e-9")
@@ -200,7 +212,7 @@ def build_parser() -> _Parser:
 
     rd = sub.add_parser("resolve-dixon", help="the second-denominator variant experiment")
     rd.add_argument("--n", type=int, default=50)
-    rd.add_argument("--tol", type=float, default=None,
+    rd.add_argument("--tol", type=parse_tol, default=None,
                     help="accepted for interface uniformity; the experiment "
                          "runs its oracle at a fixed tight tolerance")
     _add_common(rd)
@@ -385,8 +397,9 @@ def _refuse_invalid(kind: str, ident, binding: dict, variant: DixonVariant,
 
 def _cmd_suite(args) -> int:
     t0 = time.monotonic()
-    if args.no_reports and args.format == "csv":
-        raise _UsageError("--no-reports leaves --format csv no rows to write")
+    if args.format == "csv" and (args.no_reports or args.n == 0):
+        reason = "--no-reports" if args.no_reports else "--n 0"
+        raise _UsageError(f"{reason} leaves --format csv no rows to write")
     if args.ids:
         ids = [part.strip() for part in args.ids.split(",") if part.strip()]
         for identity_id in ids:
@@ -398,10 +411,13 @@ def _cmd_suite(args) -> int:
         tol_overrides = {key: args.tol for key in verifier.DEFAULT_TOLERANCES}
     if args.tol_overrides:
         for pair in args.tol_overrides.split(","):
-            key, _, val = pair.partition("=")
+            key, _, val = (part.strip() for part in pair.partition("="))
             if not val:
                 raise _UsageError(f"bad --tol-overrides entry {pair!r}")
-            tol_overrides[key.strip()] = float(val)
+            if key not in verifier.DEFAULT_TOLERANCES:
+                raise _UsageError(f"--tol-overrides key {key!r} is not one of "
+                                  f"{', '.join(verifier.DEFAULT_TOLERANCES)}")
+            tol_overrides[key] = parse_tol(val)
     cfg = verifier.SamplerConfig(seed=args.seed, complex_im=args.complex_im,
                                  pole_margin=args.pole_margin)
     result = verifier.run_suite(ids=ids, cfg=cfg, n_per_id=args.n,

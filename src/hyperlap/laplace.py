@@ -402,7 +402,6 @@ class SpecializationRule:
     classical one, plus the classical binding it then matches."""
 
     classical_id: LaplaceId
-    d_formula: str
     # each takes parameters as complex values, or as columns of them
     d_value: Callable[[dict], complex]
     classical_params: Callable[[dict], dict]
@@ -410,31 +409,31 @@ class SpecializationRule:
 
 _SPECIALIZATIONS: dict[LaplaceId, SpecializationRule] = {
     LaplaceId.GAUSS2X_L: SpecializationRule(
-        LaplaceId.GAUSS2_L, "(a+b+1)/2",
+        LaplaceId.GAUSS2_L,
         lambda p: (p["a"] + p["b"] + 1) / 2,
         lambda p: {"a": p["a"], "b": p["b"]}),
     LaplaceId.BAILEYX_L: SpecializationRule(
-        LaplaceId.BAILEY_L, "c",
+        LaplaceId.BAILEY_L,
         lambda p: p["c"],
         lambda p: {"a": p["a"], "c": p["c"]}),
     LaplaceId.KUMMERX_L: SpecializationRule(
-        LaplaceId.KUMMER_L, "1+a-b",
+        LaplaceId.KUMMER_L,
         lambda p: 1 + p["a"] - p["b"],
         lambda p: {"a": p["a"], "b": p["b"]}),
     LaplaceId.WATSON1X_L: SpecializationRule(
-        LaplaceId.WATSON_L, "2c",
+        LaplaceId.WATSON_L,
         lambda p: 2 * p["c"],
         lambda p: {"a": p["a"], "b": p["b"], "c": p["c"]}),
     LaplaceId.WATSON2X_L: SpecializationRule(
-        LaplaceId.WATSON_L, "(a+b+1)/2",
+        LaplaceId.WATSON_L,
         lambda p: (p["a"] + p["b"] + 1) / 2,
         lambda p: {"a": p["a"], "b": p["b"], "c": p["c"]}),
     LaplaceId.DIXONX_L: SpecializationRule(
-        LaplaceId.DIXON_L, "1+a-b",
+        LaplaceId.DIXON_L,
         lambda p: 1 + p["a"] - p["b"],
         lambda p: {"a": p["a"], "b": p["b"], "c": p["c"]}),
     LaplaceId.WHIPPLEX_L: SpecializationRule(
-        LaplaceId.WHIPPLE_L, "e",
+        LaplaceId.WHIPPLE_L,
         lambda p: p["e"],
         lambda p: {"a": p["a"], "b": 1 - p["a"], "c": p["c"],
                    "d": 2 * p["c"] - p["e"] + 1, "e": p["e"]}),

@@ -45,12 +45,11 @@ term ratios built per integral (series.TermRatios), so the values do not
 depend on earlier integrals.  Each sum comes with a bound on its rounding
 (its charge), and the charges, weighted like the values, go into a
 running total that goes into the error estimate.  For Re(w/s) < 0 the
-terms alternate and cancel, real or complex: the integrand starts in
-float, and from the panel whose charge would take the total past a tenth
-of the absolute tolerance on (the whole seed, if it is the seed that
-passes), every node whose weighted charge passes its share of that budget
-is summed again exactly (series._sum_exact); a seed that still rounds by
-more than the whole tolerance is refused.
+terms alternate and cancel, real or complex: the seed is summed in float,
+and from the next call on every node whose weighted charge passes its
+share of a tenth of the absolute tolerance is summed again exactly
+(series._sum_exact), the seed too if its rounding passes that tenth; a
+seed that still rounds by more than the whole tolerance is refused.
 """
 
 from __future__ import annotations
@@ -159,22 +158,14 @@ class _PanelIntegrator:
     value's rounding for the rows its call summed.  Every call of f goes
     through one rule: batch evaluates its panels, and take hands them out
     in order, adding each panel's charge, weighted by |scale| |W|
-    |u^(v-1)|, to the running total rounding as it is taken.  When a
-    charge would take the total past budget and a more precise integrand
-    is at hand, that panel and every one still pending are evaluated again
-    with it, and it replaces f from then on; panels a caller never takes
-    charge nothing.  The one other re-evaluation is laplace_numeric's seed
-    block: the budget comes from the seed's own values, which may be noise
-    before the switch, so the seed is charged with no budget and made again
-    whole when its rounding passes a tenth of the tolerance."""
+    |u^(v-1)|, to the running total rounding as it is taken; panels a
+    caller never takes charge nothing."""
 
-    def __init__(self, f, v: complex = 1.0, precise=None):
+    def __init__(self, f, v: complex = 1.0):
         self.f = f
         self.v = complex(v)
-        self.precise = precise
         self.nodes_used = 0
         self.rounding = 0.0
-        self.budget = math.inf
         # the plain rule and the rule of a panel at 0, as the two columns
         # of its moments, absolute weights and errors past the rule
         rule0 = _CC_PLAIN if self.v == 1.0 else _cc_rule(self.v)
@@ -185,13 +176,6 @@ class _PanelIntegrator:
         if self.v.imag == 0.0:
             return u ** (self.v.real - 1.0)
         return np.exp((self.v - 1.0) * np.log(u))
-
-    def sharpen(self) -> bool:
-        """Make the precise integrand f from now on; False if there is none."""
-        if self.precise is None:
-            return False
-        self.f, self.precise = self.precise, None
-        return True
 
     def batch(self, spans, points=()):
         """One call of f at the nodes of the (a, b) spans and at the extra
@@ -245,14 +229,8 @@ class _PanelIntegrator:
 
     def take(self, pending: list):
         """The first panel of a batch, removed from it, with its charge
-        added now; when that charge would pass the budget and a precise
-        integrand is at hand, it and every panel still pending are
-        evaluated again with that integrand."""
-        span, panel, absg, added = pending[0]
-        if self.rounding + added > self.budget and self.sharpen():
-            pending[:] = self.batch([item[0] for item in pending])[0]
-            span, panel, absg, added = pending[0]
-        del pending[0]
+        added now."""
+        span, panel, absg, added = pending.pop(0)
         if not math.isfinite(added):
             raise OverflowError("rounding bound of the integrand overflowed "
                                 f"(u up to {span[1]:.6g})")
@@ -304,14 +282,11 @@ def _integrand_factory(ratios: TermRatios, ratio: complex, series_tol: float, ex
     directly at every node from the integral's term-ratio table, shared by
     every call.
 
-    With exact = (v, density), the precise phi of an alternating
-    integrand: the same float sums, and every node whose weighted charge
-    passes its share of the budget summed again exactly
-    (series._resum_exact), its charge then the exact sum's estimate.  A
-    node's weighted charge is |scale W_j u^(v-1)| times its charge, its
-    share the same rule weight |scale W_j| times the density, so the
-    weight cancels: the node is summed again when |u^(v-1)| e^(-u) charge
-    passes the density."""
+    With exact = (v, density), the same float sums, and every node where
+    |u^(v-1)| e^(-u) charge passes the density (its weighted charge past
+    its share: the rule weight |scale W_j| is on both sides) summed again
+    exactly (series._resum_exact), its charge then the exact sum's
+    estimate."""
     real = ratio.imag == 0.0 and ratios.real
     z = ratio.real if real else ratio
 
@@ -469,6 +444,8 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
     (_tail_overflows).  Elsewhere such a tail runs into the overflow and
     raises OverflowError.
     """
+    if not tol > 0.0:  # NaN too
+        raise ValueError("tol must be positive")
     v, s, w = complex(v), complex(s), complex(w)
     require_integral_exists(v, s, w, spec)
     ratio = w / s
@@ -488,8 +465,7 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
     integ = _PanelIntegrator(_integrand_factory(ratios, ratio, series_tol), v)
 
     # the coarse panels give the scale of the integral, then seed the
-    # refinement of [0, u_body]; the integrand's rounding may take a tenth
-    # of the budget, else the seed is made again with the precise integrand
+    # refinement of [0, u_body]
     u_body = max(24.0, 6.0 * abs(v))
     spans = [(0.0, 1.0), (1.0, 0.25 * u_body), (0.25 * u_body, u_body)]
     pending = integ.batch(spans)[0]
@@ -500,21 +476,20 @@ def laplace_numeric(v: complex, s: complex, w: complex, spec: HyperSeriesSpec,
     panels, absh = zip(*[integ.take(pending) for _ in spans])
     scale = max(sum(abs(val) for val, _ in panels), 1e-12)
     if ratio.real < 0.0:
-        # the precise integrand spreads a tenth of tol times that floor over
-        # [0, 2 u_body]
-        integ.precise = _integrand_factory(ratios, ratio, series_tol,
-                                           (v, 0.05 * tol * floor / u_body))
-    if integ.rounding > 0.1 * tol * scale and integ.sharpen():
-        integ.rounding = 0.0
-        panels, absh, _, _ = integ._panels(spans)
-        scale = max(sum(abs(val) for val, _ in panels), 1e-12)
+        # from here on every node past its share of a tenth of tol times
+        # that floor, spread over [0, 2 u_body], is summed again exactly,
+        # and so is the seed when its own rounding passes that tenth
+        integ.f = _integrand_factory(ratios, ratio, series_tol, (v, 0.05 * tol * floor / u_body))
+        if integ.rounding > 0.1 * tol * scale:
+            integ.rounding = 0.0
+            panels, absh, _, _ = integ._panels(spans)
+            scale = max(sum(abs(val) for val, _ in panels), 1e-12)
     work = [(*span, *panel) for span, panel in zip(spans, panels)]
     h_body = float(absh[-1][0])  # |h(u_body)|: the last panel's first node
     if integ.rounding > tol * scale:
         raise OverflowError("rounding of the integrand exceeds the tolerance "
                             f"({integ.rounding:.3g} > {tol * scale:.3g})")
     abs_tol = tol * scale
-    integ.budget = 0.1 * abs_tol
     total, err = integ.refine(work, 0.75 * abs_tol)
 
     tail_contribution = complex(0.0)

@@ -612,7 +612,7 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
     Hitting max_terms is not an exception: the best estimate comes back
     with converged=False.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -821,11 +821,10 @@ def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
     Stops once three consecutive terms are <= tol * |partial sum| at every
     node, at that row, or after t_order of a terminating series (later
     rows may divide by a zero denominator factor).  Rows formed past the
-    stop are never read.  Raises OverflowError once the last summed row's
-    term or partial sum is no longer finite (a non-finite term or partial
-    sum stays so), since the sum of the remaining terms is then unknown;
-    it does so where a loop of _CHUNK-row blocks would, with the same row
-    count.
+    stop are never read.  Raises OverflowError, with the rows summed, in
+    the block whose last summed row's term or partial sum is not finite (a
+    non-finite term or partial sum stays so), since the sum of the
+    remaining terms is then unknown.
 
     The charge is _recurrence_charge's (p+q+3) eps sum_m |value - S_m|
     over the N summed rows, bounded by the triangle inequality as
@@ -841,7 +840,6 @@ def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
     consec = 0
     n = 0
     abs_sum = 0.0
-    bad = None  # the first row whose term or partial sum is not finite
     # overflow is detected below, on the rows actually summed
     with np.errstate(over="ignore", invalid="ignore"):
         while n < max_terms:
@@ -856,19 +854,10 @@ def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
                 if consec >= 3:
                     kept = k + 1
                     break
-            if bad is None and not (np.isfinite(nxt[kept - 1]).all()
-                                    and np.isfinite(partial[kept - 1]).all()):
-                bad = n + int(np.argmin(np.isfinite(nxt).all(axis=1)
-                                        & np.isfinite(partial).all(axis=1)))
-            if bad is not None:
-                # refused where a loop over chunks of _CHUNK rows refuses,
-                # with its row count, whatever the block sizes: at the stop
-                # row, or at the end of the chunk that holds row bad
-                end = min((bad // _CHUNK + 1) * _CHUNK, max_terms)
-                if consec >= 3 or n + kept >= end:
-                    raise OverflowError(
-                        f"pFq series term overflowed after {min(n + kept, end)} terms "
-                        f"(|z| up to {float(np.abs(z).max()):.6g})")
+            if not (np.isfinite(nxt[kept - 1]).all() and np.isfinite(partial[kept - 1]).all()):
+                raise OverflowError(
+                    f"pFq series term overflowed after {n + kept} terms "
+                    f"(|z| up to {float(np.abs(z).max()):.6g})")
             rows.keep(kept)
             abs_sum = abs_sum + sums[:kept].sum(axis=0)
             n += kept

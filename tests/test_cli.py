@@ -204,6 +204,41 @@ def test_timing_with_csv_is_a_usage_error(argv, capsys):
     assert "--timing" in captured.err and captured.out == ""
 
 
+def test_suite_n_zero_csv_is_a_usage_error(tmp_path, capsys):
+    # no draws leave --format csv no rows, and so no header, to write
+    out = tmp_path / "r.csv"
+    assert main(["suite", "--all", "--n", "0", "--format", "csv", "--out", str(out)]) == 1
+    assert "--n 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_GAUSS2X = ["--id", "sum.gauss2x", "--a", "1.1", "--b", "0.7", "--d", "1.3"]
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "laplace-numeric", "--v", "1", "--s", "2", "--w", "1", "--num", "1", "--den", "2"],
+    ["eval", "pfq", "--num", "1", "--den", "2", "--z", "0.5"],
+    ["eval", "gamma", "--z", "5"],
+    ["check", *_GAUSS2X],
+    ["suite", "--ids", "sum.gauss2x", "--n", "1"],
+])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_tol_that_is_not_a_finite_positive_number_is_a_usage_error(args, tol, capsys):
+    code, doc, err = _main_json(capsys, *args, "--tol", tol)
+    assert code == 1 and doc is None and "usage error" in err and "tolerance" in err
+
+
+@pytest.mark.parametrize("pair, says", [
+    ("serie=1e-30", "series_unit"),        # not a key: the valid keys are named
+    ("series=nan", "tolerance"),
+    ("quadrature=-1e-5", "tolerance"),
+])
+def test_tol_overrides_takes_known_keys_and_finite_positive_values(pair, says, capsys):
+    code, doc, err = _main_json(capsys, "suite", "--ids", "sum.gauss2x", "--n", "1",
+                                "--tol-overrides", pair)
+    assert code == 1 and doc is None and "usage error" in err and says in err
+
+
 def test_suite_n_zero_vacuous_pass():
     code, out, _ = run_cli("suite", "--all", "--n", "0", "--seed", "1")
     assert code == 0

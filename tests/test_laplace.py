@@ -199,19 +199,22 @@ def test_watson1x_specialization_equals_watson():
 
 
 def test_specialization_targets_map():
+    # the d of each reduction as the paper prints it, evaluated at a
+    # binding whose parameters no two formulas confuse
     cases = {
         LaplaceId.GAUSS2X_L: (LaplaceId.GAUSS2_L, "(a+b+1)/2"),
         LaplaceId.BAILEYX_L: (LaplaceId.BAILEY_L, "c"),
         LaplaceId.KUMMERX_L: (LaplaceId.KUMMER_L, "1+a-b"),
-        LaplaceId.WATSON1X_L: (LaplaceId.WATSON_L, "2c"),
+        LaplaceId.WATSON1X_L: (LaplaceId.WATSON_L, "2*c"),
         LaplaceId.WATSON2X_L: (LaplaceId.WATSON_L, "(a+b+1)/2"),
         LaplaceId.DIXONX_L: (LaplaceId.DIXON_L, "1+a-b"),
         LaplaceId.WHIPPLEX_L: (LaplaceId.WHIPPLE_L, "e"),
     }
+    params = {"a": 0.3 + 0.1j, "b": 1.7 - 0.2j, "c": 2.9 + 0.3j, "e": 4.1 - 0.4j}
     for new_id, (classical, formula) in cases.items():
         rule = specialization_target(new_id)
         assert rule.classical_id is classical
-        assert rule.d_formula == formula
+        assert rule.d_value(params) == eval(formula, {}, dict(params))
     with pytest.raises(NotSpecializable):
         specialization_target(LaplaceId.GAUSS2_L)
 

@@ -97,6 +97,13 @@ def test_validity_and_slow_decay_errors():
         laplace_numeric(0.98, 1.0, 1.0, spec)  # rho = -1.02, too slow
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_tolerance_that_is_not_positive_is_refused(tol):
+    # NaN compares false against 0 both ways
+    with pytest.raises(ValueError, match="tol must be positive"):
+        laplace_numeric(1.0, 2.0, 1.0, HyperSeriesSpec([1.0], [2.0], 1.0), tol=tol)
+
+
 def test_growth_along_the_ray_is_refused_as_slow_decay():
     # Re(s) = 1 > Re(w) = 0.5, so the integral exists, but w/s = 1.25+0.75i:
     # along u = st the integrand grows like e^(0.25 u)
@@ -431,8 +438,8 @@ def _refuse_exact(*args):
 
 @pytest.mark.parametrize("ident, params, s, want", KUMMER_TRANSFORMS)
 def test_kummer_transform_integrand_stays_in_float(ident, params, s, want, monkeypatch):
-    # e^(-u) damps the cancellation of F(-u): the float sums' measured
-    # rounding stays within the budget, so no node is summed exactly
+    # e^(-u) damps the cancellation of F(-u): no node's measured rounding
+    # passes its share of the budget, so none is summed exactly
     monkeypatch.setattr(series, "_sum_exact", _refuse_exact)
     case = LaplaceCase(ident, params, s)
     integ = lhs_integrand(case)
@@ -444,7 +451,7 @@ def test_kummer_transform_integrand_stays_in_float(ident, params, s, want, monke
 
 # 2F2 draws at w/s = -1 in the form of the quad.neg probes (a random draw
 # and seed 8 of the benchmark) with sum(a) - sum(b) = 2.8 and 3.7: their
-# terms grow far enough that the float rounding passes the budget
+# terms grow far enough that nodes' float rounding passes their share
 CANCELLING_DRAWS = [
     (2.028687931692458, 2.378824233069679, [2.255799308504976, 2.2152068769099493],
      [1.3350883357191092, 0.35742059976099355], -0.01747773235249815290427),
@@ -455,8 +462,8 @@ CANCELLING_DRAWS = [
 
 @pytest.mark.parametrize("v, s, num, den, want", CANCELLING_DRAWS)
 def test_cancelling_integrand_falls_back_to_double_double(v, s, num, den, want, monkeypatch):
-    # the precise integrand, double-double when this test was written, now
-    # sums the costly nodes exactly
+    # the costly nodes, summed in double-double when this test was
+    # written, are summed exactly
     calls = []
     kernel = series._sum_exact
 
@@ -546,7 +553,7 @@ PREDICTED_TAILS = [
     (2.0, 1.0, 0.5 + 0.1j, [1.5 + 0.3j], [2.1 - 0.2j], 1e-9),  # runs past the prediction
     (3.0, 1.0, -1.0, [1.5, 0.7], [2.1, 1.3], 1e-9),    # alternating, in float
     (2.5, 1.0, -0.6, [0.9], [1.1, 2.0], 1e-9),         # alternating, p < q
-    (3.0, 2.0, -3.0, [0.9, 0.4], [1.5, 2.8], 1e-9),    # exact re-sums from its 2nd panel
+    (3.0, 2.0, -3.0, [0.9, 0.4], [1.5, 2.8], 1e-9),    # exact re-sums in its tail call
 ]
 
 
@@ -625,70 +632,54 @@ def test_a_batch_charges_each_panel_when_it_is_taken():
     def charged(u):
         return np.exp(-u), np.full(u.shape, 1e-9)
 
-    def precise(u):
-        return np.exp(-u), np.zeros(u.shape)
-
-    integ = _PanelIntegrator(charged, precise=precise)
+    integ = _PanelIntegrator(charged)
     pending = integ.batch([(24.0, 32.0), (32.0, 40.0), (40.0, 48.0)])[0]
+    charges = [item[3] for item in pending]
     assert integ.rounding == 0.0 and integ.nodes_used == 75
     integ.take(pending)
-    one = integ.rounding
-    assert one > 0.0 and len(pending) == 2
-    # the next charge would pass the budget: the two panels still pending
-    # are evaluated again with the precise integrand, which charges nothing
-    integ.budget = 1.5 * one
+    assert integ.rounding == charges[0] > 0.0 and len(pending) == 2
     integ.take(pending)
-    assert integ.rounding == one and integ.nodes_used == 75 + 50
-    assert integ.precise is None and len(pending) == 1
+    assert integ.rounding == charges[0] + charges[1] and len(pending) == 1
+    assert integ.nodes_used == 75
 
 
-def test_sweep_passing_its_budget_switches_to_double_double_from_that_panel():
-    # a sweep of four panels of a real alternating integrand, whose third
-    # charge takes the rounding past the budget: the first two stay float,
-    # the third and fourth are evaluated again in one call of the precise
-    # integrand (double-double when this test was written), which sums
-    # every node with a charge exactly
+def test_alternating_node_past_its_share_is_summed_exactly_within_the_budget(monkeypatch):
+    # 1F1(0.8; 1.7) at w/s = -1.5, v = 2.5: in float the rounding total
+    # stays within a tenth of the absolute tolerance, yet some nodes past
+    # the seed charge more than their share of it; each is summed exactly.
+    # Gamma(v) s^(-v) 2F1(v, 0.8; 1.7; w/s), mpmath at 40 digits, frozen
     from hyperlap import quadrature
-    calls = []
-    table = series.TermRatios([1.5], [2.5])
-    phi = quadrature._integrand_factory(table, -3.0 + 0j, 1e-13)
-    exact_phi = quadrature._integrand_factory(table, -3.0 + 0j, 1e-13, (1.0 + 0j, 0.0))
+    want = 0.4871700748328340006483
+    args = (2.5, 1.0, -1.5, HyperSeriesSpec([0.8], [1.7], 1.0))
+    limits, totals, resummed = [], [], []
+    refine, take = quadrature._PanelIntegrator.refine, quadrature._PanelIntegrator.take
 
-    def counted(u):
-        calls.append(u.size)
-        return exact_phi(u)
+    def recorded_refine(integ, work, abs_tol, *rest):
+        limits.append(abs_tol)
+        return refine(integ, work, abs_tol, *rest)
 
-    spans = [(2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0)]
-    floats = _PanelIntegrator(phi).batch(spans)[0]
-    doubles = _PanelIntegrator(exact_phi).batch(spans[2:])[0]
-    integ = _PanelIntegrator(phi, precise=counted)
-    integ.budget = floats[0][3] + floats[1][3] + 0.5 * floats[2][3]
-    work = integ.seed(spans)
-    assert calls == [50] and integ.precise is None
-    assert integ.nodes_used == 100 + 50
-    assert [item[2:] for item in work] == [item[1] for item in floats[:2] + doubles]
-    assert integ.rounding == floats[0][3] + floats[1][3] + doubles[0][3] + doubles[1][3]
-    assert doubles[0][3] < floats[2][3]
+    def recorded_take(integ, pending):
+        out = take(integ, pending)
+        totals.append(integ.rounding)
+        return out
 
-
-def test_predicted_tail_switches_to_double_double_within_a_call(monkeypatch):
-    # the second panel of the tail's one call takes the rounding past the
-    # budget: that panel alone is evaluated again, with the precise
-    # integrand (double-double when this test was written)
-    calls = []
+    monkeypatch.setattr(quadrature._PanelIntegrator, "refine", recorded_refine)
+    monkeypatch.setattr(quadrature._PanelIntegrator, "take", recorded_take)
+    with monkeypatch.context() as m:
+        m.setattr(series, "_resum_exact", lambda *args: None)
+        floats = laplace_numeric(*args, tol=1e-5)
+    # refine's first limit is 0.75 abs_tol
+    assert totals[-1] <= 0.1 * limits[0] / 0.75
     kernel = series._resum_exact
 
-    def counted(ratios, z, *args):
-        calls.append(z.size)
-        return kernel(ratios, z, *args)
+    def counted(ratios, z, values, charge, nodes, *rest):
+        resummed.append(len(nodes))
+        return kernel(ratios, z, values, charge, nodes, *rest)
 
     monkeypatch.setattr(series, "_resum_exact", counted)
-    case = PREDICTED_TAILS[-1]
-    res, batches = _tail_run(monkeypatch, case, False)
-    tail = _tail_panels(case, batches)
-    assert len(tail) == 2 and batches[-2] == tail and batches[-1] == tail[1:]
-    assert calls == [25]
-    assert res.nodes_used == 75 + 2 * 25 + 25
+    res = laplace_numeric(*args, tol=1e-5)
+    assert sum(resummed) > 0 and res.nodes_used == floats.nodes_used
+    assert abs(res.value - want) <= res.abs_err_est <= 1e-5 * want
 
 
 def test_predicted_tail_call_that_would_overflow_falls_back(monkeypatch):
