@@ -89,6 +89,17 @@ def parse_tol(text: str) -> float:
     return tol
 
 
+def parse_amount(text: str) -> float:
+    """A sampler amount (--complex-im, --pole-margin): a finite float >= 0."""
+    try:
+        amount = float(text)
+    except ValueError:
+        amount = math.nan
+    if not (math.isfinite(amount) and amount >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return amount
+
+
 def parse_complex_list(text: str) -> list[complex]:
     s = str(text).strip()
     if not s:
@@ -204,8 +215,8 @@ def build_parser() -> _Parser:
     su.add_argument("--tol-overrides", default=None,
                     help="comma-separated oracle=tol pairs, e.g. series=1e-9")
     su.add_argument("--resolve-variant", action="store_true", default=None)
-    su.add_argument("--complex-im", type=float, default=0.0)
-    su.add_argument("--pole-margin", type=float, default=1e-3)
+    su.add_argument("--complex-im", type=parse_amount, default=0.0)
+    su.add_argument("--pole-margin", type=parse_amount, default=1e-3)
     su.add_argument("--no-reports", action="store_true",
                     help="omit per-check rows from a JSON report")
     _add_common(su)
@@ -400,10 +411,15 @@ def _cmd_suite(args) -> int:
     if args.format == "csv" and (args.no_reports or args.n == 0):
         reason = "--no-reports" if args.no_reports else "--n 0"
         raise _UsageError(f"{reason} leaves --format csv no rows to write")
-    if args.ids:
+    if args.ids is not None:
         ids = [part.strip() for part in args.ids.split(",") if part.strip()]
+        if not ids:
+            raise _UsageError(f"--ids {args.ids!r} names no identity")
         for identity_id in ids:
             verifier.parse_identity(identity_id)  # validate early -> usage error
+        twice = sorted({i for i in ids if ids.count(i) > 1})
+        if twice:
+            raise _UsageError(f"--ids names {', '.join(twice)} more than once")
     else:
         ids = list(verifier.ALL_IDENTITY_IDS)
     tol_overrides = {}

@@ -3,7 +3,8 @@
 The series  sum_n  prod_i (a_i)_n / prod_j (b_j)_n * z^n / n!  has the
 term ratio  t_{n+1} / t_n = r_n * z,  r_n = prod_i (a_i + n) / prod_j
 (b_j + n) / (n + 1).  The float and complex regimes form the terms from
-a TermRatios table (_terms) and return their correctly rounded sum:
+rows of r_n (_grown_ratios, a TermRatios table) by one cumulative product
+(_terms) and return their correctly rounded sum:
 
 * terminating series (a nonpositive-integer numerator parameter) are
   summed exactly to the last nonzero term;
@@ -208,9 +209,12 @@ def _sum_terminating(spec: HyperSeriesSpec, order: int,
                      table: "TermRatios | None" = None) -> SeriesResult:
     table = table or TermRatios(spec.numerator, spec.denominator)
     z = spec.argument if spec.argument.imag else spec.argument.real
+    # t_0 .. t_order
+    terms = np.empty(order + 1, complex if isinstance(z, complex) else table.dtype)
+    terms[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.concatenate([np.ones(1), _terms(table, z, 1.0, 0, order)])
-        partial = terms.cumsum()
+        _terms(table.ratios(order), z, terms[0], 0, order, out=terms[1:])
+        partial = np.add.accumulate(terms)
     if not np.isfinite(partial[-1]):  # a non-finite partial sum stays non-finite
         raise OverflowError(f"terminating pFq series overflowed within {order + 1} terms")
     total = _fsum(terms)
@@ -254,7 +258,7 @@ def _recurrence_charge(spec: HyperSeriesSpec, value: complex, partial: np.ndarra
     value - S_m in all, and each step rounds p+q+3 factors.  For terms of
     one sign this is (p+q+3) eps sum n |t_n|; alternating terms charge far
     less."""
-    return (spec.p + spec.q + 3) * _EPS * float(np.abs(value - partial).sum())
+    return (spec.p + spec.q + 3) * _EPS * float(np.add.reduce(np.abs(value - partial)))
 
 
 # bits of the exact kernel's fixed point past the peak term and tol
@@ -379,15 +383,20 @@ def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int,
     (_recurrence_charge)."""
     table = table or TermRatios(spec.numerator, spec.denominator)
     z = spec.argument if spec.argument.imag else spec.argument.real
-    terms = np.ones(1)
+    # t_0 .. t_stop, with room for the first segment
+    terms = np.empty(min(2 * _CHUNK, max_terms) + 1,
+                     complex if isinstance(z, complex) else table.dtype)
+    terms[0] = 1.0
     stop = 0
     # overflow is detected below, on the terms summed
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             start, stop = stop, min(max(2 * stop, 2 * _CHUNK), max_terms)
-            terms = np.concatenate([terms, _terms(table, z, terms[-1], start, stop)])
+            terms = _room(terms, stop)
+            _terms(table.ratios(stop), z, terms[start], start, stop,
+                   out=terms[start + 1:stop + 1])
             mags = np.abs(terms)  # t_0 .. t_stop
-            partial = terms.cumsum()
+            partial = np.add.accumulate(terms)
             sums = np.abs(partial)
             small = mags[1:] <= tol * np.maximum(sums[:-1], _ABS_FLOOR)
             hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
@@ -400,7 +409,7 @@ def _sum_direct(spec: HyperSeriesSpec, tol: float, max_terms: int,
     total = _fsum(terms[:n])
     nxt = float(mags[n])
     rho = _ratio_bound(table, z, n)  # |t_(m+1)| <= rho |t_m| for every m >= n
-    cancel = max(float(sums[:n].max()) / max(abs(total), _ABS_FLOOR), 1.0)
+    cancel = max(float(np.maximum.reduce(sums[:n])) / max(abs(total), _ABS_FLOOR), 1.0)
     tail = max(nxt / (1.0 - rho) if rho < 1.0 else math.inf, cancel * _EPS * abs(total))
     tail += _recurrence_charge(spec, total, partial[:n])
     return SeriesResult(total, n, tail, cancel, hits.size > 0, "direct")
@@ -444,8 +453,9 @@ def _abel_weights(z: complex) -> np.ndarray:
     return _ABEL_POLYNOMIALS @ (1.0 / (1.0 - z)) ** _POWERS
 
 
-def _binomial_powers(s: np.ndarray, a: float) -> np.ndarray:
-    """binom(-s, l) a^-l, l = 1 .. 13, one row per entry of the vector s.
+def _binomial_powers(s: np.ndarray, n: int) -> np.ndarray:
+    """binom(-s, l) a^-l, l = 1 .. 13, one row per entry of the vector s,
+    at a = n, the cut (its divisors -a l from _cut_scales).
 
     With weights w = _abel_weights(z), sum_{j>=0} z^j (1 + j/a)^(-s) is
     w_0 + sum_l binom(-s, l) a^-l w_l, expanding in powers of j/a (Abel
@@ -453,12 +463,12 @@ def _binomial_powers(s: np.ndarray, a: float) -> np.ndarray:
     integral a/(s-1)).  Double accuracy needs a >= ~20 (~40 at z = -1),
     |s| well below a, and a |1-z| well above |s| + 13, as
     L_l ~ l! / (1-z)^(l+1) near z = 1."""
-    return ((s[:, None] + _POWERS[:-2]) / (-a * _POWERS[1:-1])).cumprod(axis=1)
+    return np.multiply.accumulate((s[:, None] + _POWERS[:-2]) / _cut_scales(n)[1], axis=1)
 
 
 def _fsum(x: np.ndarray) -> complex:
     """Correctly rounded sum of x, real and imaginary parts apart."""
-    if np.iscomplexobj(x):
+    if x.dtype.kind == "c":
         return complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
     return complex(math.fsum(x.tolist()))
 
@@ -466,16 +476,28 @@ def _fsum(x: np.ndarray) -> complex:
 # orders of the remainder expansion summed past the cut; the next one is
 # the estimate of the truncation error
 _TAIL_ORDERS = 8
-_TAIL_RANGE = np.arange(_TAIL_ORDERS + 2)
+_TAIL_RANGE = np.arange(_TAIL_ORDERS + 2.0)
 # binom(-j, m) = (-1)^m binom(k, m), k = j + m - 1, for every k the
 # remainder coefficients reach
-_SIGNED_BINOMIALS = [[(-1) ** m * math.comb(k, m) for m in range(k + 1)]
+_SIGNED_BINOMIALS = [[float((-1) ** m * math.comb(k, m)) for m in range(k + 1)]
                      for k in range(_TAIL_ORDERS + 2)]
 # the omitted orders are multiplied by this, as the expansions are only
 # asymptotic
 _TAIL_SAFETY = 10.0
 # cuts N tried on |z| = 1, shortest first
 _UNIT_RUNGS = (64, 128, 192, 384, 768, 1536, 3072, 6144, 12288, 24576)
+
+
+@functools.lru_cache(maxsize=64)
+def _cut_scales(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """N^k, k = 0 .. 9, and -N l, l = 1 .. 13, at the cut N: the divisors
+    of the remainder coefficients and of _binomial_powers, made once per
+    cut, read-only."""
+    a = float(n)
+    scales = a ** _TAIL_RANGE, -a * _POWERS[1:-1]
+    for x in scales:
+        x.flags.writeable = False
+    return scales
 
 
 def _remainder_coefficients(numerator: Sequence[complex], denominator: Sequence[complex],
@@ -488,29 +510,35 @@ def _remainder_coefficients(numerator: Sequence[complex], denominator: Sequence[
     prod(1 + b_j x) (1+x)^delta.  Q has no x^1 term, so the equation at
     order k+1 fixes e_k:
       k e_k = sum_{j<k} e_j (binom(-j, k+1-j) - Q_(k+1-j)).
-    O(orders^2) operations, in float arithmetic for real parameters;
+    O(orders^2) operations, on running locals; float arithmetic when the
+    parameters are floats, as _parameters gives real ones;
     orders <= _TAIL_ORDERS + 1."""
-    if all([x.imag == 0.0 for x in (*numerator, *denominator)]):
-        numerator = [x.real for x in numerator]
-        denominator = [x.real for x in denominator]
     delta = sum(denominator) - sum(numerator)
     size = orders + 2
-    q = [1.0] * size  # (1+x)^delta, then times each numerator and denominator factor
+    c = 1.0
+    q = [c]  # (1+x)^delta, then times each numerator and denominator factor
     for m in range(1, size):
-        q[m] = q[m - 1] * (delta - m + 1) / m
-    for a in numerator:
-        for m in range(size - 1, 0, -1):
-            q[m] += a * q[m - 1]
-    for b in denominator:
+        c = c * (delta - m + 1) / m
+        q.append(c)
+    for a in numerator:  # Q_m + a Q_(m-1), with Q_(m-1) from before this factor
+        before = q[0]
         for m in range(1, size):
-            q[m] -= b * q[m - 1]
+            c = q[m]
+            q[m] = c + a * before
+            before = c
+    for b in denominator:  # Q_m - b Q_(m-1), with Q_(m-1) just divided
+        c = q[0]
+        for m in range(1, size):
+            c = q[m] - b * c
+            q[m] = c
     e = [1.0]
     for k in range(1, orders + 1):
         acc = -q[k + 1]
         binom = _SIGNED_BINOMIALS[k]
-        for j in range(1, k):
-            m = k + 1 - j
-            acc += e[j] * (binom[m] - q[m])
+        m = k  # k + 1 - j for e_j, j = 1 .. k-1
+        for ej in e[1:]:
+            acc += ej * (binom[m] - q[m])
+            m -= 1
         e.append(acc / k)
     return e
 
@@ -519,9 +547,10 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
     """Direct summation on |z| = 1 (p = q + 1) with the exact remainder
     expansion.
 
-    The prefix t_0 .. t_(N-1) is one _terms segment per cut, summed with
-    _fsum at the cut taken.  With t_n = C z^n n^-s phi(1/n), s = 1 + delta,
-    phi(x) = sum_k e_k x^k from the parameters alone
+    The prefix t_0 .. t_(N-1) is formed in place, one _terms segment per
+    cut from the ratio rows grown to that cut (_grown_ratios), and summed
+    with _fsum at the cut taken.  With t_n = C z^n n^-s phi(1/n),
+    s = 1 + delta, phi(x) = sum_k e_k x^k from the parameters alone
     (_remainder_coefficients) and C read from the computed t_N, never from
     a closed form, the remainder is
       t_N / phi(1/N) sum_{k<=8} e_k N^-k sum_{j>=0} z^j (1 + j/N)^(-s-k),
@@ -556,30 +585,37 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
         while rungs[-1] < max_terms:
             rungs.append(2 * rungs[-1])
     limit = min(max_terms, rungs[-1])
+    cuts = [n for n in rungs if n < limit] + [limit]
     exponents = s + _TAIL_RANGE
     integral = 1.0 / (exponents - 1.0) if z == 1.0 else 0.0
-    coeffs = np.array(_remainder_coefficients(spec.numerator, spec.denominator,
-                                              _TAIL_ORDERS + 1))
-    table = TermRatios(spec.numerator, spec.denominator)
-    terms = np.ones(1, dtype=table.dtype)  # signed terms t_0 .. t_n (z^n included)
+    real, numerator, denominator = _parameters(spec.numerator, spec.denominator)
+    coeffs = np.array(_remainder_coefficients(numerator, denominator, _TAIL_ORDERS + 1))
+    ratios = np.empty(0)
+    # signed terms t_0 .. t_n (z^n included), with room for the first cut
+    terms = np.empty(cuts[0] + 1, complex if not real or isinstance(z, complex) else float)
+    terms[0] = 1.0
+    start = 0
     # overflow is detected below: a non-finite term or partial sum leaves the
     # last partial sum non-finite, and a non-finite remainder is refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in [n for n in rungs if n < limit] + [limit]:
-            terms = np.concatenate([terms, _terms(table, z, terms[-1], len(terms) - 1, n)])
-            partial = np.cumsum(terms[:n])  # S_0 .. S_(n-1)
+    with np.errstate(all="ignore"):
+        for n in cuts:
+            ratios = _grown_ratios(ratios, numerator, denominator, n)
+            terms = _room(terms, n)
+            _terms(ratios, z, terms[start], start, n, out=terms[start + 1:n + 1])
+            start = n
+            partial = np.add.accumulate(terms[:n])  # S_0 .. S_(n-1)
             if not cmath.isfinite(partial[-1]):
                 raise OverflowError(
                     f"pFq series term at z = {z} overflowed within {n + 1} terms")
-            decaying = float(np.abs(table.ratios(n)[n // 2:n]).max()) <= 1.0
+            decaying = np.maximum.reduce(np.abs(ratios[n // 2:n])) <= 1.0
             if not (decaying or n == limit):
                 continue
             # the remainder over t_n: sum_k e_k n^-k sum_j z^j (1 + j/n)^(-s-k) / phi(1/n)
-            scaled = coeffs / float(n) ** _TAIL_RANGE
-            powers = _binomial_powers(exponents, float(n))
+            scaled = coeffs / _cut_scales(n)[0]
+            powers = _binomial_powers(exponents, n)
             omitted = powers[:, _POWER_ORDERS - 1:] @ weights[_POWER_ORDERS:]  # l = 12, 13
             kept = weights[0] + n * integral + powers @ weights[1:] - omitted  # l < 12
-            phi, kept_sum = complex(scaled[:-1].sum()), complex(scaled[:-1] @ kept[:-1])
+            phi, kept_sum = complex(np.add.reduce(scaled[:-1])), complex(scaled[:-1] @ kept[:-1])
             t_n = complex(terms[n])
             tail = t_n * kept_sum / phi
             nxt = t_n * (kept_sum + complex(scaled[-1] * kept[-1])) / (phi + complex(scaled[-1]))
@@ -588,7 +624,7 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
                     f"remainder of the pFq series at z = {z} overflowed at {n} terms")
             value = complex(partial[-1]) + tail  # the accepted cut's prefix is fsum'd below
             budget = tol * max(abs(value), _ABS_FLOOR)
-            max_abs = float(np.abs(partial).max())
+            max_abs = float(np.maximum.reduce(np.abs(partial)))
             rounding = _recurrence_charge(spec, value, partial) + _EPS * max_abs
             truncation = (_TAIL_SAFETY * (abs(nxt - tail)
                                           + abs(t_n * complex(scaled[:-1] @ omitted[:-1]) / phi))
@@ -658,15 +694,57 @@ _CHUNK = 32
 # most entries (rows x nodes) of a block longer than _CHUNK rows, so a
 # large predicted block costs little memory
 _BLOCK_ENTRIES = 1 << 16
+# the rows n = 0, 1, ... of every ratio table as floats, and 1/(n+1): made
+# once, doubled when a table reaches past them (_grown_ratios), read-only
+_INDEX = np.arange(float(8 * _CHUNK))
+_RECIPROCAL = 1.0 / (_INDEX + 1.0)
+_INDEX.flags.writeable = _RECIPROCAL.flags.writeable = False
+
+
+def _parameters(numerator: Sequence[complex], denominator: Sequence[complex],
+                ) -> tuple[bool, tuple, tuple]:
+    """(real, numerator, denominator): the parameters as complex numbers,
+    or as floats when every one is real, so that real parameters give
+    float arithmetic."""
+    params = [complex(x) for x in (*numerator, *denominator)]
+    real = all([x.imag == 0.0 for x in params])
+    if real:
+        params = [x.real for x in params]
+    return real, tuple(params[:len(numerator)]), tuple(params[len(numerator):])
+
+
+def _grown_ratios(ratios: np.ndarray, numerator: Sequence[complex],
+                  denominator: Sequence[complex], stop: int) -> np.ndarray:
+    """The rows r_0 .. of ratios grown to hold at least r_0 .. r_(stop-1),
+    in whole chunks of _CHUNK rows: each new r_n = 1/(n+1) prod(a_i + n) /
+    prod(b_j + n) from the rows of _INDEX, so an entry depends on n and
+    the parameters alone.  Rows past a terminating order may divide by 0;
+    the caller decides what that warns."""
+    global _INDEX, _RECIPROCAL
+    start = len(ratios)
+    if start >= stop:
+        return ratios
+    end = -(-stop // _CHUNK) * _CHUNK
+    if len(_INDEX) < end:
+        _INDEX = np.arange(float(max(end, 2 * len(_INDEX))))
+        _RECIPROCAL = 1.0 / (_INDEX + 1.0)
+        _INDEX.flags.writeable = _RECIPROCAL.flags.writeable = False
+    n = _INDEX[start:end]
+    r = _RECIPROCAL[start:end]
+    for a in numerator:
+        r = r * (a + n)
+    for b in denominator:
+        r = r / (b + n)
+    return np.concatenate([ratios, r]) if start else r
 
 
 class TermRatios:
     """Term ratios r_n = prod(a_i + n) / prod(b_j + n) / (n + 1) of one
     parameter set, tabled for n = 0, 1, ... in whole chunks of _CHUNK.
 
-    A request past the end grows the table in one step over an arange of
-    n, so an entry depends on n and the parameters alone, never on what
-    the table was asked before.
+    A request past the end grows the table in one step (_grown_ratios),
+    so an entry depends on n and the parameters alone, never on what the
+    table was asked before.
     Real parameters give a float table, complex ones a complex table; the
     log walk is built on first use, from the class's empty table.  order,
     the series' termination order (None if it does not end), is found on
@@ -675,12 +753,7 @@ class TermRatios:
     _log_walk = np.empty(0)
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex]):
-        params = [complex(x) for x in (*numerator, *denominator)]
-        self.real = all([x.imag == 0.0 for x in params])
-        if self.real:
-            params = [x.real for x in params]
-        self.numerator = tuple(params[:len(numerator)])
-        self.denominator = tuple(params[len(numerator):])
+        self.real, self.numerator, self.denominator = _parameters(numerator, denominator)
         self._r = np.empty(0, dtype=float if self.real else complex)
 
     @functools.cached_property
@@ -691,24 +764,12 @@ class TermRatios:
     def dtype(self) -> np.dtype:
         return self._r.dtype
 
-    @staticmethod
-    def _missing(start: int, stop: int) -> np.ndarray:
-        """The indices start .. that grow a table of start entries to hold
-        stop, rounded up to whole chunks."""
-        return np.arange(start, -(-stop // _CHUNK) * _CHUNK, dtype=float)
-
     def ratios(self, stop: int) -> np.ndarray:
         """The table, holding at least r_0 .. r_(stop-1)."""
         if len(self._r) < stop:
-            n = self._missing(len(self._r), stop)
-            r = 1.0 / (n + 1.0)
             # rows past a terminating order may divide by 0; none is read
             with np.errstate(divide="ignore", invalid="ignore"):
-                for a in self.numerator:
-                    r = r * (a + n)
-                for b in self.denominator:
-                    r = r / (b + n)
-            self._r = np.concatenate([self._r, r]) if len(self._r) else r
+                self._r = _grown_ratios(self._r, self.numerator, self.denominator, stop)
         return self._r
 
     def log_walk(self, stop: int) -> np.ndarray:
@@ -728,13 +789,25 @@ class TermRatios:
         return self._log_walk
 
 
-def _terms(table: TermRatios, z, term, start: int, stop: int) -> np.ndarray:
+def _terms(ratios: np.ndarray, z, term, start: int, stop: int, out=None) -> np.ndarray:
     """t_(start+1) .. t_stop from t_start = term, one cumulative product of
-    the tabled r_n * z; z is a scalar, or a vector of nodes (one column
-    each).  Overflow is the caller's to detect."""
-    steps = np.multiply.outer(table.ratios(stop)[start:stop], z)
-    steps[:1] *= term
-    return steps.cumprod(axis=0)
+    the rows r_start .. r_(stop-1) of ratios times z, formed in out when it
+    is given; z is a scalar, or a vector of nodes (one column each).
+    Overflow is the caller's to detect."""
+    steps = np.multiply.outer(ratios[start:stop], z, out=out)
+    if stop > start:
+        steps[0] *= term
+    return np.multiply.accumulate(steps, out=steps)
+
+
+def _room(terms: np.ndarray, stop: int) -> np.ndarray:
+    """terms, or a copy of it in an array of stop + 1 entries when it holds
+    fewer: room for t_0 .. t_stop."""
+    if len(terms) > stop:
+        return terms
+    grown = np.empty(stop + 1, terms.dtype)
+    grown[:len(terms)] = terms
+    return grown
 
 
 def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int) -> int:
@@ -791,10 +864,8 @@ class _Rows:
         the partial sums through t_n .. t_(n+m-1)."""
         self.terms = np.empty((m + 1, *self.z.shape), self.term.dtype)  # t_n .. t_(n+m)
         self.terms[0] = self.term
-        steps = self.terms[1:]
-        np.multiply.outer(self.ratios.ratios(n + m)[n:n + m], self.z, out=steps)
-        steps[0] *= self.term  # (r_n z) t_n, the product order of _terms
-        steps.cumprod(axis=0, out=steps)
+        steps = _terms(self.ratios.ratios(n + m), self.z, self.term, n, n + m,
+                       out=self.terms[1:])
         self.sums = self.terms[:-1].cumsum(axis=0)  # t_n + .. + t_(n+k)
         return steps, self.total + self.sums
 

@@ -27,6 +27,7 @@ in stream order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +102,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name in ("pole_margin", "complex_im"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def parse_identity(identity_id: str) -> tuple[str, object]:

@@ -303,10 +303,33 @@ def test_eval_laplace_numeric_refusals_exit_codes(w, code, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--n", "-3"], ["--complex-im", "-0.5"],
-                                   ["--pole-margin", "-1"]])
+                                   ["--pole-margin", "-1"], ["--complex-im", "nan"],
+                                   ["--pole-margin", "nan"]])
 def test_suite_refuses_negative_sampler_inputs(flags, capsys):
     assert main(["suite", "--ids", "sum.gauss2x", *flags]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--complex-im", "--pole-margin"])
+def test_suite_refuses_infinite_sampler_amounts(flag, capsys):
+    # inf drew infinite parameters (complex_im) or rejected every draw
+    # (pole_margin), and the report held the non-JSON Infinity
+    code, doc, err = _main_json(capsys, "suite", "--ids", "sum.gauss2x", "--n", "1",
+                                flag, "inf")
+    assert code == 1 and doc is None and "usage error" in err and flag in err
+
+
+@pytest.mark.parametrize("ids", ["", ",", " , "])
+def test_suite_ids_naming_no_identity_is_a_usage_error(ids, capsys):
+    # the empty string ran every identity; "," ran none and passed
+    code, doc, err = _main_json(capsys, "suite", "--ids", ids, "--n", "2")
+    assert code == 1 and doc is None and "names no identity" in err
+
+
+def test_suite_ids_naming_an_identity_twice_is_a_usage_error(capsys):
+    code, doc, err = _main_json(capsys, "suite", "--ids",
+                                "sum.gauss2x,lap.kummer,sum.gauss2x", "--n", "2")
+    assert code == 1 and doc is None and "sum.gauss2x more than once" in err
 
 
 def _main_json(capsys, *args):

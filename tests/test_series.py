@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -312,6 +313,93 @@ def test_unit_argument_draws_against_frozen_references(num, den, z, ref):
     r = eval_series(F(num, den, z), tol=1e-12)
     assert r.method == "direct+power-tail" and r.converged
     assert abs(r.value - ref) <= r.tail_estimate + 4 * EPS * abs(ref)
+
+
+def _result_fields(r: SeriesResult) -> tuple:
+    """Every field of a result, its floats as float.hex."""
+    value = complex(r.value)
+    return (value.real.hex(), value.imag.hex(), float(r.tail_estimate).hex(),
+            float(r.cancellation_ratio).hex(), r.terms_used, r.converged, r.method)
+
+
+def _digest(calls) -> str:
+    """sha256 of the fields of eval_series(spec, tol, max_terms) over the
+    calls, in order."""
+    h = hashlib.sha256()
+    for spec, tol, max_terms in calls:
+        h.update(repr(_result_fields(eval_series(spec, tol, max_terms))).encode())
+    return h.hexdigest()
+
+
+_EXP_2I = complex(-0.4161468365471424, 0.9092974268256817)  # exp(2i), rounded
+_EXP_005I = complex(0.9987502603949663, 0.04997916927067833)  # exp(0.05i), rounded
+_EXP_0001I = complex(0.9999995000000417, 0.0009999998333333417)  # exp(0.001i), rounded
+# the power tail at the tolerances the suite asks (series_unit 1e-6 sums to
+# 1e-8), at caps next to the rungs, on complex parameters, on |z| = 1 away
+# from +-1 (near 1 too, where the rungs double past 24576), and on terms
+# still rising at the cap (an infinite estimate)
+_POWER_TAIL_EXTRA = [
+    (F([0.4 + 0.3j, 1.3, 0.7 - 0.2j], [1.9 + 0.1j, 1.1], z), tol, max_terms)
+    for z in (1.0, -1.0, _EXP_2I, _EXP_005I)
+    for tol, max_terms in ((1e-8, 100_000), (1e-12, 64), (1e-12, 65), (1e-12, 200))
+] + [
+    (F([0.4, 1.3, 0.7], [1.9, 0.8], z), tol, 100_000)
+    for z in (1.0, -1.0, _EXP_2I, _EXP_0001I, -_EXP_005I)
+    for tol in (1e-8, 1e-14)
+] + [
+    (F([300, 300, 1], [1.5, 600.5], z), 1e-12, max_terms)
+    for z in (1.0, -1.0) for max_terms in (100, 200)
+] + [
+    (F([1.1, 0.6 - 0.4j, 2.3, 0.9 + 0.25j], [1.7, 2.4 + 0.3j, 0.86 + 0.1j], 1.0),
+     1e-10, 100_000),
+    (F([1.6, 0.9], [1.7], _EXP_005I), 1e-12, 100_000),
+]
+# direct and terminating sums, which share the ratio table and the term
+# product with the power tail; the last p = q row cancels and is summed
+# again exactly
+_DIRECT_CALLS = [
+    (F(num, den, z), tol, 100_000)
+    for num, den, z in (
+        ([1.3], [2.2], 3.5), ([0.4, 1.3], [1.9], 0.7), ([1.0 + 0.5j], [2.0], -3.0 + 1.0j),
+        ([0.4, 1.3], [1.9], 0.3 + 0.6j), ([], [1.5], 40.0), ([1.2, 0.7], [2.5, 1.9], -9.0),
+        ([-5.0, 1.3], [2.2], 0.6), ([-7.0, 0.5 + 0.2j], [1.3 - 0.1j], -2.5),
+        ([-3.0, 2.0], [4.0], 1.0j), ([1.3, 0.2], [2.2, 0.7], 0.0), ([1.0], [2.0], -30.0),
+    )
+    for tol in (1e-9, 1e-14)
+]
+_DIGEST_CALLS = {
+    **{f"grid_{max_terms}": [(spec, 1e-12, max_terms) for spec in _unit_argument_grid()]
+       for max_terms in (20, 40, 100, 500, 3000)},
+    "unit_draws": [(F(num, den, z), 1e-12, 100_000) for num, den, z, _ in _UNIT_DRAWS],
+    "power_tail_extra": _POWER_TAIL_EXTRA,
+    "direct_and_terminating": _DIRECT_CALLS,
+}
+# frozen from the power tail and the direct sum before their setup was made
+# cheaper: the same operations on the same values, so every field is the
+# same bit for bit
+_FROZEN_DIGESTS = {
+    "grid_20":
+        "8030966b4cfdcdc996070bd18d0558ef6ccd297a3643adc788cd3c1c9a09ab80",
+    "grid_40":
+        "cad40698b4a797d8fdd08916d511d9debc68cda019472330247605f417e40bba",
+    "grid_100":
+        "103bec64616847d7879876c9dde36fa5cd8d06405e5db90709199194146d0173",
+    "grid_500":
+        "103bec64616847d7879876c9dde36fa5cd8d06405e5db90709199194146d0173",
+    "grid_3000":
+        "103bec64616847d7879876c9dde36fa5cd8d06405e5db90709199194146d0173",
+    "unit_draws":
+        "2e6bb77626a13dd5d49659ae2d7993bc70a73e214fb78876565dac7aaf417c66",
+    "power_tail_extra":
+        "2022943de9ad2f894d99bc7643b4e8fdea2ad83115607283bbb5387a73076d4d",
+    "direct_and_terminating":
+        "dc75aa956ffcba5ffbba8c84e0f674cd6d7fa872ca3fa551bb1ff043fedfeaef",
+}
+
+
+@pytest.mark.parametrize("group", list(_FROZEN_DIGESTS))
+def test_series_results_bit_for_bit_against_frozen_digests(group):
+    assert _digest(_DIGEST_CALLS[group]) == _FROZEN_DIGESTS[group]
 
 
 # exp(2i), rounded
@@ -794,7 +882,7 @@ def _chunked_reference(ratios, z, tol, max_terms=100_000):
     with np.errstate(over="ignore", invalid="ignore"):
         while n < max_terms and consec < 3:
             m = min(32, max_terms - n)
-            nxt = series._terms(ratios, z, term, n, n + m)
+            nxt = series._terms(ratios.ratios(n + m), z, term, n, n + m)
             added = np.concatenate([term[None, :], nxt[:-1]])
             partial = total + added.cumsum(axis=0)
             small = (np.abs(nxt) <= tol * np.maximum(np.abs(partial), 1e-300)).all(axis=1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -355,6 +356,13 @@ def test_exhaustion_message_is_frozen(first, monkeypatch):
     with pytest.raises(SamplerExhausted) as info:
         sample_for_specialization("lap.dixonx", SamplerConfig(seed=7, max_rejects=3), 5)
     assert str(info.value) == "lap.dixonx:specialization: 4 rejects for 1/5 draws"
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["complex_im", "pole_margin"])
+def test_sampler_config_refuses_amounts_that_are_not_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SamplerConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["complex_im", "pole_margin"])
