@@ -21,7 +21,9 @@ stays byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -68,14 +70,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex(text: str) -> complex:
+    """A real or re+imi complex literal with finite parts."""
     s = str(text).strip().replace(" ", "")
     try:
-        if s.endswith("i") or s.endswith("I"):
-            return complex(s[:-1] + "j")
-        return complex(s)
+        z = complex(s[:-1] + "j") if s.endswith(("i", "I")) else complex(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a real or re+imi complex literal") from exc
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return z
 
 
 def parse_tol(text: str) -> float:
@@ -152,7 +156,14 @@ def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s", type=parse_complex, default=None)
 
 
+# finds --config ahead of the command's own parsing
+_CONFIG_PROBE = _Parser(add_help=False)
+_CONFIG_PROBE.add_argument("--config", default=None)
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The command parser, built once per process: parsing never changes it."""
     top = _Parser(prog="hyperlap",
                   description="closed-form hypergeometric Laplace transforms, verified")
     sub = top.add_subparsers(dest="command", required=True)
@@ -327,13 +338,9 @@ def _cmd_eval(args) -> int:
     elif args.kind == "closed-form":
         case = _case_from_args(args)
         breakdown = closed_form(case, DixonVariant(args.dixon_variant))
-        result = {"kind": "closed-form", "identity_id": args.id,
-                  **_complex_fields("value", breakdown.value),
-                  **_complex_fields("prefactor", breakdown.prefactor),
-                  **_complex_fields("term1", breakdown.term1),
-                  **_complex_fields("term2", breakdown.term2),
-                  **_complex_fields("alpha", breakdown.alpha),
-                  **_complex_fields("beta", breakdown.beta)}
+        result = {"kind": "closed-form", "identity_id": args.id}
+        for name in ("value", "prefactor", "term1", "term2", "alpha", "beta"):
+            result.update(_complex_fields(name, getattr(breakdown, name)))
     elif args.kind == "laplace-numeric":
         if args.id is not None:
             case = _case_from_args(args)
@@ -462,9 +469,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        probe = _Parser(add_help=False)
-        probe.add_argument("--config", default=None)
-        config = probe.parse_known_args(argv)[0].config
+        config = _CONFIG_PROBE.parse_known_args(argv)[0].config
         if config:
             at = 2 if argv[:1] == ["eval"] else 1  # past the command's name
             argv = argv[:at] + _config_flags(config) + argv[at:]

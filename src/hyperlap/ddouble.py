@@ -9,12 +9,7 @@ dependence).
 
 from __future__ import annotations
 
-import numpy as np
-
 _SPLIT = 134217729.0  # 2**27 + 1
-
-# unit roundoff of a double-double: 2**-105
-DD_EPS = 2.465190328815662e-32
 
 
 def two_sum(a, b):
@@ -93,18 +88,3 @@ def dd_div(ahi, alo, bhi, blo):
     q3 = rh / bhi
     q, e = two_sum(q1, q2)
     return quick_two_sum(q, e + q3)
-
-
-def dd_to_float(hi, lo):
-    return hi + lo
-
-
-# The numpy broadcasting rules make the scalar implementations above work
-# elementwise on arrays unchanged; these aliases keep call sites explicit.
-
-def dd_zeros(shape):
-    return np.zeros(shape), np.zeros(shape)
-
-
-def dd_ones(shape):
-    return np.ones(shape), np.zeros(shape)

@@ -52,6 +52,8 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
+_LANCZOS_TERMS = tuple(zip(_LANCZOS_C[1:], range(1, len(_LANCZOS_C))))
+
 _LOG_SQRT_TWO_PI = 0.9189385332046727417803297364056176
 _LOG_PI = 1.1447298858494001741434273513530587
 _MAX_EXP = 709.0  # exp() overflow threshold for float64, with headroom
@@ -79,7 +81,6 @@ def _sin_pi(z: complex) -> complex:
     Reducing Re z modulo 2 keeps full accuracy near integer z, where the
     naive cmath.sin(pi*z) loses digits to the pi rounding error.
     """
-    z = complex(z)
     r = math.remainder(z.real, 2.0)
     return cmath.sin(complex(r * math.pi, z.imag * math.pi))
 
@@ -88,8 +89,8 @@ def _ln_gamma_right(z: complex) -> complex:
     """Lanczos log-gamma, valid for Re z >= 0.5."""
     zz = z - 1.0
     s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (zz + i)
+    for c, i in _LANCZOS_TERMS:
+        s += c / (zz + i)
     t = zz + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(s)
 
@@ -103,6 +104,11 @@ def ln_gamma(z: complex) -> complex:
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleError(f"ln_gamma pole at z={z}")
+    return _ln_gamma(z)
+
+
+def _ln_gamma(z: complex) -> complex:
+    """ln_gamma of a complex z off the poles."""
     if z.real >= 0.5:
         out = _ln_gamma_right(z)
     else:
@@ -133,7 +139,7 @@ def gamma(z: complex) -> complex:
         if ln_abs > _MAX_EXP:
             raise OverflowError(f"gamma({z}) exceeds double range")
         return complex(_real_gamma_sign(z.real) * math.exp(ln_abs), 0.0)
-    lg = ln_gamma(z)
+    lg = _ln_gamma(z)
     if lg.real > _MAX_EXP:
         raise OverflowError(f"gamma({z}) exceeds double range")
     return cmath.exp(lg)
@@ -149,7 +155,7 @@ def reciprocal_gamma(z: complex) -> complex:
         if -ln_abs > _MAX_EXP:
             raise OverflowError(f"1/gamma({z}) exceeds double range")
         return complex(_real_gamma_sign(z.real) * math.exp(-ln_abs), 0.0)
-    return cmath.exp(-ln_gamma(z))
+    return cmath.exp(-_ln_gamma(z))
 
 
 def pochhammer(a: complex, n: int) -> complex:
@@ -181,8 +187,13 @@ class GammaRatioSpec:
     denominator: tuple[complex, ...]
 
     def __init__(self, numerator: Sequence[complex] = (), denominator: Sequence[complex] = ()):
-        object.__setattr__(self, "numerator", tuple([complex(x) for x in numerator]))
-        object.__setattr__(self, "denominator", tuple([complex(x) for x in denominator]))
+        object.__setattr__(self, "numerator", complex_tuple(numerator))
+        object.__setattr__(self, "denominator", complex_tuple(denominator))
+
+
+def complex_tuple(values: Sequence[complex]) -> tuple[complex, ...]:
+    """values as a tuple of complex numbers, converting only the others."""
+    return tuple([x if type(x) is complex else complex(x) for x in values])
 
 
 def gamma_ratio(spec: GammaRatioSpec) -> complex:
@@ -191,37 +202,42 @@ def gamma_ratio(spec: GammaRatioSpec) -> complex:
     A denominator argument at a nonpositive integer makes the ratio exactly
     zero (reciprocal-gamma convention).  A numerator pole raises PoleError;
     simultaneous numerator and denominator poles raise IndeterminateError
-    because the limit, if any, is the caller's responsibility.
+    because the limit, if any, is the caller's responsibility.  One pass
+    over the arguments finds the poles and whether every one is real.
     """
-    num_poles = [z for z in spec.numerator if is_nonpositive_integer(z)]
-    den_poles = [z for z in spec.denominator if is_nonpositive_integer(z)]
-    if num_poles and den_poles:
-        raise IndeterminateError(
-            f"gamma poles in both numerator {num_poles} and denominator {den_poles}"
-        )
-    if num_poles:
-        raise PoleError(f"gamma pole in ratio numerator at {num_poles}")
-    if den_poles:
-        return complex(0.0, 0.0)
-
-    if all([z.imag == 0.0 for z in (*spec.numerator, *spec.denominator)]):
+    real = True
+    for z in spec.numerator + spec.denominator:
+        if not z.real > POLE_TOL and is_nonpositive_integer(z):
+            num_poles = [z for z in spec.numerator if is_nonpositive_integer(z)]
+            den_poles = [z for z in spec.denominator if is_nonpositive_integer(z)]
+            if num_poles and den_poles:
+                raise IndeterminateError(
+                    f"gamma poles in both numerator {num_poles} and denominator {den_poles}")
+            if num_poles:
+                raise PoleError(f"gamma pole in ratio numerator at {num_poles}")
+            return complex(0.0, 0.0)
+        if z.imag:
+            real = False
+    if real:
         ln_abs = 0.0
         sign = 1
         for z in spec.numerator:
             ln_abs += math.lgamma(z.real)
-            sign *= _real_gamma_sign(z.real)
+            if z.real < 0.0:
+                sign *= _real_gamma_sign(z.real)
         for z in spec.denominator:
             ln_abs -= math.lgamma(z.real)
-            sign *= _real_gamma_sign(z.real)
+            if z.real < 0.0:
+                sign *= _real_gamma_sign(z.real)
         if ln_abs > _MAX_EXP:
             raise OverflowError("gamma ratio exceeds double range")
         return complex(sign * math.exp(ln_abs), 0.0)
 
     acc = complex(0.0, 0.0)
     for z in spec.numerator:
-        acc += ln_gamma(z)
+        acc += _ln_gamma(z)
     for z in spec.denominator:
-        acc -= ln_gamma(z)
+        acc -= _ln_gamma(z)
     if acc.real > _MAX_EXP:
         raise OverflowError("gamma ratio exceeds double range")
     return cmath.exp(acc)

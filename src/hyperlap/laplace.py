@@ -18,17 +18,20 @@ kept alongside as a self-test (closed_form_direct).
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import InvalidBinding, NotSpecializable, ValidityError
 from .gammafn import gamma, gamma_ratio, GammaRatioSpec
-from .series import HyperSeriesSpec, eval_series
+from .series import HyperSeriesSpec, _validated_order, eval_series, parametric_excess
 from .summation import (ARGUMENT, REQUIRED_SYMBOLS, ClosedFormBreakdown, DixonVariant,
-                        SummationId, _build, _cpow, _exclusion_clauses, _gamma_arguments,
-                        _Gammas, _raise_first_failing, _series_parameters)
+                        SummationId, _EVALUATE, _build, _complex_binding, _cpow,
+                        _exclusion_clauses, _gamma_arguments, _Gammas, _raise_first_failing,
+                        _series_parameters)
 
 __all__ = [
     "LaplaceCase",
@@ -120,16 +123,14 @@ class LaplaceCase:
     def __post_init__(self):
         if self.id not in REQUIRED_LAPLACE_SYMBOLS:
             raise InvalidBinding(f"{self.id.value} is not a cataloged closed form")
-        want = set(REQUIRED_LAPLACE_SYMBOLS[self.id])
-        got = set(self.params)
-        if got != want:
-            raise InvalidBinding(
-                f"{self.id.value} needs exactly symbols {sorted(want)}, got {sorted(got)}")
-        object.__setattr__(self, "params",
-                           {k: complex(v) for k, v in self.params.items()})
-        object.__setattr__(self, "s", complex(self.s))
+        object.__setattr__(self, "params", _complex_binding(
+            self.id.value, self.params, REQUIRED_LAPLACE_SYMBOLS[self.id]))
+        s = complex(self.s)
+        if not cmath.isfinite(s):
+            raise InvalidBinding(f"{self.id.value}: s = {s} is not finite")
+        object.__setattr__(self, "s", s)
 
-    @property
+    @functools.cached_property
     def power(self) -> complex:
         """Exponent v in the t^(v-1) factor, fixed by the identity."""
         return _power(self.id, self.params)
@@ -158,16 +159,22 @@ def require_integral_exists(v: complex, s: complex, w: complex,
     needs Re(s) > Re(w), or at s = w, Re(sum(b) - sum(a) - v) > 0.
 
     Both oracles, the series route and the quadrature, check these first."""
-    v, s, w = complex(v), complex(s), complex(w)
-    if spec.p > spec.q:
+    _integral_exists(complex(v), complex(s), complex(w), spec.numerator, spec.denominator)
+
+
+def _integral_exists(v: complex, s: complex, w: complex, numerator: Sequence[complex],
+                     denominator: Sequence[complex]) -> None:
+    """require_integral_exists on the series' parameters."""
+    p, q = len(numerator), len(denominator)
+    if p > q:
         raise ValidityError("transform law requires p <= q")
     if v.real <= 0.0:
         raise ValidityError("Re(v)<=0")
     if s.real <= 0.0:
         raise ValidityError("Re(s)<=0")
-    if spec.p == spec.q and w != 0.0:
+    if p == q and w != 0.0:
         if abs(s - w) <= 1e-14 * abs(s):
-            if (spec.excess() - v).real <= 0.0:
+            if (parametric_excess(numerator, denominator) - v).real <= 0.0:
                 raise ValidityError("Re(sum(b)-sum(a)-v)<=0 at s=w")
         elif s.real <= w.real:
             raise ValidityError("Re(s)<=Re(w)")
@@ -177,11 +184,24 @@ def transform_rhs_series(v: complex, s: complex, w: complex,
                          spec: HyperSeriesSpec, tol: float = 1e-12) -> complex:
     """Gamma(v) s^(-v) (p+1)Fq(v, a...; b...; w/s) -- the series route,
     where the integral exists (require_integral_exists)."""
-    v, s, w = complex(v), complex(s), complex(w)
-    require_integral_exists(v, s, w, spec)
-    augmented = HyperSeriesSpec((v,) + spec.numerator, spec.denominator, w / s)
-    value = eval_series(augmented, tol=tol)
+    return _transform_series(complex(v), complex(s), complex(w), spec.numerator,
+                             spec.denominator, tol)
+
+
+def _transform_series(v: complex, s: complex, w: complex, numerator: Sequence[complex],
+                      denominator: Sequence[complex], tol: float) -> complex:
+    """transform_rhs_series on the integrand series' parameters."""
+    _integral_exists(v, s, w, numerator, denominator)
+    value = eval_series(HyperSeriesSpec((v, *numerator), denominator, w / s), tol=tol)
     return gamma(v) * _cpow(s, -v) * value.value
+
+
+def _case_series(case: LaplaceCase, tol: float) -> complex:
+    """transform_rhs_series of lhs_integrand(case), whose parameters are screened
+    as its series would be; only the summed series is built."""
+    num, den = _integrand_parameters(case.id, case.params)
+    _validated_order(num, den)
+    return _transform_series(case.power, case.s, case.w, num, den, tol)
 
 
 def lhs_integrand(case: LaplaceCase) -> LaplaceIntegrand:
@@ -203,20 +223,17 @@ def _integrand_parameters(id: LaplaceId, p: dict) -> tuple[list, list]:
         # to v further left must keep its place
         del num[len(num) - 1 - num[::-1].index(_power(id, p))]
         return num, den
-    a = p.get("a")
-    b = p.get("b")
-    c = p.get("c")
-    d = p.get("d")
-    e = p.get("e")
-    table: dict[LaplaceId, Callable[[], tuple[list, list]]] = {
-        LaplaceId.GAUSS2_L: lambda: ([a], [(a + b + 1) / 2]),
-        LaplaceId.BAILEY_L: lambda: ([a], [c]),
-        LaplaceId.KUMMER_L: lambda: ([a], [1 + a - b]),
-        LaplaceId.WATSON_L: lambda: ([a, b], [(a + b + 1) / 2, 2 * c]),
-        LaplaceId.DIXON_L: lambda: ([a, b], [1 + a - b, 1 + a - c]),
-        LaplaceId.WHIPPLE_L: lambda: ([a, b], [d, e]),
-    }
-    return table[id]()
+    return _CLASSICAL_PARAMETERS[id](*map(p.get, "abcde"))
+
+
+_CLASSICAL_PARAMETERS: dict[LaplaceId, Callable[..., tuple[list, list]]] = {
+    LaplaceId.GAUSS2_L: lambda a, b, c, d, e: ([a], [(a + b + 1) / 2]),
+    LaplaceId.BAILEY_L: lambda a, b, c, d, e: ([a], [c]),
+    LaplaceId.KUMMER_L: lambda a, b, c, d, e: ([a], [1 + a - b]),
+    LaplaceId.WATSON_L: lambda a, b, c, d, e: ([a, b], [(a + b + 1) / 2, 2 * c]),
+    LaplaceId.DIXON_L: lambda a, b, c, d, e: ([a, b], [1 + a - b, 1 + a - c]),
+    LaplaceId.WHIPPLE_L: lambda a, b, c, d, e: ([a, b], [d, e]),
+}
 
 
 def _case_clauses(id: LaplaceId, p: dict, s: complex):
@@ -241,12 +258,8 @@ def _check_case_validity(case: LaplaceCase) -> None:
 
 def _classical_term(id: LaplaceId, p: dict, gr: _Gammas) -> complex:
     """The printed gamma block of a classical entry, without Gamma(v) s^(-v);
-    every gamma ratio and power goes through the recording evaluator gr."""
-    a = p.get("a")
-    b = p.get("b")
-    c = p.get("c")
-    d = p.get("d")
-    e = p.get("e")
+    every gamma ratio and power goes through the evaluator gr."""
+    a, b, c, d, e = map(p.get, "abcde")
     R = gr.ratio
     if id is LaplaceId.GAUSS2_L:
         return R([0.5, (a + b + 1) / 2], [(a + 1) / 2, (b + 1) / 2])
@@ -279,10 +292,10 @@ def closed_form(case: LaplaceCase,
     front = gamma(case.power) * _cpow(case.s, -case.power)
     if case.id in SUMMATION_OF:
         # the sum's closed form, already screened by _check_case_validity
-        pre, t1, t2, alpha, beta = _build(SUMMATION_OF[case.id], case.params, _Gammas(),
+        pre, t1, t2, alpha, beta = _build(SUMMATION_OF[case.id], case.params, _EVALUATE,
                                           dixon_variant)
         return ClosedFormBreakdown(front * pre, t1, t2, alpha, beta, front * (pre * (t1 + t2)))
-    term = _classical_term(case.id, case.params, _Gammas())
+    term = _classical_term(case.id, case.params, _EVALUATE)
     return ClosedFormBreakdown(front, term, complex(0.0), complex(0.0), complex(0.0),
                                front * term)
 
@@ -296,45 +309,32 @@ def closed_form_direct(case: LaplaceCase,
         return closed_form(case, dixon_variant)
     _check_case_validity(case)
     p = case.params
-    a = p.get("a")
-    b = p.get("b")
-    c = p.get("c")
-    d = p.get("d")
-    e = p.get("e")
+    a, b, c, d, e = map(p.get, "abcde")
     s = case.s
     R = lambda num, den: gamma_ratio(GammaRatioSpec(num, den))
-    zero = complex(0.0)
-
+    alpha = beta = complex(0.0)
     if case.id is LaplaceId.GAUSS2X_L:
         pre = _cpow(s, -b) * R(
             [0.5, b, (a + b + 3) / 2, (a - b - 1) / 2], [(a - b + 3) / 2])
         t1 = ((a + b - 1) / 2 - a * b / d) * R([], [(a + 1) / 2, (b + 1) / 2])
         t2 = ((a + b + 1) / d - 2) * R([], [a / 2, b / 2])
-        return ClosedFormBreakdown(pre, t1, t2, zero, zero, pre * (t1 + t2))
-
-    if case.id is LaplaceId.BAILEYX_L:
+    elif case.id is LaplaceId.BAILEYX_L:
         pre = _cpow(s, a - 1) * _cpow(2.0, -c) * R(
             [0.5, 1 - a, c + 1], [])
         t1 = (2 / d) * R([], [(a + c) / 2, (c - a + 1) / 2])
         t2 = (1 - c / d) * R([], [(a + c + 1) / 2, (c - a) / 2 + 1])
-        return ClosedFormBreakdown(pre, t1, t2, zero, zero, pre * (t1 + t2))
-
-    if case.id is LaplaceId.KUMMERX_L:
+    elif case.id is LaplaceId.KUMMERX_L:
         pre = _cpow(s, -b) * R([0.5, b, 2 + a - b], []) \
             / (_cpow(2.0, a) * (1 - b))
         t1 = ((1 + a - b) / d - 1) * R([], [a / 2, a / 2 - b + 1.5])
         t2 = (1 - a / d) * R([], [(a + 1) / 2, 1 + a / 2 - b])
-        return ClosedFormBreakdown(pre, t1, t2, zero, zero, pre * (t1 + t2))
-
-    if case.id is LaplaceId.WATSON1X_L:
+    elif case.id is LaplaceId.WATSON1X_L:
         pre = _cpow(s, -c) * _cpow(2.0, a + b - 2) * R(
             [c, c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2], [0.5, a, b])
         t1 = R([a / 2, b / 2], [c - (a - 1) / 2, c - (b - 1) / 2])
         t2 = ((2 * c - d) / d) * R([(a + 1) / 2, (b + 1) / 2],
                                    [c - a / 2 + 1, c - b / 2 + 1])
-        return ClosedFormBreakdown(pre, t1, t2, zero, zero, pre * (t1 + t2))
-
-    if case.id is LaplaceId.WATSON2X_L:
+    elif case.id is LaplaceId.WATSON2X_L:
         alpha = (a * (2 * c - a) + b * (2 * c - b) - 2 * c + 1
                  - (a * b / d) * (4 * c - a - b - 1))
         beta = 8 * ((a + b + 1) / (2 * d) - 1)
@@ -343,9 +343,7 @@ def closed_form_direct(case: LaplaceCase,
             / ((a - b - 1) * (a - b + 1))
         t1 = alpha * R([a / 2, b / 2], [c - (a - 1) / 2, c - (b - 1) / 2])
         t2 = beta * R([(a + 1) / 2, (b + 1) / 2], [c - a / 2, c - b / 2])
-        return ClosedFormBreakdown(pre, t1, t2, alpha, beta, pre * (t1 + t2))
-
-    if case.id is LaplaceId.DIXONX_L:
+    elif case.id is LaplaceId.DIXONX_L:
         alpha = 1 - (1 + a - b) / d
         beta = ((1 + a - b) / (1 + a - b - c)
                 * ((a / d) * (1 + a - b - 2 * c) - 2 * (1 + a / 2 - b - c)))
@@ -357,9 +355,7 @@ def closed_form_direct(case: LaplaceCase,
                   else 1 + a / 2 - c)
         t2 = (beta / 2) * R([1 + a - b, 1 + a - c, 1 + a / 2 - b - c],
                             [(a + 1) / 2, 1 + a - b - c, second, 1 + a / 2 - c])
-        return ClosedFormBreakdown(pre, t1, t2, alpha, beta, pre * (t1 + t2))
-
-    if case.id is LaplaceId.WHIPPLEX_L:
+    elif case.id is LaplaceId.WHIPPLEX_L:
         pre = _cpow(s, -c) * _cpow(2.0, -2 * a) * R(
             [c, e + 1, e - c, 2 * c - e + 1],
             [e - a + 1, e - c + 1, 2 * c - a - e + 1])
@@ -367,9 +363,9 @@ def closed_form_direct(case: LaplaceCase,
                                        [(a + e) / 2, c - (e - a) / 2 + 0.5])
         t2 = (e / d - 1) * R([(e - a + 1) / 2, c - (a + e) / 2 + 1],
                              [(a + e + 1) / 2, c - (e - a) / 2])
-        return ClosedFormBreakdown(pre, t1, t2, zero, zero, pre * (t1 + t2))
-
-    raise InvalidBinding(f"unknown id {case.id}")
+    else:
+        raise InvalidBinding(f"unknown id {case.id}")
+    return ClosedFormBreakdown(pre, t1, t2, alpha, beta, pre * (t1 + t2))
 
 
 def case_gamma_arguments(case: LaplaceCase,

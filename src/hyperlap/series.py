@@ -41,7 +41,7 @@ import numpy as np
 # changes only with its benchmark
 from . import ddouble as dd  # noqa: F401
 from .errors import DivergentSeriesError, SeriesPoleError
-from .gammafn import is_nonpositive_integer
+from .gammafn import POLE_TOL, complex_tuple, is_nonpositive_integer
 
 __all__ = [
     "Convergence",
@@ -87,8 +87,23 @@ def converges(p: int, q: int, argument: complex, delta):
 
 def _termination_order(numerator: Sequence[complex]) -> int | None:
     """Smallest m with some numerator parameter equal to -m, else None."""
-    orders = [round(-complex(a).real) for a in numerator if is_nonpositive_integer(a)]
+    orders = [round(-a.real) for a in numerator
+              if not a.real > POLE_TOL and is_nonpositive_integer(a)]
     return min(orders) if orders else None
+
+
+def _validated_order(numerator: Sequence[complex], denominator: Sequence[complex]) -> int | None:
+    """The termination order of a series with these parameters; SeriesPoleError
+    at a nonpositive-integer denominator parameter the series reaches."""
+    order = _termination_order(numerator)
+    for b in denominator:
+        if not b.real > POLE_TOL and is_nonpositive_integer(b):
+            if order is None or order >= round(-b.real):
+                raise SeriesPoleError(
+                    f"denominator parameter {b} is a nonpositive integer and the "
+                    "series does not terminate before the zero factor"
+                )
+    return order
 
 
 @dataclass(frozen=True)
@@ -99,7 +114,7 @@ class HyperSeriesSpec:
     denominator parameter unless a numerator parameter is a nonpositive
     integer of strictly smaller magnitude (the series then terminates
     before the zero denominator factor is reached).  order, the termination order, is
-    found once here.
+    found once here; a parameter with Re > POLE_TOL is no pole.
     """
 
     numerator: tuple[complex, ...]
@@ -109,21 +124,10 @@ class HyperSeriesSpec:
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex],
                  argument: complex):
-        object.__setattr__(self, "numerator", tuple([complex(x) for x in numerator]))
-        object.__setattr__(self, "denominator", tuple([complex(x) for x in denominator]))
+        object.__setattr__(self, "numerator", complex_tuple(numerator))
+        object.__setattr__(self, "denominator", complex_tuple(denominator))
         object.__setattr__(self, "argument", complex(argument))
-        object.__setattr__(self, "order", _termination_order(self.numerator))
-        self._validate()
-
-    def _validate(self) -> None:
-        for b in self.denominator:
-            if is_nonpositive_integer(b):
-                mag = round(-b.real)
-                if self.order is None or self.order >= mag:
-                    raise SeriesPoleError(
-                        f"denominator parameter {b} is a nonpositive integer and the "
-                        "series does not terminate before the zero factor"
-                    )
+        object.__setattr__(self, "order", _validated_order(self.numerator, self.denominator))
 
     @property
     def p(self) -> int:
@@ -543,9 +547,10 @@ def _remainder_coefficients(numerator: Sequence[complex], denominator: Sequence[
     return e
 
 
-def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> SeriesResult:
-    """Direct summation on |z| = 1 (p = q + 1) with the exact remainder
-    expansion.
+def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int,
+                         delta: complex) -> SeriesResult:
+    """Direct summation on |z| = 1 (p = q + 1), delta the parametric excess
+    (classify's), with the exact remainder expansion.
 
     The prefix t_0 .. t_(N-1) is formed in place, one _terms segment per
     cut from the ratio rows grown to that cut (_grown_ratios), and summed
@@ -578,7 +583,7 @@ def _sum_unit_power_tail(spec: HyperSeriesSpec, tol: float, max_terms: int) -> S
     elif abs(z + 1.0) <= 1e-14:
         z = -1.0
     weights = _abel_weights(z)
-    s = 1.0 + spec.excess()
+    s = 1.0 + delta
     s = s if s.imag else s.real  # real arrays for real parameters
     rungs = list(_UNIT_RUNGS)
     if z != 1.0 and rungs[-1] * abs(1.0 - z) < 4.0 * (abs(s) + 13.0):
@@ -658,7 +663,7 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
             f"series p={spec.p}, q={spec.q} at z={spec.argument} diverges"
         )
     if cls.kind in (Convergence.UNIT_CIRCLE_ABSOLUTE, Convergence.UNIT_CIRCLE_CONDITIONAL):
-        return _sum_unit_power_tail(spec, tol, max_terms)
+        return _sum_unit_power_tail(spec, tol, max_terms, cls.delta)
     table = TermRatios(spec.numerator, spec.denominator)
     if cls.kind is Convergence.TERMINATING:
         order = spec.order
@@ -706,11 +711,11 @@ def _parameters(numerator: Sequence[complex], denominator: Sequence[complex],
     """(real, numerator, denominator): the parameters as complex numbers,
     or as floats when every one is real, so that real parameters give
     float arithmetic."""
-    params = [complex(x) for x in (*numerator, *denominator)]
-    real = all([x.imag == 0.0 for x in params])
-    if real:
-        params = [x.real for x in params]
-    return real, tuple(params[:len(numerator)]), tuple(params[len(numerator):])
+    params, p = complex_tuple((*numerator, *denominator)), len(numerator)
+    if any([x.imag for x in params]):  # a NaN imaginary part too
+        return False, params[:p], params[p:]
+    params = tuple([x.real for x in params])
+    return True, params[:p], params[p:]
 
 
 def _grown_ratios(ratios: np.ndarray, numerator: Sequence[complex],

@@ -147,14 +147,21 @@ class ClosedFormBreakdown:
     value: complex
 
 
+def _complex_binding(name: str, params: dict, symbols: tuple[str, ...]) -> dict[str, complex]:
+    """params as complex numbers; InvalidBinding unless they bind exactly
+    the symbols, each to a finite value."""
+    if params.keys() != set(symbols):
+        raise InvalidBinding(f"{name} needs exactly symbols {sorted(symbols)}, "
+                             f"got {sorted(params)}")
+    p = {k: complex(v) for k, v in params.items()}
+    for sym, value in p.items():
+        if not cmath.isfinite(value):
+            raise InvalidBinding(f"{name}: {sym} = {value} is not finite")
+    return p
+
+
 def _binding(id: SummationId, params: dict) -> dict[str, complex]:
-    want = set(REQUIRED_SYMBOLS[id])
-    got = set(params)
-    if got != want:
-        raise InvalidBinding(
-            f"{id.value} needs exactly symbols {sorted(want)}, got {sorted(got)}"
-        )
-    return {k: complex(v) for k, v in params.items()}
+    return _complex_binding(id.value, params, REQUIRED_SYMBOLS[id])
 
 
 def lhs_spec(id: SummationId, params: dict) -> HyperSeriesSpec:
@@ -166,30 +173,30 @@ def lhs_spec(id: SummationId, params: dict) -> HyperSeriesSpec:
 def _series_parameters(id: SummationId, p: dict) -> tuple[list, list]:
     """Numerator and denominator parameters of the sum's series; p holds a
     binding or columns of bindings."""
-    a = p.get("a")
-    b = p.get("b")
-    c = p.get("c")
-    d = p.get("d")
-    e = p.get("e")
-    parameters: dict[SummationId, Callable[[], tuple]] = {
-        SummationId.GAUSS2X: lambda: ([a, b, d + 1], [(a + b + 3) / 2, d]),
-        SummationId.BAILEYX: lambda: ([a, 1 - a, d + 1], [c + 1, d]),
-        SummationId.KUMMERX: lambda: ([a, b, d + 1], [2 + a - b, d]),
-        SummationId.WATSON1X: lambda: ([a, b, c, d + 1], [(a + b + 1) / 2, 2 * c + 1, d]),
-        SummationId.WATSON2X: lambda: ([a, b, c, d + 1], [(a + b + 3) / 2, 2 * c, d]),
-        SummationId.DIXONX: lambda: ([a, b, c, d + 1], [2 + a - b, 1 + a - c, d]),
-        SummationId.WHIPPLEX: lambda: ([a, 1 - a, c, d + 1], [e + 1, 2 * c - e + 1, d]),
-    }
-    return parameters[id]()
+    return _SERIES_PARAMETERS[id](*map(p.get, "abcde"))
+
+
+_SERIES_PARAMETERS: dict[SummationId, Callable[..., tuple[list, list]]] = {
+    SummationId.GAUSS2X: lambda a, b, c, d, e: ([a, b, d + 1], [(a + b + 3) / 2, d]),
+    SummationId.BAILEYX: lambda a, b, c, d, e: ([a, 1 - a, d + 1], [c + 1, d]),
+    SummationId.KUMMERX: lambda a, b, c, d, e: ([a, b, d + 1], [2 + a - b, d]),
+    SummationId.WATSON1X: lambda a, b, c, d, e: ([a, b, c, d + 1],
+                                                 [(a + b + 1) / 2, 2 * c + 1, d]),
+    SummationId.WATSON2X: lambda a, b, c, d, e: ([a, b, c, d + 1], [(a + b + 3) / 2, 2 * c, d]),
+    SummationId.DIXONX: lambda a, b, c, d, e: ([a, b, c, d + 1], [2 + a - b, 1 + a - c, d]),
+    SummationId.WHIPPLEX: lambda a, b, c, d, e: ([a, 1 - a, c, d + 1],
+                                                 [e + 1, 2 * c - e + 1, d]),
+}
 
 
 class _Gammas:
-    """Gamma-ratio evaluator that records every argument it is handed.
+    """Gamma-ratio evaluator of the closed forms.
 
     ``collect_only`` evaluates nothing, neither the gamma ratios nor the
-    2^x prefactors: validity() screens the arguments for pole proximity
-    without tripping PoleError first, and the sampler collects them from
-    columns of bindings.
+    2^x prefactors, and records every gamma argument it is handed:
+    validity() screens the arguments for pole proximity without tripping
+    PoleError first, and the sampler collects them from columns of
+    bindings.
     """
 
     def __init__(self, collect_only: bool = False):
@@ -198,17 +205,21 @@ class _Gammas:
         self.denominator_args: list = []
 
     def ratio(self, num, den) -> complex:
+        if not self.collect_only:
+            return gamma_ratio(GammaRatioSpec(num, den))
         self.numerator_args.extend(num)
         self.denominator_args.extend(den)
-        if self.collect_only:
-            return complex(1.0)
-        return gamma_ratio(GammaRatioSpec(num, den))
+        return complex(1.0)
 
     def power(self, base, expo) -> complex:
         """The principal-branch power of a prefactor."""
         if self.collect_only:
             return complex(1.0)
         return _cpow(base, expo)
+
+
+# the closed forms' evaluator: it records nothing, so one serves every call
+_EVALUATE = _Gammas()
 
 
 def _cpow(base: complex, expo: complex) -> complex:
@@ -270,40 +281,27 @@ def require_no_exclusion(ident: str, p: dict, degenerate: bool) -> None:
 def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
            dixon_variant: DixonVariant) -> tuple[complex, complex, complex, complex, complex]:
     """prefactor, term1, term2, alpha, beta for the requested identity."""
-    a = p.get("a")
-    b = p.get("b")
-    c = p.get("c")
-    d = p.get("d")
-    e = p.get("e")
-    zero = complex(0.0)
-
+    a, b, c, d, e = map(p.get, "abcde")
+    alpha = beta = complex(0.0)
     if id is SummationId.GAUSS2X:
         pre = gr.ratio([0.5, (a + b + 3) / 2, (a - b - 1) / 2], [(a - b + 3) / 2])
         t1 = ((a + b - 1) / 2 - a * b / d) * gr.ratio([], [(a + 1) / 2, (b + 1) / 2])
         t2 = ((a + b + 1) / d - 2) * gr.ratio([], [a / 2, b / 2])
-        return pre, t1, t2, zero, zero
-
-    if id is SummationId.BAILEYX:
+    elif id is SummationId.BAILEYX:
         pre = gr.power(2.0, -c) * gr.ratio([0.5, c + 1], [])
         t1 = (2 / d) * gr.ratio([], [(a + c) / 2, (c - a + 1) / 2])
         t2 = (1 - c / d) * gr.ratio([], [(a + c + 1) / 2, (c - a) / 2 + 1])
-        return pre, t1, t2, zero, zero
-
-    if id is SummationId.KUMMERX:
+    elif id is SummationId.KUMMERX:
         pre = gr.ratio([0.5, 2 + a - b], []) / (gr.power(2.0, a) * (1 - b))
         t1 = ((1 + a - b) / d - 1) * gr.ratio([], [a / 2, a / 2 - b + 1.5])
         t2 = (1 - a / d) * gr.ratio([], [(a + 1) / 2, 1 + a / 2 - b])
-        return pre, t1, t2, zero, zero
-
-    if id is SummationId.WATSON1X:
+    elif id is SummationId.WATSON1X:
         pre = gr.power(2.0, a + b - 2) * gr.ratio(
             [c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2], [0.5, a, b])
         t1 = gr.ratio([a / 2, b / 2], [c - (a - 1) / 2, c - (b - 1) / 2])
         t2 = ((2 * c - d) / d) * gr.ratio(
             [(a + 1) / 2, (b + 1) / 2], [c - a / 2 + 1, c - b / 2 + 1])
-        return pre, t1, t2, zero, zero
-
-    if id is SummationId.WATSON2X:
+    elif id is SummationId.WATSON2X:
         alpha = (a * (2 * c - a) + b * (2 * c - b) - 2 * c + 1
                  - (a * b / d) * (4 * c - a - b - 1))
         beta = 8 * ((a + b + 1) / (2 * d) - 1)
@@ -312,9 +310,7 @@ def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
             / ((a - b - 1) * (a - b + 1))
         t1 = alpha * gr.ratio([a / 2, b / 2], [c - (a - 1) / 2, c - (b - 1) / 2])
         t2 = beta * gr.ratio([(a + 1) / 2, (b + 1) / 2], [c - a / 2, c - b / 2])
-        return pre, t1, t2, alpha, beta
-
-    if id is SummationId.DIXONX:
+    elif id is SummationId.DIXONX:
         alpha = 1 - (1 + a - b) / d
         beta = ((1 + a - b) / (1 + a - b - c)
                 * ((a / d) * (1 + a - b - 2 * c) - 2 * (1 + a / 2 - b - c)))
@@ -327,9 +323,7 @@ def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
         t2 = (beta / 2) * gr.ratio(
             [1 + a - b, 1 + a - c, 1 + a / 2 - b - c],
             [(a + 1) / 2, 1 + a - b - c, second, 1 + a / 2 - c])
-        return pre, t1, t2, alpha, beta
-
-    if id is SummationId.WHIPPLEX:
+    elif id is SummationId.WHIPPLEX:
         pre = gr.power(2.0, -2 * a) * gr.ratio(
             [e + 1, e - c, 2 * c - e + 1], [e - a + 1, e - c + 1, 2 * c - a - e + 1])
         t1 = (1 - (2 * c - e) / d) * gr.ratio(
@@ -338,9 +332,9 @@ def _build(id: SummationId, p: dict[str, complex], gr: _Gammas,
         t2 = (e / d - 1) * gr.ratio(
             [(e - a + 1) / 2, c - (a + e) / 2 + 1],
             [(a + e + 1) / 2, c + (a - e) / 2])
-        return pre, t1, t2, zero, zero
-
-    raise InvalidBinding(f"unknown identity {id}")
+    else:
+        raise InvalidBinding(f"unknown identity {id}")
+    return pre, t1, t2, alpha, beta
 
 
 def rhs_closed_form(id: SummationId, params: dict,
@@ -356,8 +350,7 @@ def rhs_closed_form(id: SummationId, params: dict,
     p = _binding(id, params)
     require_no_exclusion(id, p, degenerate=True)
     require_no_exclusion(id, p, degenerate=False)
-    gr = _Gammas()
-    pre, t1, t2, alpha, beta = _build(id, p, gr, dixon_variant)
+    pre, t1, t2, alpha, beta = _build(id, p, _EVALUATE, dixon_variant)
     return ClosedFormBreakdown(pre, t1, t2, alpha, beta, pre * (t1 + t2))
 
 

@@ -26,6 +26,7 @@ in stream order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -36,8 +37,7 @@ from . import laplace, summation
 from .errors import SamplerExhausted
 from .laplace import (CLASSICAL_IDS, LaplaceCase, LaplaceId, NEW_IDS,
                       REQUIRED_LAPLACE_SYMBOLS, SUMMATION_OF, W_FACTOR, closed_form,
-                      closed_form_direct, lhs_integrand, specialization_target,
-                      transform_rhs_series)
+                      closed_form_direct, lhs_integrand, specialization_target)
 from .quadrature import _SLOW_DECAY_MARGIN, laplace_numeric
 from .reporting import (CheckReport, IdentityAggregate, Sides, compare, failed_report,
                         json_value, series_tolerance)
@@ -107,6 +107,7 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
+@functools.lru_cache(maxsize=None)
 def parse_identity(identity_id: str) -> tuple[str, object]:
     """'sum.kummerx' -> ('sum', SummationId.KUMMERX); same for 'lap.*'.
 
@@ -187,10 +188,12 @@ def _rejection_sample(kind: str, ident, cfg: SamplerConfig, label: str, n: int,
     size = _first_block(n)
     while len(out) < n:
         cols = _draw_block(rng, cfg, kind, ident, size)
-        for i, passed in enumerate(screen(cols).tolist()):
+        mask = screen(cols).tolist()
+        values = {sym: col.tolist() for sym, col in cols.items()}  # Python complex numbers
+        for i, passed in enumerate(mask):
             if rejects > cfg.max_rejects:
                 raise SamplerExhausted(f"{label}: {rejects} rejects for {len(out)}/{n} draws")
-            item = keep({sym: complex(col[i]) for sym, col in cols.items()}) if passed else None
+            item = keep({sym: col[i] for sym, col in values.items()}) if passed else None
             if item is None:
                 rejects += 1
                 continue
@@ -262,8 +265,8 @@ def sample_valid(identity_id: str, cfg: SamplerConfig, n: int,
 
 def _split_laplace_binding(binding: dict) -> tuple[dict, complex]:
     """(params, s) of a binding, or of columns of them."""
-    params = {k: v for k, v in binding.items() if k != "s"}
-    return params, binding["s"]
+    params = dict(binding)
+    return params, params.pop("s")
 
 
 def oracle_tolerances(kind: str, ident,
@@ -307,9 +310,7 @@ def check_series(identity_id: str, binding: dict, tol: float,
 
     def sides(ident, params, s):
         case = LaplaceCase(ident, params, s)
-        integ = lhs_integrand(case)
-        lhs = transform_rhs_series(integ.power, case.s, integ.w, integ.spec,
-                                   tol=series_tolerance(tol))
+        lhs = laplace._case_series(case, series_tolerance(tol))
         return Sides(lhs, closed_form(case, dixon_variant).value)
     return _check_transform("series", identity_id, binding, tol, sides)
 

@@ -439,3 +439,46 @@ def test_nonpositive_integer_series_denominator_exits_2_on_every_path(args, caps
     # validity error (SeriesPoleError, also a ValueError), never a usage error
     code, doc, err = _main_json(capsys, *args)
     assert code == 2 and doc is None and "validity error" in err
+
+
+@pytest.mark.parametrize("args, flag, literal", [
+    (["eval", "closed-form", "--id", "lap.kummer", "--a", "1", "--b", "0.5", "--s", "nan"],
+     "--s", "nan"),
+    (["eval", "gamma", "--z", "nan"], "--z", "nan"),
+    (["eval", "gamma", "--z", "1e999"], "--z", "1e999"),
+    (["check", "--id", "sum.kummerx", "--a", "1.2", "--b", "0.5", "--d", "nan"], "--d", "nan"),
+    (["check", "--id", "lap.kummer", "--a", "1", "--b", "0.5", "--s=-inf"], "--s", "-inf"),
+    (["eval", "laplace-numeric", "--v", "1.5", "--s", "nan", "--w", "1", "--num", "",
+      "--den", ""], "--s", "nan"),
+    (["eval", "laplace-numeric", "--id", "lap.kummer", "--a", "1", "--b", "0.5", "--s", "nan"],
+     "--s", "nan"),
+    (["eval", "pfq", "--num", "1,nan+1i", "--z", "0.5"], "--num", "nan+1i"),
+    (["eval", "pfq", "--z", "0.5+infi"], "--z", "0.5+infi"),
+])
+def test_non_finite_literal_is_a_usage_error_naming_it(args, flag, literal, capsys):
+    # closed-form wrote NaN tokens (not JSON) and exited 0, gamma and check
+    # failed in round(), laplace-numeric reported an overflow
+    code, doc, err = _main_json(capsys, *args)
+    assert code == 1 and doc is None
+    assert "usage error" in err and flag in err and repr(literal) in err
+
+
+def test_consecutive_main_calls_share_no_flags(tmp_path, capsys):
+    # the parser is built once per process: a flag given to one call must not
+    # become the next call's default
+    pfq = ["eval", "pfq", "--z", "0.5", "--num", "1"]
+    assert _main_json(capsys, *pfq, "--tol", "1e-6", "--max-terms", "700", "--den", "2")[0] == 0
+    code, doc, _ = _main_json(capsys, *pfq)
+    assert code == 0
+    assert doc["inputs"] == {"den": [], "max_terms": 100_000, "num": [{"re": 1.0, "im": 0.0}],
+                             "seed": 42, "tol": 1e-12, "z": {"re": 0.5, "im": 0.0}}
+    suite = ["suite", "--ids", "sum.gauss2x", "--n", "1"]
+    assert _main_json(capsys, *suite, "--no-reports", "--complex-im", "0.3", "--seed", "7")[0] == 0
+    code, doc, _ = _main_json(capsys, *suite)
+    assert code == 0
+    assert doc["inputs"]["complex_im"] == 0.0 and doc["inputs"]["seed"] == 42
+    assert doc["inputs"]["no_reports"] is False and len(doc["results"][0]["reports"]) == 1
+    out = tmp_path / "gamma.json"
+    assert main(["eval", "gamma", "--z", "5", "--out", str(out), "--timing"]) == 0
+    code, doc, _ = _main_json(capsys, "eval", "gamma", "--z", "5")
+    assert code == 0 and "envelope" not in doc and "timing" not in doc["inputs"]

@@ -209,7 +209,7 @@ _UNIT_GRID_REFERENCES = [
 @pytest.mark.parametrize("max_terms", [20, 40, 100, 500, 3000])
 def test_power_tail_against_frozen_references(max_terms):
     for spec, ref in zip(_unit_argument_grid(), _UNIT_GRID_REFERENCES, strict=True):
-        got = series._sum_unit_power_tail(spec, 1e-12, max_terms)
+        got = series._sum_unit_power_tail(spec, 1e-12, max_terms, spec.excess())
         assert got.method == "direct+power-tail" and got.terms_used <= max_terms, spec
         if max_terms < 64 and not got.converged:
             continue  # one cut at max_terms, short of the first rung

@@ -555,3 +555,28 @@ def test_block_screens_match_scalar_checks(identity_id, data):
     if ident in SUMMATION_OF:
         assert verifier._specialized_ok(ident, params, s, cfg).tolist() == [
             _scalar_specialized_ok(ident, p, z, margin) for p, z in split]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_binding_is_an_invalid_binding(value):
+    # a NaN failed in round() on some paths and ran the closed form to NaN on
+    # others
+    from hyperlap.errors import InvalidBinding
+    from hyperlap.laplace import LaplaceCase, closed_form
+    from hyperlap.summation import lhs_spec, rhs_closed_form
+
+    binding = {"a": 1.2, "b": 0.5, "d": value}
+    for build in (lhs_spec, rhs_closed_form):
+        with pytest.raises(InvalidBinding, match="d = .* is not finite"):
+            build(SummationId.KUMMERX, binding)
+    ok, reason = validity(SummationId.KUMMERX, binding)
+    assert not ok and "is not finite" in reason
+    with pytest.raises(InvalidBinding, match="s = .* is not finite"):
+        LaplaceCase(LaplaceId.KUMMER_L, {"a": 1.0, "b": 0.5}, value)
+    with pytest.raises(InvalidBinding, match="a = .* is not finite"):
+        closed_form(LaplaceCase(LaplaceId.KUMMER_L, {"a": value, "b": 0.5}, 2.0))
+    # every check refuses it; the specialization check replaces d, so a is moved
+    assert check_series("sum.kummerx", binding, 1e-6).diagnostics.startswith("InvalidBinding")
+    for check in (check_series, check_quadrature, check_compositional, check_specialization):
+        report = check("lap.kummerx", {"a": value, "b": 0.5, "d": 1.5, "s": 2.0}, 1e-6)
+        assert not report.passed and report.diagnostics.startswith("InvalidBinding: ")
