@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Per-call cost of the series checks and of the calls they are made of,
-and a bit-for-bit comparison with a second copy of the package.
+"""Per-call cost of the series and quadrature checks and of the calls they
+are made of, and a bit-for-bit comparison with a second copy of the
+package.
 
 Usage:
     PYTHONPATH=src python scripts/series_costs.py --seed 42
@@ -11,12 +12,15 @@ Runs one pass of a benchmark workload with these functions wrapped from
 here (in every hyperlap module that imported them), keeping each call's
 arguments:
 
-    series.eval_series        the sums, one row per result.method
-    verifier.check_series     a whole series check, its sum included
-    summation.rhs_closed_form the closed forms of the sums
-    laplace.closed_form       the closed forms of the transforms
+    series.eval_series          the sums, one row per result.method
+    verifier.check_series       a whole series check, its sum included
+    summation.rhs_closed_form   the closed forms of the sums
+    laplace.closed_form         the closed forms of the transforms
     laplace.closed_form_direct
-    gammafn.gamma_ratio       every gamma ratio the above evaluate
+    gammafn.gamma_ratio         every gamma ratio the above evaluate
+    quadrature.laplace_numeric  the quadrature integrals
+    verifier.check_quadrature   a whole quadrature check, its integral
+                                and closed form included
 
 The passes:
 
@@ -60,7 +64,8 @@ PASSES = ("series-oracle", "certify", "certify-complex", "eval-regimes")
 # kept too, as calls of their own
 PROBES = (("series", "eval_series"), ("verifier", "check_series"),
           ("summation", "rhs_closed_form"), ("laplace", "closed_form"),
-          ("laplace", "closed_form_direct"), ("gammafn", "gamma_ratio"))
+          ("laplace", "closed_form_direct"), ("gammafn", "gamma_ratio"),
+          ("quadrature", "laplace_numeric"), ("verifier", "check_quadrature"))
 
 
 def _load_base(src: Path):
@@ -105,8 +110,12 @@ def _portable(func: str, args: dict) -> tuple:
     if func == "eval_series":
         spec = args["spec"]
         return spec.numerator, spec.denominator, spec.argument, args["tol"], args["max_terms"]
-    if func == "check_series":
+    if func in ("check_series", "check_quadrature"):
         return args["identity_id"], dict(args["binding"]), args["tol"], args["dixon_variant"].value
+    if func == "laplace_numeric":
+        spec = args["spec"]
+        return (args["v"], args["s"], args["w"], spec.numerator, spec.denominator,
+                spec.argument, args["tol"])
     if func == "rhs_closed_form":
         return args["id"].value, dict(args["params"]), args["dixon_variant"].value
     if func == "gamma_ratio":
@@ -152,10 +161,14 @@ def _thunk(package, func: str, args: tuple):
         num, den, z, tol, max_terms = args
         return functools.partial(series.eval_series, series.HyperSeriesSpec(num, den, z), tol,
                                  max_terms)
-    if func == "check_series":
+    if func in ("check_series", "check_quadrature"):
         identity_id, binding, tol, variant = args
-        return functools.partial(package.verifier.check_series, identity_id, binding, tol,
+        return functools.partial(getattr(package.verifier, func), identity_id, binding, tol,
                                  summation.DixonVariant(variant))
+    if func == "laplace_numeric":
+        v, s, w, num, den, z, tol = args
+        return functools.partial(package.quadrature.laplace_numeric, v, s, w,
+                                 series.HyperSeriesSpec(num, den, z), tol)
     if func == "rhs_closed_form":
         ident, params, variant = args
         return functools.partial(summation.rhs_closed_form, summation.SummationId(ident),
@@ -193,6 +206,9 @@ def fields(outcome) -> tuple:
                 _hex(outcome.lhs), _hex(outcome.rhs), float(outcome.abs_residual).hex(),
                 float(outcome.rel_residual).hex(), outcome.oracle, outcome.passed,
                 outcome.diagnostics)
+    if hasattr(outcome, "tail_method"):  # IntegralResult
+        return (_hex(outcome.value), float(outcome.abs_err_est).hex(), outcome.nodes_used,
+                outcome.tail_method.value, _hex(outcome.tail_contribution))
     if hasattr(outcome, "prefactor"):  # ClosedFormBreakdown
         return tuple(_hex(getattr(outcome, name)) for name in
                      ("prefactor", "term1", "term2", "alpha", "beta", "value"))

@@ -165,6 +165,9 @@ def require_integral_exists(v: complex, s: complex, w: complex,
 def _integral_exists(v: complex, s: complex, w: complex, numerator: Sequence[complex],
                      denominator: Sequence[complex]) -> None:
     """require_integral_exists on the series' parameters."""
+    for name, x in (("v", v), ("s", s), ("w", w)):
+        if not cmath.isfinite(x):
+            raise ValidityError(f"{name} is not finite")
     p, q = len(numerator), len(denominator)
     if p > q:
         raise ValidityError("transform law requires p <= q")

@@ -55,6 +55,7 @@ seed that still rounds by more than the whole tolerance is refused.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
 import itertools
 import math
@@ -93,8 +94,11 @@ _CC_NODES = np.cos(_CC_THETA)
 _CC_C25 = (2.0 / _CC_N) * np.cos(np.outer(np.arange(_CC_N + 1), _CC_THETA))
 _CC_C25[:, [0, _CC_N]] *= 0.5
 _CC_C25[[0, _CC_N], :] *= 0.5
-_CC_NEXT = np.cos(np.outer(np.arange(_CC_N + 1, 2 * _CC_N + 1), _CC_THETA))
-_CC_M = np.arange(1, _CC_N + 1)
+# C25^T as a panel product takes it, and T_25 .. T_48 at the nodes: for
+# complex values, the C-ordered complex copies numpy would make per product
+_CC_C25T = (_CC_C25.T, np.ascontiguousarray(_CC_C25.T, dtype=complex))
+_CC_NEXT = np.cos(np.outer(np.arange(_CC_N + 1, 2 * _CC_N + 1), _CC_THETA)).astype(complex)
+_CC_M = np.arange(1.0, _CC_N + 1.0)
 _EPS = np.finfo(float).eps
 
 # at s = w the tail decays like u^rho, rho = -1 - excess; an excess below
@@ -135,9 +139,9 @@ def _cc_error(a: np.ndarray, g_max: np.ndarray, miss: np.ndarray) -> np.ndarray:
     (c_14..16 to c_22..24), so those past the rule are about tail r^m, each
     costing miss[m-1], the rule's error on T_(24+m); 4 times that sum, a
     column per column of miss.  A tail below 24 eps g_max is rounding."""
-    tail = a[:, 22:].max(axis=1)
+    low, _, tail = np.maximum.reduceat(a, (14, 17, 22), axis=1).T
     tail = np.where(tail > _CC_N * _EPS * g_max, tail, 0.0)
-    r = np.minimum(tail / np.maximum(a[:, 14:17].max(axis=1), 1e-300), 1.0) ** 0.125
+    r = np.minimum(tail / np.maximum(low, 1e-300), 1.0) ** 0.125
     return (4.0 * tail)[:, None] * ((r[:, None] ** _CC_M) @ miss)
 
 
@@ -185,55 +189,52 @@ class _PanelIntegrator:
         points with a bound on its rounding.  An f that returns no charge
         charges nothing.  A panel at 0 comes first: spans are in position
         order."""
-        ends = np.asarray(spans, dtype=float).reshape(-1, 2)
-        half = 0.5 * (ends[:, 1] - ends[:, 0])
-        nodes = (ends[:, 0] + half)[:, None] + half[:, None] * _CC_NODES
-        at0 = len(ends) > 0 and ends[0, 0] == 0.0
-        points = np.asarray(points, dtype=float)
-        fv = self.f(np.concatenate([nodes.ravel(), points]) if points.size else nodes.ravel())
-        self.nodes_used += nodes.size + points.size
+        half = np.array([0.5 * (b - a) for a, b in spans])
+        nodes = (np.array([a for a, _ in spans]) + half)[:, None] + half[:, None] * _CC_NODES
+        at0 = bool(spans) and spans[0][0] == 0.0
+        fv = self.f(np.concatenate([nodes.ravel(), points]) if len(points) else nodes.ravel())
+        self.nodes_used += nodes.size + len(points)
         fv, charge = fv if isinstance(fv, tuple) else (fv, np.zeros(fv.shape))
-        g = fv[:nodes.size].reshape(nodes.shape)
-        power = 1.0
-        if self.v != 1.0:
-            if at0:
-                nodes[0] = 1.0  # the panel at 0 carries u^(v-1) in its weights
-            power = self._power(nodes)
-            g = g * power
-        coef = g @ _CC_C25.T
-        absg = np.abs(g)
         moments, absw, miss = self._rules
-        # both rules on every row: the plain one in the first column, the
-        # one of a panel at 0 in the second
-        both = coef @ moments
-        errs = _cc_error(np.abs(coef), absg.max(axis=1), miss) + _EPS * (absg @ absw)
+        # u^(v-1) may overflow a double: a panel whose charge is then not
+        # finite is refused when it is taken
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, power = fv[:nodes.size].reshape(nodes.shape), 1.0
+            if self.v != 1.0:
+                if at0:
+                    nodes[0] = 1.0  # the panel at 0 carries u^(v-1) in its weights
+                power = self._power(nodes)
+                g = g * power
+            coef = g @ _CC_C25T[g.dtype.kind == "c"]
+            absg = np.abs(g)
+            # both rules on every row: the plain one in the first column,
+            # the one of a panel at 0 in the second
+            both = coef @ moments
+            errs = _cc_error(np.abs(coef), absg.max(axis=1), miss) + _EPS * (absg @ absw)
+            weighted = (charge[:nodes.size].reshape(nodes.shape) * np.abs(power)) @ absw
+            hv = noise = points
+            if len(points):
+                power = self._power(points)
+                hv, noise = fv[nodes.size:] * power, charge[nodes.size:] * np.abs(power)
         value, err, scale = both[:, 0], errs[:, 0], half
         if at0:
-            value[0], err[0] = both[0, 1], errs[0, 1]
+            value[0], err[0], weighted[0, 0] = both[0, 1], errs[0, 1], weighted[0, 1]
             scale = half.astype(np.result_type(half, self._v0))
             scale[0] = half[0] ** self._v0
-        abs_scale = np.abs(scale)
-        panels = list(zip(map(complex, (scale * value).tolist()), (abs_scale * err).tolist()))
-        # an infinite charge (partial sums near the overflow threshold) is
-        # refused when it is taken
-        with np.errstate(invalid="ignore"):
-            weighted = (charge[:nodes.size].reshape(nodes.shape) * np.abs(power)) @ absw
-            if at0:
-                weighted[0, 0] = weighted[0, 1]
-            charges = (abs_scale * weighted[:, 0]).tolist()
-        pending = list(zip(spans, panels, absg, charges))
-        if not points.size:
-            return pending, points, points
-        power = self._power(points)
-        return pending, fv[nodes.size:] * power, charge[nodes.size:] * np.abs(power)
+        abs_scale = np.abs(scale) if at0 else half
+        panels = zip(map(complex, (scale * value).tolist()), (abs_scale * err).tolist())
+        pending = list(zip(spans, panels, absg, (abs_scale * weighted[:, 0]).tolist()))
+        return pending, hv, noise
 
     def take(self, pending: list):
         """The first panel of a batch, removed from it, with its charge
-        added now."""
+        added now; a charge that is not finite (the sums or u^(v-1) past
+        the largest double) is refused."""
         span, panel, absg, added = pending.pop(0)
         if not math.isfinite(added):
-            raise OverflowError("rounding bound of the integrand overflowed "
-                                f"(u up to {span[1]:.6g})")
+            what = ("rounding bound of the integrand" if np.isfinite(absg).all()
+                    else "u^(v-1) in the integrand")
+            raise OverflowError(f"{what} overflowed (u up to {span[1]:.6g})")
         self.rounding += added
         return panel, absg
 
@@ -299,10 +300,11 @@ def _integrand_factory(ratios: TermRatios, ratio: complex, series_tol: float, ex
         damp = np.exp(-u)
         if exact is not None:
             v, density = exact
-            with np.errstate(divide="ignore", invalid="ignore"):  # u = 0, Re v < 1
-                weighted = u ** (v.real - 1.0) * damp * charge
-            series._resum_exact(ratios, x, fvals, charge, np.flatnonzero(~(weighted <= density)),
-                                series_tol)
+            with np.errstate(divide="ignore", invalid="ignore") if v.real < 1.0 and not u.all() \
+                    else contextlib.nullcontext():  # u = 0
+                loud = ~(u ** (v.real - 1.0) * damp * charge <= density)
+            if loud.any():
+                series._resum_exact(ratios, x, fvals, charge, loud.nonzero()[0], series_tol)
         return damp * fvals, damp * charge
     return phi
 

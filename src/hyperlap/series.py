@@ -721,15 +721,15 @@ def _parameters(numerator: Sequence[complex], denominator: Sequence[complex],
 def _grown_ratios(ratios: np.ndarray, numerator: Sequence[complex],
                   denominator: Sequence[complex], stop: int) -> np.ndarray:
     """The rows r_0 .. of ratios grown to hold at least r_0 .. r_(stop-1),
-    in whole chunks of _CHUNK rows: each new r_n = 1/(n+1) prod(a_i + n) /
-    prod(b_j + n) from the rows of _INDEX, so an entry depends on n and
-    the parameters alone.  Rows past a terminating order may divide by 0;
-    the caller decides what that warns."""
+    in whole chunks of _CHUNK rows and at least doubled: each new r_n =
+    1/(n+1) prod(a_i + n) / prod(b_j + n) from the rows of _INDEX, so an
+    entry depends on n and the parameters alone.  Rows past a terminating
+    order may divide by 0; the caller decides what that warns."""
     global _INDEX, _RECIPROCAL
     start = len(ratios)
     if start >= stop:
         return ratios
-    end = -(-stop // _CHUNK) * _CHUNK
+    end = max(-(-stop // _CHUNK) * _CHUNK, 2 * start)
     if len(_INDEX) < end:
         _INDEX = np.arange(float(max(end, 2 * len(_INDEX))))
         _RECIPROCAL = 1.0 / (_INDEX + 1.0)
@@ -842,9 +842,9 @@ def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int
         # is read
         walk = ratios.log_walk(stop)[:stop] + np.arange(1.0, stop + 1.0) * log_z
         peak = np.maximum.accumulate(np.maximum(walk, 0.0))  # log |t_0| = 0
-        below = np.flatnonzero(walk < peak + math.log(tol))  # |t_(k+1)| vs peak
-        if below.size:
-            return min(int(below[0]) + 4, max_terms)
+        below = walk < peak + math.log(tol)  # |t_(k+1)| vs peak
+        if below.any():
+            return min(int(below.argmax()) + 4, max_terms)
         if stop == max_terms:
             return max_terms
         stop *= 2
@@ -859,28 +859,30 @@ class _Rows:
     def __init__(self, ratios: TermRatios, z: np.ndarray):
         self.ratios = ratios
         self.z = z
-        dtype = np.result_type(z.dtype, ratios.dtype)
-        self.term = np.ones(z.shape, dtype)    # first term not yet summed
-        self.total = np.zeros(z.shape, dtype)
-        self.comp = np.zeros(z.shape, dtype)   # compensation across blocks
+        self.dtype = np.promote_types(z.dtype, ratios.dtype)
+        # first term not yet summed, running sum (None: no row kept), its compensation
+        self.term, self.total, self.comp = 1.0, None, 0.0
 
     def form(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows n .. n+m-1 at every node: the terms t_(n+1) .. t_(n+m) and
         the partial sums through t_n .. t_(n+m-1)."""
-        self.terms = np.empty((m + 1, *self.z.shape), self.term.dtype)  # t_n .. t_(n+m)
+        self.terms = np.empty((m + 1, *self.z.shape), self.dtype)  # t_n .. t_(n+m)
         self.terms[0] = self.term
         steps = _terms(self.ratios.ratios(n + m), self.z, self.term, n, n + m,
                        out=self.terms[1:])
         self.sums = self.terms[:-1].cumsum(axis=0)  # t_n + .. + t_(n+k)
-        return steps, self.total + self.sums
+        return steps, self.sums if self.total is None else self.total + self.sums
 
     def keep(self, k: int) -> None:
         """Make the first k rows formed part of the running sum."""
+        self.term = self.terms[-1]
+        if self.total is None:
+            self.total = self.sums[k - 1].copy()
+            return
         y = self.sums[k - 1] - self.comp
         t = self.total + y
         self.comp = (t - self.total) - y
         self.total = t
-        self.term = self.terms[-1]
 
 
 def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
@@ -904,14 +906,20 @@ def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
 
     The charge is _recurrence_charge's (p+q+3) eps sum_m |value - S_m|
     over the N summed rows, bounded by the triangle inequality as
-    (p+q+3) eps (sum_m |S_m| + N |value|); sum_m |S_m| reuses the
-    stopping test's |S_m|.  N is the call's row count, the same at every
-    node: a node is charged for the rows its call summed."""
+    (p+q+3) eps (sum_m |S_m| + N |value|), |S_m| formed on the summed
+    rows alone.  N is the call's row count, the same at every node: a
+    node is charged for the rows its call summed."""
     rows = _Rows(ratios, z)
     if ratios.order is not None:
         max_terms = min(max_terms, ratios.order + 1)
-    predicted = 0 if (z.real < 0.0).any() else _predicted_rows(
-        ratios, float(np.abs(z).max(initial=0.0)), tol, max_terms)
+    if not z.size:
+        return np.zeros(0, rows.dtype), np.zeros(0)
+    # a row passes at every node only if it passes at the node of largest |z|,
+    # almost always the last to pass: rows are tested in full from the first there
+    size = np.abs(z)
+    far = int(size.argmax())
+    z_max = float(size[far])
+    predicted = 0 if z.real.min() < 0.0 else _predicted_rows(ratios, z_max, tol, max_terms)
     cap = max(_CHUNK, _BLOCK_ENTRIES // max(z.size, 1))
     consec = 0
     n = 0
@@ -921,28 +929,30 @@ def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
         while n < max_terms:
             m = min(max(predicted - n, _CHUNK), cap, max_terms - n)
             nxt, partial = rows.form(n, m)
-            sums = np.abs(partial)
-            passed = np.abs(nxt) <= tol * np.maximum(sums, _ABS_FLOOR)
-            small = passed.all(axis=1)
-            kept = m
-            for k, ok in enumerate(small.tolist()):
-                consec = consec + 1 if ok else 0
-                if consec >= 3:
-                    kept = k + 1
-                    break
+            at_far = np.abs(nxt[:, far]) <= tol * np.maximum(np.abs(partial[:, far]), _ABS_FLOOR)
+            first, kept = int(at_far.argmax()), m
+            consec = consec if at_far[0] else 0
+            if at_far[first]:
+                rest = np.abs(nxt[first:]) <= tol * np.maximum(np.abs(partial[first:]), _ABS_FLOOR)
+                for k, ok in enumerate(rest.all(axis=1).tolist(), first):
+                    consec = consec + 1 if ok else 0
+                    if consec >= 3:
+                        kept = k + 1
+                        break
             if not (np.isfinite(nxt[kept - 1]).all() and np.isfinite(partial[kept - 1]).all()):
                 raise OverflowError(
                     f"pFq series term overflowed after {n + kept} terms "
-                    f"(|z| up to {float(np.abs(z).max()):.6g})")
+                    f"(|z| up to {z_max:.6g})")
             rows.keep(kept)
-            abs_sum = abs_sum + sums[:kept].sum(axis=0)
+            sums = np.abs(partial[:kept])
+            abs_sum = sums.sum(axis=0) if n == 0 else abs_sum + sums.sum(axis=0)
             n += kept
             if consec >= 3:
                 break
         # inside the errstate block: near the largest double the charge
         # overflows to inf, which the caller refuses
         factors = len(ratios.numerator) + len(ratios.denominator) + 3
-        return rows.total, factors * _EPS * (abs_sum + n * sums[kept - 1])
+        return rows.total, factors * _EPS * (abs_sum + n * sums[-1])
 
 
 def _resum_exact(ratios: TermRatios, z: np.ndarray, values: np.ndarray, charge: np.ndarray,

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -51,6 +52,16 @@ def test_eval_closed_form_round_trips_library():
                                   {"a": 1.2, "b": 0.9, "d": 1.4}, 2.0))
     got = complex(doc["results"][0]["value_re"], doc["results"][0]["value_im"])
     assert got == lib.value  # bit-exact: repr round-trip through JSON
+
+
+@pytest.mark.parametrize("v", ["120", "170"])
+def test_power_overflow_exits_3_without_a_warning(v, capsys):
+    # u^(v-1) overflows a double inside the body: a numerical failure with
+    # a typed refusal, where a RuntimeWarning as an error used to exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "laplace-numeric", "--v", v, "--s", "1", "--w", "0"]) == 3
+    assert "u^(v-1)" in capsys.readouterr().err
 
 
 def test_eval_laplace_numeric_raw_mode():

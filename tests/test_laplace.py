@@ -42,6 +42,17 @@ def test_transform_law_validity_clauses():
         transform_rhs_series(1.0, 1.0, 0.5, HyperSeriesSpec([1, 2], [3], 0.5))
 
 
+@pytest.mark.parametrize("oracle", [laplace_numeric, transform_rhs_series])
+@pytest.mark.parametrize("v, s, w, name", [
+    (1.5, cmath.nan, 0.5, "s"), (cmath.nan, 1.5, 0.5, "v"), (1.5, cmath.inf, 0.5, "s"),
+    (1.5, 1.5, complex(0.5, cmath.inf), "w")])
+def test_non_finite_argument_is_refused_naming_it(oracle, v, s, w, name):
+    # a bad input, not a numerical failure: a NaN s used to overflow the
+    # series, and s = inf passed for s = w
+    with pytest.raises(ValidityError, match=f"^{name} is not finite$"):
+        oracle(v, s, w, HyperSeriesSpec([0.5], [1.5], 1.0))
+
+
 # each existence clause broken once, for 1F1(1; 2) unless noted; w = 1.5 at
 # s = 1+1i and w = 1.2 at s = 1+2i put w/s inside the disk |w/s| < 1 while
 # Re(s) <= Re(w): 1F1(1; 2; x) = (e^x - 1)/x, so the integral diverges

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,16 @@ def test_integrand_overflow_is_refused(a):
     # terms give no lower bound of |F|, and the tail runs into the overflow
     with pytest.raises(OverflowError if isinstance(a, complex) else SlowDecayError):
         laplace_numeric(1.5, 1.0, 0.99, HyperSeriesSpec([a], [2.5], 1.0), tol=1e-7)
+
+
+@pytest.mark.parametrize("v", [120.0, 170.0])
+def test_power_past_the_largest_double_is_refused_without_a_warning(v):
+    # Gamma(v) fits in a double, but u^(v-1) overflows one inside the body
+    # [0, 6 v]: a typed refusal that names it, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"u\^\(v-1\)"):
+            laplace_numeric(v, 1.0, 0.0, HyperSeriesSpec([], [], 1.0))
 
 
 def test_large_negative_ratio_integrand_is_summed_exactly():

@@ -963,6 +963,46 @@ def test_float_kernel_refuses_overflow_where_the_chunked_reference_does(num, z):
             kernel(TermRatios(num, den), z, 1e-14)
 
 
+# calls in which the node of largest |z| is not the last to pass: complex
+# parameters, nodes with both signs of Re z (so 32-row blocks, several of
+# them), and a terminating series that stops by the three-row rule before
+# its order; a node of Re z < 0 keeps every call in the reference's blocks
+STOP_ROW_CASES = [
+    ([1.2 + 0.3j, 0.7], [1.7 - 0.3j, 2.3], np.array([30.0, 12.0, -25.0, -10.0]) * (1.0 + 0.1j)),
+    ([1.2, 3.3], [1.7, 2.3], np.linspace(-26.0, 30.0, 9)),
+    ([-120.0, 1.5], [2.5], np.array([-0.3, 0.25])),
+]
+
+
+@pytest.mark.parametrize("num, den, z", STOP_ROW_CASES)
+def test_float_kernel_stops_where_the_chunked_reference_does(num, den, z, monkeypatch):
+    table = TermRatios(num, den)
+    want, rows = _chunked_reference(table, z, 1e-13)
+    far = int(np.abs(z).argmax())
+    assert _chunked_reference(table, z[far:far + 1], 1e-13)[1] < rows
+    assert table.order is None or rows <= table.order  # the three-row rule stopped it
+    summed = []
+    keep = series._Rows.keep
+    monkeypatch.setattr(series._Rows, "keep", lambda self, k: keep(self, summed.append(k) or k))
+    got = series._series_vector(table, z, 1e-13)[0]
+    assert len(summed) >= 2 and sum(summed) == rows
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("z", [np.array([-740.0, 700.0, 30.0]),
+                               np.array([-740.0, 700.0, 30.0]) * (1.0 - 0.2j)])
+def test_float_kernel_refuses_overflow_at_the_row_of_the_chunked_reference(z):
+    # the terms at the node of largest |z| pass the largest double long
+    # before any row passes at the other nodes: both refuse after the same
+    # rows (the message counts them)
+    refusals = []
+    for kernel in (_chunked_reference, series._series_vector):
+        with pytest.raises(OverflowError) as refused:
+            kernel(TermRatios([1.0], [2.0]), z, 1e-14)
+        refusals.append(str(refused.value))
+    assert refusals[0] == refusals[1]
+
+
 def _rational_loop(num, den, z, terms):
     """t_0 .. t_(terms-1) summed in exact rational arithmetic, with the
     parameters' exact values: the reference for series._sum_exact."""
