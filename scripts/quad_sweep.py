@@ -20,8 +20,10 @@ digits; at s = w it is Gauss's sum Gamma(v) s^(-v) Gamma(c) Gamma(c-a-v)
 exceeds its abs_err_est; a typed refusal (ValidityError, SlowDecayError,
 OverflowError) is counted, not failed.  Prints, per family, the draws,
 refusals, under-covered draws, the worst and median error/estimate, the
-median nodes and the nodes summed again exactly (series._resum_exact,
-counted by wrapping it from here); exits 1 on any under-covered draw.
+median nodes, the median vector-kernel calls and blocks of rows per
+integral (series._series_vector and series._Rows.form), and the nodes
+summed again exactly (series._resum_exact), each counted by wrapping the
+function from here; exits 1 on any under-covered draw.
 """
 
 import argparse
@@ -36,14 +38,23 @@ from hyperlap.quadrature import laplace_numeric
 from hyperlap.series import HyperSeriesSpec
 
 _TOLS = (1e-5, 1e-7, 1e-9)
-_EXACT_NODES = [0]
+# running counts: nodes summed again exactly, kernel calls, blocks of rows
+_COUNTS = {"exact": 0, "calls": 0, "blocks": 0}
 
 
 def _counted_resum_exact(kernel):
-    """series._resum_exact, adding the nodes it is given to _EXACT_NODES."""
+    """series._resum_exact, adding the nodes it is given to the count."""
     def counted(ratios, z, values, charge, nodes, *args):
-        _EXACT_NODES[0] += len(nodes)
+        _COUNTS["exact"] += len(nodes)
         return kernel(ratios, z, values, charge, nodes, *args)
+    return counted
+
+
+def _counted(fn, key: str):
+    """fn, adding one to the count under key per call."""
+    def counted(*args, **kwargs):
+        _COUNTS[key] += 1
+        return fn(*args, **kwargs)
     return counted
 
 
@@ -82,13 +93,18 @@ def _reference(v, s, w, num, den) -> complex:
                                     [mp.mpc(b) for b in den], w / s))
 
 
+def _median(x: list) -> float:
+    return float(np.median(x)) if x else float("nan")
+
+
 def sweep(family: str, n: int, rng) -> dict:
-    ratios, nodes = [], []
+    ratios, nodes, calls, blocks = [], [], [], []
     refused = under = 0
-    exact_before = _EXACT_NODES[0]
+    exact_before = _COUNTS["exact"]
     for i in range(n):
         v, s, w, num, den = _draw(rng, family, cplx=i % 2 == 1)
         tol = _TOLS[i % len(_TOLS)]
+        calls_before, blocks_before = _COUNTS["calls"], _COUNTS["blocks"]
         try:
             res = laplace_numeric(v, s, w, HyperSeriesSpec(num, den, 1.0), tol=tol)
         except (ValidityError, SlowDecayError, OverflowError):
@@ -98,11 +114,12 @@ def sweep(family: str, n: int, rng) -> dict:
         under += ratio > 1.0
         ratios.append(ratio)
         nodes.append(res.nodes_used)
+        calls.append(_COUNTS["calls"] - calls_before)
+        blocks.append(_COUNTS["blocks"] - blocks_before)
     return {"draws": n, "refused": refused, "under": under,
-            "worst": max(ratios, default=float("nan")),
-            "median": float(np.median(ratios)) if ratios else float("nan"),
-            "nodes": float(np.median(nodes)) if nodes else float("nan"),
-            "exact": _EXACT_NODES[0] - exact_before}
+            "worst": max(ratios, default=float("nan")), "median": _median(ratios),
+            "nodes": _median(nodes), "calls": _median(calls), "blocks": _median(blocks),
+            "exact": _COUNTS["exact"] - exact_before}
 
 
 def main(argv=None) -> int:
@@ -113,17 +130,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     mp.mp.dps = 30
     series._resum_exact = _counted_resum_exact(series._resum_exact)
+    series._series_vector = _counted(series._series_vector, "calls")
+    series._Rows.form = _counted(series._Rows.form, "blocks")
     rng = np.random.default_rng(args.seed)
     print(f"{'family':<12} {'draws':>6} {'refused':>8} {'under':>6} "
           f"{'worst err/est':>14} {'median err/est':>15} {'median nodes':>13} "
-          f"{'exact nodes':>12}")
+          f"{'median calls':>13} {'median blocks':>14} {'exact nodes':>12}")
     under = 0
     for family in ("exp_decay", "alternating", "power_law"):
         r = sweep(family, args.n, rng)
         under += r["under"]
         print(f"{family:<12} {r['draws']:>6} {r['refused']:>8} {r['under']:>6} "
               f"{r['worst']:>14.3g} {r['median']:>15.3g} {r['nodes']:>13.0f} "
-              f"{r['exact']:>12}")
+              f"{r['calls']:>13.0f} {r['blocks']:>14.0f} {r['exact']:>12}")
     return 1 if under else 0
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IndeterminateError, PoleError
+from .errors import IndeterminateError, PoleError, ValidityError
 
 __all__ = [
     "POLE_TOL",
@@ -101,7 +101,7 @@ def ln_gamma(z: complex) -> complex:
     Continuous on the complex plane cut along (-inf, 0]; real on the
     positive real axis.  Raises PoleError within POLE_TOL of a pole.
     """
-    z = complex(z)
+    z, = complex_tuple((z,), "ln_gamma argument")
     if is_nonpositive_integer(z):
         raise PoleError(f"ln_gamma pole at z={z}")
     return _ln_gamma(z)
@@ -131,7 +131,7 @@ def _real_gamma_sign(x: float) -> int:
 
 def gamma(z: complex) -> complex:
     """Gamma function, exp(ln_gamma(z)); exactly real for real z."""
-    z = complex(z)
+    z, = complex_tuple((z,), "gamma argument")
     if is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z={z}")
     if z.imag == 0.0:
@@ -147,7 +147,7 @@ def gamma(z: complex) -> complex:
 
 def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z); entire, exactly 0 at nonpositive integers."""
-    z = complex(z)
+    z, = complex_tuple((z,), "reciprocal_gamma argument")
     if is_nonpositive_integer(z):
         return complex(0.0, 0.0)
     if z.imag == 0.0:
@@ -168,7 +168,7 @@ def pochhammer(a: complex, n: int) -> complex:
         raise TypeError("pochhammer order n must be an int")
     if n < 0:
         raise ValueError("pochhammer order n must be nonnegative")
-    a = complex(a)
+    a, = complex_tuple((a,), "pochhammer argument")
     out = complex(1.0, 0.0)
     for k in range(n):
         out *= a + k
@@ -187,13 +187,18 @@ class GammaRatioSpec:
     denominator: tuple[complex, ...]
 
     def __init__(self, numerator: Sequence[complex] = (), denominator: Sequence[complex] = ()):
-        object.__setattr__(self, "numerator", complex_tuple(numerator))
-        object.__setattr__(self, "denominator", complex_tuple(denominator))
+        object.__setattr__(self, "numerator", complex_tuple(numerator, "gamma argument"))
+        object.__setattr__(self, "denominator", complex_tuple(denominator, "gamma argument"))
 
 
-def complex_tuple(values: Sequence[complex]) -> tuple[complex, ...]:
-    """values as a tuple of complex numbers, converting only the others."""
-    return tuple([x if type(x) is complex else complex(x) for x in values])
+def complex_tuple(values: Sequence[complex], what: str) -> tuple[complex, ...]:
+    """values as a tuple of complex numbers, converting only the others;
+    a value that is not finite raises ValidityError, naming it what."""
+    out = tuple([x if type(x) is complex else complex(x) for x in values])
+    for x in out:
+        if not cmath.isfinite(x):
+            raise ValidityError(f"{what} {x} is not finite")
+    return out
 
 
 def gamma_ratio(spec: GammaRatioSpec) -> complex:

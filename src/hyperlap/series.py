@@ -124,9 +124,9 @@ class HyperSeriesSpec:
 
     def __init__(self, numerator: Sequence[complex], denominator: Sequence[complex],
                  argument: complex):
-        object.__setattr__(self, "numerator", complex_tuple(numerator))
-        object.__setattr__(self, "denominator", complex_tuple(denominator))
-        object.__setattr__(self, "argument", complex(argument))
+        object.__setattr__(self, "numerator", complex_tuple(numerator, "series parameter"))
+        object.__setattr__(self, "denominator", complex_tuple(denominator, "series parameter"))
+        object.__setattr__(self, "argument", complex_tuple((argument,), "series argument")[0])
         object.__setattr__(self, "order", _validated_order(self.numerator, self.denominator))
 
     @property
@@ -686,9 +686,9 @@ def eval_series(spec: HyperSeriesSpec, tol: float = 1e-12,
 # holds the term ratios r_n, so a call does no per-term parameter work.
 # The kernel forms a block of rows of terms for every node at once, with
 # a cumulative product and a cumulative sum down the rows of r_n * z
-# (_series_vector, _Rows).  Every block costs the same fixed numpy overhead, so the
-# first block is sized to the stop row predicted from the term magnitudes
-# (_predicted_rows) and formed at once.  The loop also measures each
+# (_series_vector, _Rows).  Every block costs the same fixed numpy overhead, so
+# every call's first block is sized to the stop row predicted from the term
+# magnitudes (_predicted_rows) and formed at once.  The loop also measures each
 # node's rounding (its charge), so a caller sums again exactly
 # (_sum_exact) the nodes whose rounding it cannot afford.
 # ---------------------------------------------------------------------------
@@ -711,8 +711,8 @@ def _parameters(numerator: Sequence[complex], denominator: Sequence[complex],
     """(real, numerator, denominator): the parameters as complex numbers,
     or as floats when every one is real, so that real parameters give
     float arithmetic."""
-    params, p = complex_tuple((*numerator, *denominator)), len(numerator)
-    if any([x.imag for x in params]):  # a NaN imaginary part too
+    params, p = complex_tuple((*numerator, *denominator), "series parameter"), len(numerator)
+    if any([x.imag for x in params]):
         return False, params[:p], params[p:]
     params = tuple([x.real for x in params])
     return True, params[:p], params[p:]
@@ -828,9 +828,9 @@ def _predicted_rows(ratios: TermRatios, z_max: float, tol: float, max_terms: int
     k = q - p + 1, so a first window of 2 z_max^(1/k) + 2 _CHUNK rows holds
     that n unless the parameters are large; a longer walk doubles the
     window.  The walk reads the table from row 0, so its answer depends on
-    the parameters, z_max and tol alone.  The prediction falls short where
-    the partial sums lie far below the peak term (cancelling sums); the
-    loop then goes on in blocks of _CHUNK rows."""
+    the parameters, z_max and tol alone.  Where the partial sums lie far
+    below the peak term (cancelling sums, Re z < 0) the stop lies past it,
+    and the loop goes on in blocks of _CHUNK rows."""
     if not math.isfinite(z_max):
         return 0  # no walk: the loop refuses the rows that are not finite
     log_z = math.log(z_max) if z_max > 0.0 else -math.inf
@@ -891,11 +891,9 @@ def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
     by direct summation, in blocks of rows (_Rows), and each node's
     rounding charge.
 
-    The blocks run through the row _predicted_rows gives, each capped at
-    _BLOCK_ENTRIES entries but never under _CHUNK rows; past that row, and
-    in every call with a node at Re z < 0 (the terms cancel: the partial
-    sums lie far below the peak term, and their rounding noise, which the
-    block layout changes, sets the stop row), every block has _CHUNK rows.
+    One block rule for every call: the blocks run through the row
+    _predicted_rows gives, each capped at _BLOCK_ENTRIES entries but never
+    under _CHUNK rows, and past that row every block has _CHUNK rows.
     Stops once three consecutive terms are <= tol * |partial sum| at every
     node, at that row, or after t_order of a terminating series (later
     rows may divide by a zero denominator factor).  Rows formed past the
@@ -919,7 +917,7 @@ def _series_vector(ratios: TermRatios, z: np.ndarray, tol: float,
     size = np.abs(z)
     far = int(size.argmax())
     z_max = float(size[far])
-    predicted = 0 if z.real.min() < 0.0 else _predicted_rows(ratios, z_max, tol, max_terms)
+    predicted = _predicted_rows(ratios, z_max, tol, max_terms)
     cap = max(_CHUNK, _BLOCK_ENTRIES // max(z.size, 1))
     consec = 0
     n = 0

@@ -248,8 +248,7 @@ def _laplace_ok(lid: LaplaceId, p: dict, s, cfg: SamplerConfig):
             & np.logical_not(_excess_too_small(W_FACTOR[lid], excess.real)))
 
 
-def sample_valid(identity_id: str, cfg: SamplerConfig, n: int,
-                 label_suffix: str = "") -> list[dict]:
+def sample_valid(identity_id: str, cfg: SamplerConfig, n: int) -> list[dict]:
     """n parameter bindings passing every validity screen, rejection-sampled
     deterministically from the per-identity child stream.
 
@@ -260,7 +259,7 @@ def sample_valid(identity_id: str, cfg: SamplerConfig, n: int,
         if kind == "sum":
             return _summation_ok(ident, cols, cfg)
         return _laplace_ok(ident, *_split_laplace_binding(cols), cfg)
-    return _rejection_sample(kind, ident, cfg, identity_id + label_suffix, n, screen)
+    return _rejection_sample(kind, ident, cfg, identity_id, n, screen)
 
 
 def _split_laplace_binding(binding: dict) -> tuple[dict, complex]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlap.errors import IndeterminateError, PoleError
+from hyperlap.errors import IndeterminateError, PoleError, ValidityError
 from hyperlap.gammafn import (POLE_TOL, GammaRatioSpec, gamma, gamma_ratio,
                               is_nonpositive_integer, ln_gamma, pochhammer,
                               reciprocal_gamma)
@@ -147,6 +147,33 @@ def test_gamma_ratio_pole_handling():
         gamma_ratio(GammaRatioSpec([-2.0], [1.0]))
     with pytest.raises(IndeterminateError):
         gamma_ratio(GammaRatioSpec([-2.0], [-3.0]))
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(2.0, -math.inf)]
+
+
+@pytest.mark.parametrize("fn", [gamma, ln_gamma, reciprocal_gamma])
+@pytest.mark.parametrize("z", NON_FINITE)
+def test_gamma_refuses_a_non_finite_argument(fn, z):
+    # a bad input, not a numerical failure: nan and -inf used to fail in
+    # round() or math.floor, +inf to overflow
+    with pytest.raises(ValidityError, match="argument .* is not finite$"):
+        fn(z)
+
+
+@pytest.mark.parametrize("a", NON_FINITE)
+def test_pochhammer_refuses_a_non_finite_argument(a):
+    # (nan)_3 used to come back as nan without a word
+    with pytest.raises(ValidityError, match="^pochhammer argument .* is not finite$"):
+        pochhammer(a, 3)
+
+
+@pytest.mark.parametrize("z", NON_FINITE)
+def test_gamma_ratio_refuses_a_non_finite_argument(z):
+    # 1 + nan i used to come back as nan + nan i without a word
+    for num, den in (([2.5, z], [1.5]), ([2.5], [1.5, z])):
+        with pytest.raises(ValidityError, match="^gamma argument .* is not finite$"):
+            gamma_ratio(GammaRatioSpec(num, den))
 
 
 def test_gamma_ratio_avoids_overflow():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hyperlap import series
 from hyperlap.cli import main
-from hyperlap.errors import DivergentSeriesError
+from hyperlap.errors import DivergentSeriesError, ValidityError
 from hyperlap.series import (Convergence, HyperSeriesSpec, SeriesResult, TermRatios,
                              classify, derivative_shift, eval_series,
                              series_values_real)
@@ -84,6 +84,21 @@ def test_spec_construction_rejects_bad_denominator():
     # terminating before the denominator zero factor is fine
     spec = F([-2.0], [-5.0], 0.5)
     assert spec.order == 2
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+def test_spec_construction_refuses_a_non_finite_parameter(x):
+    # nan and -inf used to fail in round() or math.floor
+    for num, den in (([x, 1.5], [2.5]), ([1.5], [2.5, x])):
+        with pytest.raises(ValidityError, match="^series parameter .* is not finite$"):
+            F(num, den, 0.5)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.5, math.inf)])
+def test_eval_series_refuses_a_non_finite_argument(z):
+    # a bad input, not the term overflow (exit 3) it used to report
+    with pytest.raises(ValidityError, match="^series argument .* is not finite$"):
+        eval_series(F([1.5], [2.5], z))
 
 
 # ------------------------------------------------------------------- eval
@@ -868,23 +883,28 @@ def test_double_double_kernel_refuses_overflow():
 
 
 def _chunked_reference(ratios, z, tol, max_terms=100_000):
-    """The float/complex kernel in blocks of 32 rows, each formed by
-    series._terms from the carried term and Kahan-compensated across
-    blocks: the reference for the rows that series._series_vector sums.
-    Returns the values and the rows summed; raises OverflowError, with the
-    rows formed through the stop row or the end of the block, when a
-    summed row is not finite."""
+    """The float/complex kernel's one block rule, written out: blocks
+    through the row series._predicted_rows gives at the largest |z|, each
+    capped at 2**16 entries but never under 32 rows, then blocks of 32
+    rows; each formed by series._terms from the carried term, tested row
+    by row at every node and Kahan-compensated across blocks.  The
+    reference for the rows and the values that series._series_vector
+    sums.  Returns the values and the rows summed; raises OverflowError,
+    with the rows formed through the stop row or the end of the block,
+    when a summed row is not finite."""
     if ratios.order is not None:
         max_terms = min(max_terms, ratios.order + 1)
+    predicted = series._predicted_rows(ratios, float(np.abs(z).max()), tol, max_terms)
+    cap = max(32, (1 << 16) // z.size)
     dtype = np.result_type(z.dtype, ratios.dtype)
     term, total, comp = np.ones(z.shape, dtype), np.zeros(z.shape, dtype), np.zeros(z.shape, dtype)
     n = consec = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while n < max_terms and consec < 3:
-            m = min(32, max_terms - n)
+            m = min(max(predicted - n, 32), cap, max_terms - n)
             nxt = series._terms(ratios.ratios(n + m), z, term, n, n + m)
-            added = np.concatenate([term[None, :], nxt[:-1]])
-            partial = total + added.cumsum(axis=0)
+            block = np.concatenate([term[None, :], nxt[:-1]]).cumsum(axis=0)
+            partial = total + block
             small = (np.abs(nxt) <= tol * np.maximum(np.abs(partial), 1e-300)).all(axis=1)
             kept = m
             for k, ok in enumerate(small):
@@ -895,7 +915,7 @@ def _chunked_reference(ratios, z, tol, max_terms=100_000):
             if not (np.isfinite(nxt[:kept]).all() and np.isfinite(partial[:kept]).all()):
                 raise OverflowError(f"pFq series term overflowed after {n + kept} terms "
                                     f"(|z| up to {float(np.abs(z).max()):.6g})")
-            y = added[:kept].sum(axis=0) - comp
+            y = block[kept - 1] - comp
             t = total + y
             comp = (t - total) - y
             total = t
@@ -918,21 +938,33 @@ def test_float_kernel_sums_the_rows_of_the_chunked_reference(num, den, z, monkey
     summed = []
     keep = series._Rows.keep
     monkeypatch.setattr(series._Rows, "keep", lambda self, k: keep(self, summed.append(k) or k))
-    got, charge = series._series_vector(TermRatios(num, den), z, 1e-13)
+    got = series._series_vector(TermRatios(num, den), z, 1e-13)[0]
     want, rows = _chunked_reference(TermRatios(num, den), z, 1e-13)
     assert sum(summed) == rows
-    # the same terms, partial sums rounded in other blocks: each sum lies
-    # within the charge of the exact one
-    assert np.all(np.abs(got - want) <= 2.0 * charge)
+    assert np.array_equal(got, want)
 
 
-def test_float_kernel_keeps_chunks_where_terms_cancel():
-    # Re z < 0: no predicted block, so the rows and the values are the
-    # chunked reference's
+@pytest.mark.parametrize("z", [
+    -np.linspace(0.5, 24.0, 11),  # alternating: every node at Re z < 0
+    np.linspace(-24.0, 3.0, 11) * (1.0 - 0.3j),  # complex, both signs of Re z
+])
+def test_float_kernel_forms_the_predicted_block_where_terms_cancel(z, monkeypatch):
+    # one block rule: a cancelling call forms its first block through the
+    # predicted row in one _Rows.form call, then 32-row blocks, and sums
+    # the reference's rows bit for bit
     table = TermRatios([1.2, 3.3], [1.7, 2.3])
-    for z in (np.linspace(-24.0, 3.0, 11), np.linspace(-24.0, 3.0, 11) * (1.0 - 0.3j)):
-        got = series._series_vector(table, z, 1e-13)[0]
-        assert np.array_equal(got, _chunked_reference(table, z, 1e-13)[0])
+    predicted = series._predicted_rows(table, float(np.abs(z).max()), 1e-13, 100_000)
+    assert predicted > 32
+    forms, summed = [], []
+    form, keep = series._Rows.form, series._Rows.keep
+    monkeypatch.setattr(series._Rows, "form", lambda self, n, m: forms.append((n, m)) or form(self, n, m))
+    monkeypatch.setattr(series._Rows, "keep", lambda self, k: keep(self, summed.append(k) or k))
+    got = series._series_vector(table, z, 1e-13)[0]
+    want, rows = _chunked_reference(table, z, 1e-13)
+    assert forms[0] == (0, predicted)
+    assert all(m == 32 for _, m in forms[1:])
+    assert sum(summed) == rows
+    assert np.array_equal(got, want)
 
 
 def test_float_kernel_reads_no_row_past_its_stop():
@@ -964,13 +996,13 @@ def test_float_kernel_refuses_overflow_where_the_chunked_reference_does(num, z):
 
 
 # calls in which the node of largest |z| is not the last to pass: complex
-# parameters, nodes with both signs of Re z (so 32-row blocks, several of
-# them), and a terminating series that stops by the three-row rule before
-# its order; a node of Re z < 0 keeps every call in the reference's blocks
+# parameters, nodes with both signs of Re z, and a terminating series that
+# stops by the three-row rule before its order.  A cancelling node stops
+# past the predicted block, here two or more 32-row blocks past it
 STOP_ROW_CASES = [
-    ([1.2 + 0.3j, 0.7], [1.7 - 0.3j, 2.3], np.array([30.0, 12.0, -25.0, -10.0]) * (1.0 + 0.1j)),
-    ([1.2, 3.3], [1.7, 2.3], np.linspace(-26.0, 30.0, 9)),
-    ([-120.0, 1.5], [2.5], np.array([-0.3, 0.25])),
+    ([1.2 + 0.3j, 0.7], [1.7 - 0.3j, 2.3], np.array([100.0, 40.0, -96.0, -30.0]) * (1.0 + 0.1j)),
+    ([1.2, 3.3], [1.7, 2.3], np.linspace(-96.0, 100.0, 9)),
+    ([-600.0, 1.5], [2.5], np.array([-0.95, 0.9])),
 ]
 
 
@@ -985,7 +1017,9 @@ def test_float_kernel_stops_where_the_chunked_reference_does(num, den, z, monkey
     keep = series._Rows.keep
     monkeypatch.setattr(series._Rows, "keep", lambda self, k: keep(self, summed.append(k) or k))
     got = series._series_vector(table, z, 1e-13)[0]
-    assert len(summed) >= 2 and sum(summed) == rows
+    max_terms = 100_000 if table.order is None else table.order + 1
+    assert summed[0] == series._predicted_rows(table, float(np.abs(z).max()), 1e-13, max_terms)
+    assert len(summed) >= 3 and sum(summed) == rows
     assert np.array_equal(got, want)
 
 
